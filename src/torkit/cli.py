@@ -54,12 +54,6 @@ def period_from_dict(d: dict) -> Period:
     return cls(**{k: d[k] for k in d.keys() & allowed})
 
 
-def period_to_dict(p: Period) -> dict:
-    if isinstance(p, FailStopPeriod):
-        return {"kind": "fail_stop", **{f: getattr(p, f) for f in sorted(FAIL_STOP_FIELDS)}}
-    return {"kind": "fail_slow", **{f: getattr(p, f) for f in sorted(FAIL_SLOW_FIELDS)}}
-
-
 def mixture_from_dict(d: dict) -> FailureMixture:
     comps = d.get("mixture")
     if not isinstance(comps, list) or not comps:

@@ -7,6 +7,7 @@ system actually achieves at an instant.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Union
@@ -34,15 +35,27 @@ ZERO_RATE_STAGES = frozenset(
 )
 
 
+def _check_number(name: str, value) -> float:
+    """``value`` as a float; anything but a real number (a bool included) is rejected."""
+    if type(value) is not float:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValidationError(f"{name} must be a number, got {value!r}")
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ValidationError(f"{name} is too large for a float") from None
+    return value
+
+
 def _check_time(name: str, value: float) -> float:
-    value = float(value)
+    value = _check_number(name, value)
     if not math.isfinite(value) or value < 0:
         raise ValidationError(f"{name} must be a finite non-negative number of seconds, got {value!r}")
     return value
 
 
 def _check_ratio(name: str, value: float) -> float:
-    value = float(value)
+    value = _check_number(name, value)
     if not math.isfinite(value) or not 0.0 <= value <= 1.0:
         raise ValidationError(f"{name} must lie in [0, 1], got {value!r}")
     return value
@@ -53,12 +66,12 @@ def _check_count(name: str, value: int) -> int:
         if not value.is_integer():
             raise ValidationError(f"{name} must be an integer count, got {value!r}")
         value = int(value)
-    if not isinstance(value, int) or value < 0:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
         raise ValidationError(f"{name} must be a non-negative integer, got {value!r}")
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Segment:
     """One piecewise-constant span of the rate timeline."""
 
@@ -70,6 +83,25 @@ class Segment:
         object.__setattr__(self, "duration", _check_time("duration", self.duration))
         object.__setattr__(self, "rate", _check_ratio("rate", self.rate))
         object.__setattr__(self, "stage", StageKind(self.stage))
+
+
+_new = object.__new__
+_set_duration = Segment.duration.__set__
+_set_rate = Segment.rate.__set__
+_set_stage = Segment.stage.__set__
+
+
+def _segment(duration: float, rate: float, stage: StageKind) -> Segment:
+    """Build a Segment without validation, for values the package produced.
+
+    The caller guarantees a float ``duration > 0``, a float ``rate`` in
+    [0, 1] and a StageKind ``stage``.
+    """
+    s = _new(Segment)
+    _set_duration(s, duration)
+    _set_rate(s, rate)
+    _set_stage(s, stage)
+    return s
 
 
 @dataclass(frozen=True)
@@ -86,6 +118,13 @@ class RateTimeline:
     def __post_init__(self):
         segs = tuple(s for s in self.segments if s.duration > 0)
         object.__setattr__(self, "segments", segs)
+
+    @classmethod
+    def _trusted(cls, segments: tuple[Segment, ...]) -> "RateTimeline":
+        """Wrap segments that all have a positive duration, skipping the filter."""
+        tl = _new(cls)
+        object.__setattr__(tl, "segments", segments)
+        return tl
 
     @classmethod
     def build(cls, items: Iterable[tuple[float, float, StageKind | str]]) -> "RateTimeline":
@@ -188,7 +227,7 @@ class FailureMixture:
         for spec, weight in comps:
             if not isinstance(spec, (FailStopPeriod, FailSlowPeriod)):
                 raise ValidationError(f"unsupported mixture component: {type(spec).__name__}")
-            w = float(weight)
+            w = _check_number("mixture weight", weight)
             if not math.isfinite(w) or w <= 0:
                 raise ValidationError(f"mixture weights must be positive, got {weight!r}")
         object.__setattr__(self, "components", tuple((s, float(w)) for s, w in comps))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import RateTimeline, Segment, StageKind
+from .model import RateTimeline, StageKind
 
 FAIL_STOP = "fail_stop"
 FAIL_SLOW = "fail_slow"
@@ -70,66 +70,65 @@ class PeriodRecord:
         return base + self.t_rb
 
 
-def split_periods(tl: RateTimeline) -> tuple[list[list[Segment]], list[Segment]]:
-    """Split into (complete periods, trailing partial segments)."""
-    periods: list[list[Segment]] = []
-    current: list[Segment] = []
-    segs = tl.segments
-    for i, s in enumerate(segs):
-        current.append(s)
-        ends_repair_run = s.stage is StageKind.REPAIR and (
-            i + 1 == len(segs) or segs[i + 1].stage is not StageKind.REPAIR
-        )
-        if ends_repair_run:
-            periods.append(current)
-            current = []
-    return periods, current
-
-
-def classify_period(segments: list[Segment]) -> str:
-    has_rb = any(s.stage is StageKind.ROLLBACK_WASTE for s in segments)
-    has_fs = any(s.stage is StageKind.FAIL_SLOW_DEGRADED for s in segments)
-    if has_rb and has_fs:
-        return MIXED
-    if has_fs:
-        return FAIL_SLOW
-    # No marker means the rolled-back span happened to be empty; treat as
-    # fail-stop (indistinguishable from a zero-length degradation).
-    return FAIL_STOP
-
-
-def summarize_period(segments: list[Segment]) -> PeriodRecord:
-    by_stage: dict[StageKind, list[float]] = {k: [] for k in StageKind}
-    sr_work: list[float] = []
-    fs_work: list[float] = []
-    n_ckpt = 0
-    prev_stage = None
-    for s in segments:
-        by_stage[s.stage].append(s.duration)
-        if s.stage is StageKind.SLOW_RECOVERY:
-            sr_work.append(s.duration * s.rate)
-        elif s.stage is StageKind.FAIL_SLOW_DEGRADED:
-            fs_work.append(s.duration * s.rate)
-        if s.stage is StageKind.CHECKPOINT_SAVE and prev_stage is not StageKind.CHECKPOINT_SAVE:
-            n_ckpt += 1
-        prev_stage = s.stage
-    return PeriodRecord(
-        kind=classify_period(segments),
-        t_sr=math.fsum(by_stage[StageKind.SLOW_RECOVERY]),
-        sr_work=math.fsum(sr_work),
-        t_h=math.fsum(by_stage[StageKind.HEALTHY_RUN]),
-        ckpt_time=math.fsum(by_stage[StageKind.CHECKPOINT_SAVE]),
-        n_ckpt=n_ckpt,
-        t_rb=math.fsum(by_stage[StageKind.ROLLBACK_WASTE]),
-        t_fs=math.fsum(by_stage[StageKind.FAIL_SLOW_DEGRADED]),
-        fs_work=math.fsum(fs_work),
-        t_r=math.fsum(by_stage[StageKind.REPAIR]),
-    )
-
-
 def period_records(tl: RateTimeline) -> list[PeriodRecord]:
-    periods, _ = split_periods(tl)
-    return [summarize_period(p) for p in periods]
+    """Summarise each complete period of ``tl`` in one pass over its segments.
+
+    A record is emitted at the end of each maximal run of Repair segments.
+    A period holding both a roll-back and a degraded interval is MIXED; one
+    with neither is FAIL_STOP (an empty rolled-back span is indistinguishable
+    from a zero-length degradation).
+    """
+    # Local names: looking members up on the enum class costs more than the
+    # rest of the loop body.
+    HEALTHY_RUN, CHECKPOINT_SAVE, SLOW_RECOVERY = (
+        StageKind.HEALTHY_RUN, StageKind.CHECKPOINT_SAVE, StageKind.SLOW_RECOVERY
+    )
+    ROLLBACK_WASTE, FAIL_SLOW_DEGRADED, REPAIR = (
+        StageKind.ROLLBACK_WASTE, StageKind.FAIL_SLOW_DEGRADED, StageKind.REPAIR
+    )
+    records: list[PeriodRecord] = []
+    t_sr: list[float] = []
+    sr_work: list[float] = []
+    t_h: list[float] = []
+    ckpt: list[float] = []
+    t_rb: list[float] = []
+    t_fs: list[float] = []
+    fs_work: list[float] = []
+    t_r: list[float] = []
+    n_ckpt = 0
+    prev = None
+    segs = tl.segments
+    last = len(segs) - 1
+    for i, s in enumerate(segs):
+        stage = s.stage
+        d = s.duration
+        if stage is HEALTHY_RUN:
+            t_h.append(d)
+        elif stage is CHECKPOINT_SAVE:
+            ckpt.append(d)
+            if prev is not CHECKPOINT_SAVE:
+                n_ckpt += 1
+        elif stage is SLOW_RECOVERY:
+            t_sr.append(d)
+            sr_work.append(d * s.rate)
+        elif stage is ROLLBACK_WASTE:
+            t_rb.append(d)
+        elif stage is FAIL_SLOW_DEGRADED:
+            t_fs.append(d)
+            fs_work.append(d * s.rate)
+        else:
+            t_r.append(d)
+            if i == last or segs[i + 1].stage is not REPAIR:
+                records.append(PeriodRecord(
+                    FAIL_STOP if not t_fs else MIXED if t_rb else FAIL_SLOW,
+                    math.fsum(t_sr), math.fsum(sr_work), math.fsum(t_h), math.fsum(ckpt),
+                    n_ckpt, math.fsum(t_rb), math.fsum(t_fs), math.fsum(fs_work),
+                    math.fsum(t_r),
+                ))
+                t_sr, sr_work, t_h, ckpt, t_rb, t_fs, fs_work, t_r = [], [], [], [], [], [], [], []
+                n_ckpt = 0
+        prev = stage
+    return records
 
 
 @dataclass(frozen=True)

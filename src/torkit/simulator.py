@@ -10,6 +10,14 @@ Randomness comes from a counter-based generator (numpy Philox) keyed by
 ``SeedSequence(seed)``; Monte-Carlo replication ``k`` uses
 ``SeedSequence(seed, spawn_key=(k,))``. Results are bit-reproducible for a
 given config on a given implementation.
+
+One event loop (``_run``) feeds one of two sinks. :func:`simulate` uses the
+timeline sink, which builds the run's slotted ``Segment``s through the
+package's unvalidated constructor. :func:`monte_carlo` uses it only for its
+first finished replication (``first_result``, the only one that carries a
+timeline); later replications use the totals sink, which keeps durations and
+the duration * rate products that survive rollback. Their
+``ReplicationOutcome`` totals are bit-identical to those of ``simulate``.
 """
 from __future__ import annotations
 
@@ -21,11 +29,28 @@ from typing import Iterator, Union
 import numpy as np
 
 from .errors import DivergedError, ValidationError
-from .model import RateTimeline, Segment, StageKind, _check_ratio, _check_time
+from .model import (
+    RateTimeline,
+    Segment,
+    StageKind,
+    _check_count,
+    _check_number,
+    _check_ratio,
+    _check_time,
+    _segment,
+)
 from .periods import MIXED, PeriodMeans, PeriodRecord, mean_periods, period_records
 from .timeline import integrate_optimal_time, observed_time
 
 INF = math.inf
+# Module names for the members the event loop uses: an attribute lookup on
+# the enum class is an order of magnitude slower than a global.
+HEALTHY_RUN = StageKind.HEALTHY_RUN
+SLOW_RECOVERY = StageKind.SLOW_RECOVERY
+CHECKPOINT_SAVE = StageKind.CHECKPOINT_SAVE
+ROLLBACK_WASTE = StageKind.ROLLBACK_WASTE
+FAIL_SLOW_DEGRADED = StageKind.FAIL_SLOW_DEGRADED
+REPAIR = StageKind.REPAIR
 
 
 # ---------------------------------------------------------------------------
@@ -34,6 +59,9 @@ INF = math.inf
 @dataclass(frozen=True)
 class Fixed:
     value: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "value", _check_time("value", self.value))
 
     def sample(self, rng: np.random.Generator) -> float:
         return self.value
@@ -46,6 +74,9 @@ class Fixed:
 class Exponential:
     mean_value: float
 
+    def __post_init__(self):
+        object.__setattr__(self, "mean_value", _check_time("mean", self.mean_value))
+
     def sample(self, rng: np.random.Generator) -> float:
         return float(rng.exponential(self.mean_value))
 
@@ -57,6 +88,16 @@ class Exponential:
 class LogNormal:
     median: float
     sigma: float
+
+    def __post_init__(self):
+        median = _check_number("median", self.median)
+        sigma = _check_number("sigma", self.sigma)
+        if median <= 0 or not math.isfinite(median):
+            raise ValidationError(f"median must be positive, got {median!r}")
+        if sigma < 0 or not math.isfinite(sigma):
+            raise ValidationError(f"sigma must be non-negative, got {sigma!r}")
+        object.__setattr__(self, "median", median)
+        object.__setattr__(self, "sigma", sigma)
 
     def sample(self, rng: np.random.Generator) -> float:
         return float(rng.lognormal(math.log(self.median), self.sigma))
@@ -74,19 +115,15 @@ def dist_from_dict(name: str, d: dict) -> DurationDist:
     kind = d["kind"]
     try:
         if kind == "fixed":
-            return Fixed(_check_time(f"{name}.value", d["value"]))
+            return Fixed(d["value"])
         if kind == "exponential":
-            return Exponential(_check_time(f"{name}.mean", d["mean"]))
+            return Exponential(d["mean"])
         if kind == "lognormal":
-            median = float(d["median"])
-            sigma = float(d["sigma"])
-            if median <= 0 or not math.isfinite(median):
-                raise ValidationError(f"{name}.median must be positive")
-            if sigma < 0 or not math.isfinite(sigma):
-                raise ValidationError(f"{name}.sigma must be non-negative")
-            return LogNormal(median, sigma)
+            return LogNormal(d["median"], d["sigma"])
     except KeyError as e:
         raise ValidationError(f"{name}: missing field {e.args[0]!r} for kind {kind!r}") from None
+    except ValidationError as e:
+        raise ValidationError(f"{name}: {e}") from None
     raise ValidationError(f"{name}: unknown distribution kind {kind!r}")
 
 
@@ -130,30 +167,31 @@ class SimConfig:
     watchdog_cycles: int = 1000
 
     def __post_init__(self):
-        if not (math.isfinite(self.w_opt) and self.w_opt > 0):
-            raise ValidationError(f"w_opt must be positive, got {self.w_opt!r}")
-        if not (math.isfinite(self.total_work) and self.total_work > 0):
-            raise ValidationError(f"total_work must be positive, got {self.total_work!r}")
-        if not (math.isfinite(self.ckpt_interval) and self.ckpt_interval > 0):
-            raise ValidationError(f"ckpt_interval must be positive, got {self.ckpt_interval!r}")
-        _check_time("t_ckpt", self.t_ckpt)
+        for name in ("w_opt", "total_work", "ckpt_interval"):
+            v = _check_number(name, getattr(self, name))
+            if not (math.isfinite(v) and v > 0):
+                raise ValidationError(f"{name} must be positive, got {v!r}")
+            object.__setattr__(self, name, v)
+        object.__setattr__(self, "t_ckpt", _check_time("t_ckpt", self.t_ckpt))
         for name in ("fail_stop_rate", "fail_slow_rate"):
-            v = getattr(self, name)
+            v = _check_number(name, getattr(self, name))
             if not math.isfinite(v) or v < 0:
                 raise ValidationError(f"{name} must be finite and non-negative, got {v!r}")
-        _check_ratio("r_sr", self.r_sr)
-        _check_ratio("r_fs", self.r_fs)
-        if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
-            raise ValidationError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+            object.__setattr__(self, name, v)
+        object.__setattr__(self, "r_sr", _check_ratio("r_sr", self.r_sr))
+        object.__setattr__(self, "r_fs", _check_ratio("r_fs", self.r_fs))
+        seed = self.seed
+        if isinstance(seed, bool) or not (isinstance(seed, int) and 0 <= seed < 2**64):
+            raise ValidationError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
         for name in ("fail_stop_times", "fail_slow_times"):
             times = getattr(self, name)
             if times is None:
                 continue
-            times = tuple(sorted(float(t) for t in times))
-            for v in times:
-                _check_time(f"{name} entry", v)
+            if not isinstance(times, (list, tuple)):
+                raise ValidationError(f"{name} must be a list of times, got {times!r}")
+            times = tuple(sorted(_check_time(f"{name} entry", t) for t in times))
             object.__setattr__(self, name, times)
-        if self.watchdog_cycles < 1:
+        if _check_count("watchdog_cycles", self.watchdog_cycles) < 1:
             raise ValidationError("watchdog_cycles must be at least 1")
 
     @classmethod
@@ -175,9 +213,6 @@ class SimConfig:
         kwargs = {k: d[k] for k in d.keys() & (required | optional)}
         for k in ("t_r_dist", "t_sr_dist", "t_fs_dist"):
             kwargs[k] = dist_from_dict(k, kwargs[k])
-        for k in ("fail_stop_times", "fail_slow_times"):
-            if kwargs.get(k) is not None:
-                kwargs[k] = tuple(kwargs[k])
         return cls(**kwargs)
 
     def to_dict(self) -> dict:
@@ -258,20 +293,74 @@ class _Arrivals:
         return exposure + float(self._rng.exponential(1.0 / self._rate))
 
 
-def simulate(cfg: SimConfig, _seedseq: np.random.SeedSequence | None = None) -> SimResult:
-    """Run one training job to completion; deterministic in (cfg, seed)."""
-    if _seedseq is None:
-        _seedseq = np.random.SeedSequence(cfg.seed)
-    rng = np.random.Generator(np.random.Philox(_seedseq))
+class _TimelineSink:
+    """Builds the run's segments; a rollback relabels the uncommitted progress."""
+
+    __slots__ = ("segments", "committed")
+
+    def __init__(self):
+        self.segments: list[Segment] = []
+        self.committed = 0             # segments before this index are checkpoint-protected
+
+    def emit(self, dt: float, rate: float, stage: StageKind) -> None:
+        self.segments.append(_segment(dt, rate, stage))
+
+    def rollback(self) -> None:
+        segs = self.segments
+        for i in range(self.committed, len(segs)):
+            if segs[i].rate > 0:
+                segs[i] = _segment(segs[i].duration, 0.0, ROLLBACK_WASTE)
+        self.committed = len(segs)
+
+    def commit(self) -> None:
+        self.committed = len(self.segments)
+
+
+class _TotalsSink:
+    """Keeps only what a replication outcome needs: no segments are built.
+
+    ``products`` holds duration * rate of every progress segment; those after
+    index ``committed`` are dropped on a rollback, the same segments that the
+    timeline sink relabels to rate 0.
+    """
+
+    __slots__ = ("durations", "products", "committed", "n_periods", "last")
+
+    def __init__(self):
+        self.durations: list[float] = []
+        self.products: list[float] = []
+        self.committed = 0
+        self.n_periods = 0             # maximal runs of Repair segments
+        self.last: StageKind | None = None
+
+    def emit(self, dt: float, rate: float, stage: StageKind) -> None:
+        self.durations.append(dt)
+        if rate > 0:
+            self.products.append(dt * rate)
+        elif stage is REPAIR and self.last is not REPAIR:
+            self.n_periods += 1
+        self.last = stage
+
+    def rollback(self) -> None:
+        del self.products[self.committed:]
+
+    def commit(self) -> None:
+        self.committed = len(self.products)
+
+
+def _run(cfg: SimConfig, seedseq: np.random.SeedSequence, sink) -> None:
+    """The event loop: feeds every segment with positive duration to ``sink``,
+    calls ``sink.rollback()`` on a fail-stop and ``sink.commit()`` when a
+    checkpoint completes."""
+    rng = np.random.Generator(np.random.Philox(seedseq))
+    emit, rollback, commit = sink.emit, sink.rollback, sink.commit
 
     stops = _Arrivals(cfg.fail_stop_rate, cfg.fail_stop_times, rng)
     slows = _Arrivals(cfg.fail_slow_rate, cfg.fail_slow_times, rng)
     next_stop = stops.next_after(0.0)
     next_slow = slows.next_after(0.0)
 
-    total = cfg.total_work
-    segs: list[list] = []          # [duration, rate, stage], mutable until finalized
-    pending: list[int] = []        # indices of rate>0 segments since last checkpoint commit
+    total, w_opt, ckpt_interval = cfg.total_work, cfg.w_opt, cfg.ckpt_interval
     queue: deque[list] = deque()   # [stage, remaining, rate]; empty queue = healthy run
 
     exposure = 0.0                 # non-repair wall time
@@ -300,14 +389,14 @@ def simulate(cfg: SimConfig, _seedseq: np.random.SeedSequence | None = None) -> 
         if queue:
             stage, rem, rate = queue[0]
         else:
-            stage, rem, rate = StageKind.HEALTHY_RUN, INF, 1.0
-        in_repair = stage is StageKind.REPAIR
-        wrate = rate * cfg.w_opt
+            stage, rem, rate = HEALTHY_RUN, INF, 1.0
+        in_repair = stage is REPAIR
+        wrate = rate * w_opt
 
         dt_work = (total - work) / wrate if wrate > 0 else INF
         dt_stop = (next_stop - exposure) if not in_repair else INF
         dt_slow = (next_slow - exposure) if not in_repair else INF
-        dt_ckpt = (cfg.ckpt_interval - prog) if rate > 0 else INF
+        dt_ckpt = (ckpt_interval - prog) if rate > 0 else INF
         dt_end = rem
 
         # Priority on ties: fail-stop, fail-slow, checkpoint trigger, work
@@ -321,9 +410,8 @@ def simulate(cfg: SimConfig, _seedseq: np.random.SeedSequence | None = None) -> 
             dt = 0.0
 
         if dt > 0:
-            segs.append([dt, rate, stage])
+            emit(dt, rate, stage)
             if rate > 0:
-                pending.append(len(segs) - 1)
                 work += dt * wrate
                 prog += dt
             if not in_repair:
@@ -332,43 +420,44 @@ def simulate(cfg: SimConfig, _seedseq: np.random.SeedSequence | None = None) -> 
                 queue[0][1] -= dt
 
         if event == 3:  # work complete
-            work = total
-            break
+            return
 
         if event == 0:  # fail-stop
             next_stop = stops.next_after(exposure)
-            for i in pending:
-                segs[i][1] = 0.0
-                segs[i][2] = StageKind.ROLLBACK_WASTE
-            pending.clear()
+            rollback()
             work = committed
             prog = 0.0
             queue.clear()
-            queue.append([StageKind.REPAIR, cfg.t_r_dist.sample(rng), 0.0])
-            queue.append([StageKind.SLOW_RECOVERY, cfg.t_sr_dist.sample(rng), cfg.r_sr])
+            queue.append([REPAIR, cfg.t_r_dist.sample(rng), 0.0])
+            queue.append([SLOW_RECOVERY, cfg.t_sr_dist.sample(rng), cfg.r_sr])
             on_failure_progress_check()
         elif event == 1:  # fail-slow
             next_slow = slows.next_after(exposure)
             queue.clear()
-            queue.append([StageKind.FAIL_SLOW_DEGRADED, cfg.t_fs_dist.sample(rng), cfg.r_fs])
-            queue.append([StageKind.REPAIR, cfg.t_r_dist.sample(rng), 0.0])
-            queue.append([StageKind.SLOW_RECOVERY, cfg.t_sr_dist.sample(rng), cfg.r_sr])
+            queue.append([FAIL_SLOW_DEGRADED, cfg.t_fs_dist.sample(rng), cfg.r_fs])
+            queue.append([REPAIR, cfg.t_r_dist.sample(rng), 0.0])
+            queue.append([SLOW_RECOVERY, cfg.t_sr_dist.sample(rng), cfg.r_sr])
             on_failure_progress_check()
         elif event == 2:  # checkpoint trigger
             prog = 0.0
             if cfg.t_ckpt > 0:
                 # Suspend whatever is running; it resumes after the save.
-                queue.appendleft([StageKind.CHECKPOINT_SAVE, cfg.t_ckpt, 0.0])
+                queue.appendleft([CHECKPOINT_SAVE, cfg.t_ckpt, 0.0])
             else:
                 committed = work
-                pending.clear()
+                commit()
         else:  # stage end
             done = queue.popleft()
-            if done[0] is StageKind.CHECKPOINT_SAVE:
+            if done[0] is CHECKPOINT_SAVE:
                 committed = work
-                pending.clear()
+                commit()
 
-    timeline = RateTimeline(tuple(Segment(d, r, st) for d, r, st in segs))
+
+def simulate(cfg: SimConfig, _seedseq: np.random.SeedSequence | None = None) -> SimResult:
+    """Run one training job to completion; deterministic in (cfg, seed)."""
+    sink = _TimelineSink()
+    _run(cfg, np.random.SeedSequence(cfg.seed) if _seedseq is None else _seedseq, sink)
+    timeline = RateTimeline._trusted(tuple(sink.segments))
     records = tuple(period_records(timeline))
     counts: dict[StageKind, int] = {}
     prev = None
@@ -544,9 +633,20 @@ def replication_seedseq(seed: int, k: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=seed, spawn_key=(k,))
 
 
-def monte_carlo(cfg: SimConfig, replications: int) -> MonteCarloSummary:
-    """Repeat :func:`simulate` with per-replication derived seeds.
+def _replicate(cfg: SimConfig, k: int, seedseq: np.random.SeedSequence) -> ReplicationOutcome:
+    """Replication ``k`` through the totals sink; bit-identical to ``simulate``."""
+    totals = _TotalsSink()
+    _run(cfg, seedseq, totals)
+    t_obs = math.fsum(totals.durations)
+    t_opt = math.fsum(totals.products)
+    return ReplicationOutcome(k, t_opt / t_obs, t_obs, t_opt, totals.n_periods)
 
+
+def monte_carlo(cfg: SimConfig, replications: int) -> MonteCarloSummary:
+    """Run ``replications`` simulations with per-replication derived seeds.
+
+    The first replication that finishes runs through :func:`simulate` and is
+    kept whole as ``first_result``; the others keep only their totals.
     Diverged replications are excluded from the statistics and counted.
     The 95% CI is the normal approximation mean +/- 1.96 * s / sqrt(n).
     """
@@ -556,16 +656,20 @@ def monte_carlo(cfg: SimConfig, replications: int) -> MonteCarloSummary:
     first_result: SimResult | None = None
     diverged = 0
     for k in range(replications):
+        seedseq = replication_seedseq(cfg.seed, k)
         try:
-            res = simulate(cfg, _seedseq=replication_seedseq(cfg.seed, k))
+            if first_result is None:
+                first_result = simulate(cfg, _seedseq=seedseq)
+                outcome = ReplicationOutcome(
+                    k, first_result.tor, first_result.t_obs, first_result.t_opt,
+                    len(first_result.periods),
+                )
+            else:
+                outcome = _replicate(cfg, k, seedseq)
         except DivergedError:
             diverged += 1
             continue
-        if first_result is None:
-            first_result = res
-        outcomes.append(
-            ReplicationOutcome(k, res.tor, res.t_obs, res.t_opt, len(res.periods))
-        )
+        outcomes.append(outcome)
     if not outcomes:
         raise DivergedError(
             f"all {replications} replications diverged", stalled_cycles=cfg.watchdog_cycles

@@ -23,7 +23,7 @@ from typing import IO, Iterable
 
 from .errors import TraceParseError, UndefinedMetricError
 from .model import RateTimeline, Segment, StageKind, ZERO_RATE_STAGES
-from .periods import FAIL_SLOW, FAIL_STOP, period_records
+from .periods import FAIL_SLOW, FAIL_STOP, PeriodRecord, period_records
 from .timeline import integrate_optimal_time, observed_time, stage_breakdown, tor_of_timeline
 
 SCHEMA_VERSION = 1
@@ -55,6 +55,10 @@ def _parse_wall(value: str, line: int, field: str) -> dt.datetime:
         return dt.datetime.fromisoformat(value)
     except (TypeError, ValueError):
         raise TraceParseError(f"bad ISO-8601 datetime in {field!r}: {value!r}", line) from None
+
+
+def _is_aware(t: dt.datetime) -> bool:
+    return t.utcoffset() is not None
 
 
 def _event_from_obj(obj: dict, line: int) -> tuple[TraceEvent | None, tuple | None]:
@@ -109,6 +113,8 @@ def _event_from_obj(obj: dict, line: int) -> tuple[TraceEvent | None, tuple | No
     if "wall_start" in obj and "wall_end" in obj:
         w0 = _parse_wall(obj["wall_start"], line, "wall_start")
         w1 = _parse_wall(obj["wall_end"], line, "wall_end")
+        if _is_aware(w0) != _is_aware(w1):
+            raise TraceParseError("wall_start and wall_end mix timezone-aware and naive times", line)
         if w1 <= w0:
             raise TraceParseError("wall_end must be after wall_start", line)
         return None, (w0, w1, stage, rate, note)
@@ -147,6 +153,8 @@ def parse_trace(source: IO | bytes | str | Iterable[str]) -> list[TraceEvent]:
     if events and wall_events:
         raise TraceParseError("trace mixes numeric and wall-clock timestamps")
     if wall_events:
+        if len({_is_aware(w0) for w0, *_ in wall_events}) > 1:
+            raise TraceParseError("trace mixes timezone-aware and naive wall-clock times")
         origin = min(w0 for w0, *_ in wall_events)
         events = [
             TraceEvent((w0 - origin).total_seconds(), (w1 - origin).total_seconds(), st, r, note)
@@ -185,7 +193,10 @@ def estimate_mtbf(events: list[TraceEvent]) -> tuple[float | None, float | None]
     excluded. Periods containing both a roll-back and a degraded interval are
     ambiguous and excluded from both classes.
     """
-    records = period_records(trace_to_timeline(events))
+    return _mtbf_by_kind(period_records(trace_to_timeline(events)))
+
+
+def _mtbf_by_kind(records: list[PeriodRecord]) -> tuple[float | None, float | None]:
     out = []
     for kind in (FAIL_STOP, FAIL_SLOW):
         vals = [r.mtbf() for r in records if r.kind == kind]
@@ -197,7 +208,7 @@ def report(events: list[TraceEvent]) -> dict:
     """Structured trace report: TOR, MTBF estimates, stage and period breakdown."""
     tl = trace_to_timeline(events)
     records = period_records(tl)
-    fail_stop_mtbf, fail_slow_mtbf = estimate_mtbf(events)
+    fail_stop_mtbf, fail_slow_mtbf = _mtbf_by_kind(records)
     breakdown = stage_breakdown(tl)
     period_counts: dict[str, int] = {}
     for r in records:

@@ -76,6 +76,12 @@ class TestAnalytic:
     def test_missing_file(self, tmp_path, capsys):
         assert main(["analytic", str(tmp_path / "nope.json")]) == 2
 
+    @pytest.mark.parametrize("field, value", [("t_sr", None), ("n_ckpt", True)])
+    def test_malformed_field_exit_code(self, tmp_path, capsys, field, value):
+        path = write_json(tmp_path / "p.json", dict(WORKED_FAIL_STOP, **{field: value}))
+        assert main(["analytic", path]) == 2
+        assert field in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_failure_free(self, tmp_path, capsys):
@@ -114,6 +120,17 @@ class TestSimulate:
         path = write_json(tmp_path / "sim.json", {"w_opt": 1.0})
         assert main(["simulate", path]) == 2
 
+    @pytest.mark.parametrize("field, value", [
+        ("w_opt", "1"),
+        ("fail_stop_times", [10.0, "soon"]),
+        ("seed", True),
+    ])
+    def test_malformed_field_exit_code(self, tmp_path, capsys, field, value):
+        path = write_json(tmp_path / "sim.json", dict(SIM_CONFIG, **{field: value}))
+        assert main(["simulate", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err and "Traceback" not in err
+
 
 class TestTrace:
     def test_simulated_trace_matches_report(self, sim_file, tmp_path, capsys):
@@ -133,6 +150,22 @@ class TestTrace:
         )
         assert main(["trace", str(trace_path)]) == 2
         assert "[10.0, 12.0)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("trace", [
+        # aware and naive events
+        '{"wall_start": "2024-01-01T00:00:00+00:00", "wall_end": "2024-01-01T00:00:10+00:00",'
+        ' "stage": "HealthyRun", "rate": 1}\n'
+        '{"wall_start": "2024-01-01T00:00:10", "wall_end": "2024-01-01T00:00:20",'
+        ' "stage": "HealthyRun", "rate": 1}\n',
+        # aware start, naive end within one event
+        '{"wall_start": "2024-01-01T00:00:00+00:00", "wall_end": "2024-01-01T00:00:10",'
+        ' "stage": "HealthyRun", "rate": 1}\n',
+    ])
+    def test_mixed_timezone_awareness_exit_code(self, tmp_path, capsys, trace):
+        trace_path = tmp_path / "tz.jsonl"
+        trace_path.write_text(trace)
+        assert main(["trace", str(trace_path)]) == 2
+        assert "timezone" in capsys.readouterr().err
 
     def test_healthy_trace(self, tmp_path, capsys):
         trace_path = tmp_path / "ok.jsonl"

@@ -48,6 +48,10 @@ class TestValidation:
         with pytest.raises(ValidationError):
             Segment(-1.0, 0.5, StageKind.HEALTHY_RUN)
 
+    def test_segment_is_slotted(self):
+        # A simulated timeline holds one Segment per event; no per-instance dict.
+        assert not hasattr(Segment(1.0, 0.5, StageKind.SLOW_RECOVERY), "__dict__")
+
     def test_zero_duration_segments_dropped(self):
         tl = RateTimeline.build([(0, 1.0, StageKind.HEALTHY_RUN), (5, 1.0, StageKind.HEALTHY_RUN)])
         assert len(tl) == 1

@@ -7,6 +7,7 @@ from torkit import (
     DivergedError,
     FailSlowPeriod,
     FailStopPeriod,
+    RateTimeline,
     SimConfig,
     StageKind,
     ValidationError,
@@ -17,7 +18,7 @@ from torkit import (
     tor_fail_stop,
     tor_of_timeline,
 )
-from torkit.periods import mean_periods
+from torkit.periods import FAIL_SLOW, FAIL_STOP, MIXED, PeriodRecord, mean_periods, period_records
 from torkit.simulator import (
     Exponential,
     Fixed,
@@ -25,6 +26,7 @@ from torkit.simulator import (
     config_from_period,
     dist_from_dict,
     dist_to_dict,
+    replication_seedseq,
 )
 
 
@@ -322,3 +324,187 @@ class TestMonteCarlo:
     def test_replications_validated(self):
         with pytest.raises(ValidationError):
             monte_carlo(base_config(), 0)
+
+
+# Replication 2 of ``monte_carlo(cfg, 3)``: (tor, t_obs, t_opt) as float.hex and the
+# complete-period count, recorded from the simulator before replications k >= 1
+# stopped building timelines.
+GOLDEN_REPLICATION_2 = {
+    "fail_stop": ("0x1.5909ccf289f84p-1", "0x1.28c7565ef002cp+9", "0x1.8ffffffffffffp+8", 18),
+    "fail_slow": ("0x1.96be9af2d71e9p-1", "0x1.f7829787c9770p+8", "0x1.9000000000000p+8", 10),
+    "mixed": ("0x1.9baa920ffd21fp-1", "0x1.f17d8669f040ep+8", "0x1.9000000000000p+8", 16),
+    "no_ckpt_cost": ("0x1.794fb53557e80p-1", "0x1.971741a3f8cafp+8", "0x1.2c00000000000p+8", 18),
+    "zero_repair": ("0x1.46d023fc836aep-1", "0x1.d5fe544088f7dp+8", "0x1.2c00000000000p+8", 0),
+    "deterministic": ("0x1.aa32c4e4edec0p-1", "0x1.55a0000000001p+10", "0x1.1c60000000001p+10", 12),
+    "rollback_across_fail_slow": (
+        "0x1.5c4ca037ba571p-1", "0x1.2600000000000p+7", "0x1.9000000000000p+6", 2,
+    ),
+    "back_to_back_repairs": (
+        "0x1.93264c993264dp-1", "0x1.fc00000000000p+6", "0x1.9000000000000p+6", 1,
+    ),
+}
+
+
+def golden_config(name: str) -> SimConfig:
+    if name == "fail_stop":
+        return base_config(total_work=400.0, ckpt_interval=12.0, t_ckpt=1.0,
+                           fail_stop_rate=0.03, t_r_dist=Exponential(4.0),
+                           t_sr_dist=LogNormal(2.0, 0.3), r_sr=0.6, seed=11)
+    if name == "fail_slow":
+        return base_config(total_work=400.0, ckpt_interval=12.0, t_ckpt=1.0,
+                           fail_slow_rate=0.03, t_r_dist=Fixed(3.0),
+                           t_sr_dist=Exponential(2.0), t_fs_dist=LogNormal(5.0, 0.5),
+                           r_sr=0.5, r_fs=0.3, seed=12)
+    if name == "mixed":
+        return base_config(w_opt=1.5, total_work=600.0, ckpt_interval=10.0, t_ckpt=0.5,
+                           fail_stop_rate=0.02, fail_slow_rate=0.02,
+                           t_r_dist=Exponential(3.0), t_sr_dist=Fixed(1.0),
+                           t_fs_dist=Exponential(4.0), r_sr=0.5, r_fs=0.4, seed=13)
+    if name == "no_ckpt_cost":  # t_ckpt = 0: a checkpoint commits at its trigger
+        return base_config(total_work=300.0, ckpt_interval=8.0, fail_stop_rate=0.04,
+                           fail_slow_rate=0.01, t_r_dist=Exponential(2.0),
+                           t_sr_dist=Fixed(1.5), t_fs_dist=Fixed(3.0),
+                           r_sr=0.5, r_fs=0.5, seed=14)
+    if name == "zero_repair":  # Fixed(0) repair: no Repair segment, so no period
+        return base_config(total_work=300.0, ckpt_interval=10.0, t_ckpt=1.0,
+                           fail_stop_rate=0.03, fail_slow_rate=0.02, t_r_dist=Fixed(0.0),
+                           t_sr_dist=Fixed(2.0), t_fs_dist=Exponential(3.0),
+                           r_sr=1.0, r_fs=0.0, seed=15)
+    if name == "deterministic":
+        return config_from_period(
+            FailStopPeriod(t_sr=2, r_sr=0.5, t_h=90, n_ckpt=3, t_ckpt=1, t_rb=5, t_r=10),
+            periods=12, seed=16, deterministic=True,
+        )
+    if name == "back_to_back_repairs":
+        # A fail-stop and a fail-slow due at the same instant: the fail-slow
+        # fires right after the first repair, and with t_fs = 0 its repair
+        # directly follows. The two Repair segments form one period.
+        return base_config(total_work=100.0, t_ckpt=1.0, fail_stop_times=(20.0,),
+                           fail_slow_times=(20.0,), t_r_dist=Fixed(3.0), t_sr_dist=Fixed(2.0),
+                           t_fs_dist=Fixed(0.0), r_sr=0.5, r_fs=0.5, seed=18)
+    # No checkpoint commits before the fail-stop at exposure 40, so its
+    # rollback relabels progress from before the fail-slow repair.
+    assert name == "rollback_across_fail_slow"
+    return base_config(total_work=100.0, t_ckpt=1.0, fail_stop_times=(40.0,),
+                       fail_slow_times=(20.0,), t_r_dist=Fixed(3.0), t_sr_dist=Fixed(2.0),
+                       t_fs_dist=Fixed(5.0), r_sr=0.5, r_fs=0.5, seed=17)
+
+
+def outcome_of_simulate(cfg: SimConfig, k: int) -> tuple:
+    res = simulate(cfg, _seedseq=replication_seedseq(cfg.seed, k))
+    return (k, res.tor, res.t_obs, res.t_opt, len(res.periods))
+
+
+def astuple(o) -> tuple:
+    return (o.index, o.tor, o.t_obs, o.t_opt, o.n_periods)
+
+
+class TestTotalsSink:
+    """Replications k >= 1 of monte_carlo build no timeline; their totals
+    must equal those of simulate bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_REPLICATION_2))
+    def test_golden_values(self, name):
+        cfg = golden_config(name)
+        summary = monte_carlo(cfg, 3)
+        assert summary.completed == 3
+        for o in summary.outcomes:
+            assert astuple(o) == outcome_of_simulate(cfg, o.index)
+        o = summary.outcomes[2]
+        assert (o.tor.hex(), o.t_obs.hex(), o.t_opt.hex(), o.n_periods) \
+            == GOLDEN_REPLICATION_2[name]
+
+    def test_rollback_relabels_an_earlier_period(self):
+        res = simulate(golden_config("rollback_across_fail_slow"))
+        assert [(s.duration, s.stage) for s in res.timeline][:3] == [
+            (20.0, StageKind.ROLLBACK_WASTE),
+            (5.0, StageKind.ROLLBACK_WASTE),
+            (3.0, StageKind.REPAIR),
+        ]
+
+    def test_random_configs_match_simulate(self):
+        rng = np.random.default_rng(97)
+
+        def dist():
+            pick = rng.integers(0, 4)
+            if pick == 0:
+                return Fixed(0.0)
+            if pick == 1:
+                return Fixed(float(rng.uniform(0, 5)))
+            if pick == 2:
+                return Exponential(float(rng.uniform(0.5, 5)))
+            return LogNormal(float(rng.uniform(0.5, 5)), 0.5)
+
+        def ratio():
+            return (0.0, 1.0, float(rng.uniform(0, 1)))[rng.integers(0, 3)]
+
+        for _ in range(60):
+            cfg = base_config(
+                w_opt=float(rng.uniform(0.5, 2.0)),
+                total_work=float(rng.uniform(50, 300)),
+                ckpt_interval=float(rng.uniform(3, 30)),
+                t_ckpt=0.0 if rng.random() < 0.3 else float(rng.uniform(0, 2)),
+                fail_stop_rate=float(rng.uniform(0, 0.05)),
+                fail_slow_rate=0.0 if rng.random() < 0.3 else float(rng.uniform(0, 0.05)),
+                t_r_dist=dist(), t_sr_dist=dist(), t_fs_dist=dist(),
+                r_sr=ratio(), r_fs=ratio(),
+                seed=int(rng.integers(0, 2**63)),
+            )
+            summary = monte_carlo(cfg, 4)
+            assert [astuple(o) for o in summary.outcomes] \
+                == [outcome_of_simulate(cfg, k) for k in range(4)]
+
+
+def reference_period_records(tl: RateTimeline) -> list[PeriodRecord]:
+    """Split at the end of each Repair run, then summarise each period."""
+    periods, current = [], []
+    segs = tl.segments
+    for i, s in enumerate(segs):
+        current.append(s)
+        if s.stage is StageKind.REPAIR and (
+            i + 1 == len(segs) or segs[i + 1].stage is not StageKind.REPAIR
+        ):
+            periods.append(current)
+            current = []
+    records = []
+    for p in periods:
+        def total(stage, weighted=False):
+            return math.fsum(s.duration * (s.rate if weighted else 1.0)
+                             for s in p if s.stage is stage)
+
+        has_rb = any(s.stage is StageKind.ROLLBACK_WASTE for s in p)
+        has_fs = any(s.stage is StageKind.FAIL_SLOW_DEGRADED for s in p)
+        n_ckpt = sum(
+            1 for j, s in enumerate(p)
+            if s.stage is StageKind.CHECKPOINT_SAVE
+            and (j == 0 or p[j - 1].stage is not StageKind.CHECKPOINT_SAVE)
+        )
+        records.append(PeriodRecord(
+            kind=MIXED if has_rb and has_fs else FAIL_SLOW if has_fs else FAIL_STOP,
+            t_sr=total(StageKind.SLOW_RECOVERY),
+            sr_work=total(StageKind.SLOW_RECOVERY, weighted=True),
+            t_h=total(StageKind.HEALTHY_RUN),
+            ckpt_time=total(StageKind.CHECKPOINT_SAVE),
+            n_ckpt=n_ckpt,
+            t_rb=total(StageKind.ROLLBACK_WASTE),
+            t_fs=total(StageKind.FAIL_SLOW_DEGRADED),
+            fs_work=total(StageKind.FAIL_SLOW_DEGRADED, weighted=True),
+            t_r=total(StageKind.REPAIR),
+        ))
+    return records
+
+
+def test_period_records_match_reference_split():
+    rng = np.random.default_rng(41)
+    stages = list(StageKind)
+    for _ in range(300):
+        items = []
+        for _ in range(int(rng.integers(0, 40))):
+            stage = stages[rng.integers(0, len(stages))]
+            rate = 1.0 if stage is StageKind.HEALTHY_RUN else (
+                0.0 if stage in (StageKind.REPAIR, StageKind.CHECKPOINT_SAVE,
+                                 StageKind.ROLLBACK_WASTE) else float(rng.uniform(0, 1))
+            )
+            items.append((float(rng.choice([0.0, 1.0, rng.exponential(3.0)])), rate, stage))
+        tl = RateTimeline.build(items)
+        assert period_records(tl) == reference_period_records(tl)

@@ -16,6 +16,7 @@ from torkit import (
     tor_of_timeline,
 )
 from torkit.analytic import mixture_concat_timeline
+from torkit.periods import period_records
 from torkit.simulator import config_from_period
 from torkit.timeline import concat, observed_time
 from torkit.trace import render_report, timeline_to_events, write_jsonl
@@ -188,6 +189,22 @@ class TestReport:
         rep = report(roundtrip(mixture_concat_timeline(m)))
         assert rep["tor"] == pytest.approx(186 / 220, abs=1e-12)
         assert rep["complete_periods"] == {"fail_stop": 1, "fail_slow": 1}
+
+    def test_periods_split_once(self, worked_fail_stop, worked_fail_slow, monkeypatch):
+        import torkit.trace
+
+        m = FailureMixture(((worked_fail_stop, 2.0), (worked_fail_slow, 1.0)))
+        events = roundtrip(mixture_concat_timeline(m))
+        calls = []
+
+        def counted(tl):
+            calls.append(len(tl))
+            return period_records(tl)
+
+        monkeypatch.setattr(torkit.trace, "period_records", counted)
+        rep = report(events)
+        assert len(calls) == 1
+        assert (rep["fail_stop_mtbf"], rep["fail_slow_mtbf"]) == estimate_mtbf(events)
 
     def test_report_is_json_serializable(self, worked_fail_slow):
         rep = report(roundtrip(period_to_timeline(worked_fail_slow)))
