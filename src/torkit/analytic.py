@@ -15,7 +15,7 @@ from .model import (
     mtbf_fail_slow,
     mtbf_fail_stop,
 )
-from .timeline import concat, integrate_optimal_time, observed_time, tor_of_timeline
+from .timeline import concat
 
 MTBF_MISMATCH_RTOL = 1e-9
 
@@ -27,43 +27,27 @@ def period_to_timeline(p: Period) -> RateTimeline:
     segment of length n_ckpt * t_ckpt: TOR depends only on total time per
     rate level, so pause placement is irrelevant to the metric.
     """
-    if isinstance(p, FailStopPeriod):
-        segs = [
-            Segment(p.t_sr, p.r_sr, StageKind.SLOW_RECOVERY),
-            Segment(p.t_h, 1.0, StageKind.HEALTHY_RUN),
-            Segment(p.n_ckpt * p.t_ckpt, 0.0, StageKind.CHECKPOINT_SAVE),
-            Segment(p.t_rb, 0.0, StageKind.ROLLBACK_WASTE),
-            Segment(p.t_r, 0.0, StageKind.REPAIR),
-        ]
-    elif isinstance(p, FailSlowPeriod):
-        segs = [
-            Segment(p.t_sr, p.r_sr, StageKind.SLOW_RECOVERY),
-            Segment(p.t_h, 1.0, StageKind.HEALTHY_RUN),
-            Segment(p.n_ckpt * p.t_ckpt, 0.0, StageKind.CHECKPOINT_SAVE),
-            Segment(p.t_fs, p.r_fs, StageKind.FAIL_SLOW_DEGRADED),
-            Segment(p.t_r, 0.0, StageKind.REPAIR),
-        ]
-    else:
+    if not isinstance(p, (FailStopPeriod, FailSlowPeriod)):
         raise ValidationError(f"unsupported period type: {type(p).__name__}")
+    segs = [
+        Segment(p.t_sr, p.r_sr, StageKind.SLOW_RECOVERY),
+        Segment(p.t_h, 1.0, StageKind.HEALTHY_RUN),
+        Segment(p.n_ckpt * p.t_ckpt, 0.0, StageKind.CHECKPOINT_SAVE),
+        Segment(p.t_rb, 0.0, StageKind.ROLLBACK_WASTE),
+        Segment(p.t_fs, p.r_fs, StageKind.FAIL_SLOW_DEGRADED),
+        Segment(p.t_r, 0.0, StageKind.REPAIR),
+    ]
     return RateTimeline(tuple(segs))  # zero-duration stages dropped here
 
 
-def tor_fail_stop(p: FailStopPeriod) -> float:
-    """TOR of one fail-stop cycle: useful time over total cycle time."""
-    denom = p.observed_time()
-    if denom <= 0:
-        raise UndefinedMetricError("fail-stop period has zero duration")
-    num = math.fsum((p.t_sr * p.r_sr, p.t_h))
-    return num / denom
+def tor_of_period(p: Period) -> float:
+    """TOR of one cycle of a period spec: useful time over total cycle time,
+    with degraded time contributing at rate r_fs."""
+    return p.totals().tor
 
 
-def tor_fail_slow(p: FailSlowPeriod) -> float:
-    """TOR of one fail-slow cycle; degraded time contributes at rate r_fs."""
-    denom = p.observed_time()
-    if denom <= 0:
-        raise UndefinedMetricError("fail-slow period has zero duration")
-    num = math.fsum((p.t_sr * p.r_sr, p.t_h, p.t_fs * p.r_fs))
-    return num / denom
+# The paper's names for the fail-stop and fail-slow closed forms.
+tor_fail_stop = tor_fail_slow = tor_of_period
 
 
 def _check_mtbf(mtbf: float, expected: float) -> None:
@@ -98,12 +82,6 @@ def tor_from_mtbf_fail_slow(mtbf: float, p: FailSlowPeriod) -> float:
     return num / denom
 
 
-def tor_of_period(p: Period) -> float:
-    if isinstance(p, FailStopPeriod):
-        return tor_fail_stop(p)
-    return tor_fail_slow(p)
-
-
 def tor_mixture_weighted(m: FailureMixture) -> float:
     """Occurrence-weighted mean of per-type TORs (the default mixture rule)."""
     total = m.total_weight
@@ -118,9 +96,9 @@ def tor_mixture_time_composite(m: FailureMixture) -> float:
     weighted observed times. Differs from the weighted mean whenever the
     components' cycle lengths differ.
     """
-    tls = [(period_to_timeline(spec), w) for spec, w in m.components]
-    num = math.fsum(w * integrate_optimal_time(tl) for tl, w in tls)
-    den = math.fsum(w * observed_time(tl) for tl, w in tls)
+    totals = [(spec.totals(), w) for spec, w in m.components]
+    num = math.fsum(w * t.opt_time for t, w in totals)
+    den = math.fsum(w * t.duration for t, w in totals)
     if den <= 0:
         raise UndefinedMetricError("mixture has zero total duration")
     return num / den

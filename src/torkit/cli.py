@@ -8,21 +8,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
-from . import analytic, trace as trace_mod
+from . import analytic, periods, trace as trace_mod
 from .errors import DivergedError, TorkitError, ValidationError
-from .model import (
-    FailSlowPeriod,
-    FailStopPeriod,
-    FailureMixture,
-    Period,
-    mtbf_fail_slow,
-    mtbf_fail_stop,
-)
-from .periods import MIXED
+from .model import mixture_from_dict, period_from_dict
 from .simulator import (
     SimConfig,
     config_from_period,
@@ -30,42 +21,7 @@ from .simulator import (
     realized_period_tor_check,
     simulate,
 )
-from .timeline import stage_breakdown, tor_of_timeline, write_csv
-
-FAIL_STOP_FIELDS = {"t_sr", "r_sr", "t_h", "n_ckpt", "t_ckpt", "t_rb", "t_r"}
-FAIL_SLOW_FIELDS = FAIL_STOP_FIELDS - {"t_rb"} | {"t_fs", "r_fs"}
-
-
-def period_from_dict(d: dict) -> Period:
-    if not isinstance(d, dict):
-        raise ValidationError("period config must be a JSON object")
-    kind = d.get("kind")
-    if kind == "fail_stop":
-        cls, allowed = FailStopPeriod, FAIL_STOP_FIELDS
-    elif kind == "fail_slow":
-        cls, allowed = FailSlowPeriod, FAIL_SLOW_FIELDS
-    else:
-        raise ValidationError(
-            f"period 'kind' must be 'fail_stop' or 'fail_slow', got {kind!r}"
-        )
-    unknown = d.keys() - allowed - {"kind"}
-    if unknown:
-        raise ValidationError(f"unknown period fields: {sorted(unknown)}")
-    return cls(**{k: d[k] for k in d.keys() & allowed})
-
-
-def mixture_from_dict(d: dict) -> FailureMixture:
-    comps = d.get("mixture")
-    if not isinstance(comps, list) or not comps:
-        raise ValidationError("'mixture' must be a non-empty list")
-    parsed = []
-    for i, c in enumerate(comps):
-        if not isinstance(c, dict) or "weight" not in c or "period" not in c:
-            raise ValidationError(
-                f"mixture component {i} needs 'weight' and 'period' fields"
-            )
-        parsed.append((period_from_dict(c["period"]), c["weight"]))
-    return FailureMixture(tuple(parsed))
+from .timeline import stage_breakdown, write_csv
 
 
 def _load_json(path: str) -> dict:
@@ -74,9 +30,12 @@ def _load_json(path: str) -> dict:
     except OSError as e:
         raise ValidationError(f"cannot read config {path}: {e}") from None
     try:
-        return json.loads(text)
+        value = json.loads(text)
     except json.JSONDecodeError as e:
         raise ValidationError(f"{path} is not valid JSON: {e.msg} (line {e.lineno})") from None
+    if not isinstance(value, dict):
+        raise ValidationError(f"{path} must hold a JSON object, got {type(value).__name__}")
+    return value
 
 
 def _emit_json(obj: dict) -> None:
@@ -94,12 +53,12 @@ def cmd_analytic(args) -> int:
         composite = analytic.tor_mixture_time_composite(m)
         comps = []
         for spec, w in m.components:
-            is_stop = isinstance(spec, FailStopPeriod)
+            totals = spec.totals()
             comps.append({
-                "kind": "fail_stop" if is_stop else "fail_slow",
+                "kind": totals.kind,
                 "weight": w,
                 "tor": analytic.tor_of_period(spec),
-                "mtbf": mtbf_fail_stop(spec) if is_stop else mtbf_fail_slow(spec),
+                "mtbf": totals.mtbf,
             })
         if args.json:
             out = {"tor": weighted, "components": comps}
@@ -119,9 +78,8 @@ def cmd_analytic(args) -> int:
         return 0
 
     p = period_from_dict(cfg)
-    is_stop = isinstance(p, FailStopPeriod)
     tor = analytic.tor_of_period(p)
-    mtbf = mtbf_fail_stop(p) if is_stop else mtbf_fail_slow(p)
+    mtbf = p.totals().mtbf
     breakdown = stage_breakdown(analytic.period_to_timeline(p))
     if args.json:
         _emit_json({
@@ -213,15 +171,10 @@ def cmd_compare(args) -> int:
         res = simulate(cfg)
         # The first cycle lacks the leading slow recovery; drop it as warm-up
         # so the remaining cycles are identical copies of the period spec.
-        from .periods import mean_periods
-
         steady = list(res.periods[1:])
         if not steady:
             raise ValidationError("deterministic run produced no steady-state periods")
-        means = mean_periods(steady)
-        if means.kind == MIXED:
-            raise ValidationError("deterministic run mixed failure types unexpectedly")
-        simulated = means.tor  # TOR of the steady-state cycles (exact by linearity)
+        simulated = periods.mean_periods(steady).tor  # exact by linearity
         realized = simulated
         sim_label = "simulated TOR (steady-state periods)"
         std = 0.0

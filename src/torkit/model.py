@@ -1,4 +1,4 @@
-"""Core domain types: failure-repair periods, rate timelines, and MTBF sums.
+"""Core domain types: failure-repair periods, stage totals, rate timelines, MTBFs.
 
 Times are real-valued seconds throughout. A "rate" is the performance
 preservation ratio r(t) in [0, 1]: the fraction of the ideal work rate the
@@ -8,9 +8,9 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import Iterable, Union
+from typing import ClassVar, Iterable, Union
 
 from .errors import ValidationError
 
@@ -137,8 +137,102 @@ class RateTimeline:
         return iter(self.segments)
 
 
+FAIL_STOP = "fail_stop"
+FAIL_SLOW = "fail_slow"
+MIXED = "mixed"
+
+
+@dataclass(frozen=True, slots=True)
+class StageTotals:
+    """Lumped stage totals of one failure-repair period, or their means.
+
+    Period specs (:meth:`FailStopPeriod.totals`), realized periods
+    (``periods.period_records``) and per-period means (``periods.mean_periods``)
+    all produce this one value, and the TOR and MTBF of a period are defined
+    only here. ``sr_work`` and ``fs_work`` are the optimal-time equivalents
+    (duration * rate) accumulated during slow recovery and degraded running,
+    so that the TOR is (sr_work + t_h + fs_work) / duration exactly.
+    ``n_ckpt`` counts checkpoint saves; in a mean it is the mean count.
+    """
+
+    kind: str
+    t_sr: float
+    sr_work: float
+    t_h: float
+    ckpt_time: float
+    n_ckpt: float
+    t_rb: float
+    t_fs: float
+    fs_work: float
+    t_r: float
+
+    @property
+    def duration(self) -> float:
+        return math.fsum((self.t_sr, self.t_h, self.ckpt_time, self.t_rb, self.t_fs, self.t_r))
+
+    @property
+    def opt_time(self) -> float:
+        return math.fsum((self.sr_work, self.t_h, self.fs_work))
+
+    @property
+    def tor(self) -> float:
+        """Optimal over observed time; every producer's duration is positive."""
+        return self.opt_time / self.duration
+
+    @property
+    def r_sr(self) -> float:
+        return self.sr_work / self.t_sr if self.t_sr > 0 else 0.0
+
+    @property
+    def r_fs(self) -> float:
+        return self.fs_work / self.t_fs if self.t_fs > 0 else 0.0
+
+    @property
+    def mtbf(self) -> float:
+        """Stage-sum time between failures.
+
+        Slow recovery + healthy run + checkpointing + the rolled-back span
+        (0 unless a fail-stop struck). The degraded interval is excluded by
+        definition (see README), as is repair downtime.
+        """
+        return math.fsum((self.t_sr, self.t_h, self.ckpt_time, self.t_rb))
+
+
+# Fields checked as ratios or counts; every other spec field is a time.
+_SPEC_CHECKS = {"r_sr": _check_ratio, "r_fs": _check_ratio, "n_ckpt": _check_count}
+
+
+class _PeriodSpec:
+    """Field checks and stage totals shared by the period specs.
+
+    A field a spec lacks reads as 0: ``t_rb`` on a fail-slow period,
+    ``t_fs`` and ``r_fs`` on a fail-stop one.
+    """
+
+    kind: ClassVar[str]
+    t_rb: ClassVar[float] = 0.0
+    t_fs: ClassVar[float] = 0.0
+    r_fs: ClassVar[float] = 0.0
+
+    def __post_init__(self):
+        for f in fields(self):
+            check = _SPEC_CHECKS.get(f.name, _check_time)
+            object.__setattr__(self, f.name, check(f.name, getattr(self, f.name)))
+        if self.totals().duration <= 0:
+            label = self.kind.replace("_", "-")
+            raise ValidationError(f"{label} period has zero total duration; TOR undefined")
+
+    def totals(self) -> StageTotals:
+        """Stage totals of one cycle of this spec."""
+        return StageTotals(
+            self.kind, self.t_sr, self.t_sr * self.r_sr, self.t_h,
+            self.n_ckpt * self.t_ckpt, self.n_ckpt, self.t_rb,
+            self.t_fs, self.t_fs * self.r_fs, self.t_r,
+        )
+
+
 @dataclass(frozen=True)
-class FailStopPeriod:
+class FailStopPeriod(_PeriodSpec):
     """Parameters of one fail-stop failure-repair cycle.
 
     Stage order within the cycle: slow recovery at rate ``r_sr`` for ``t_sr``
@@ -147,6 +241,7 @@ class FailStopPeriod:
     downtime ``t_r``.
     """
 
+    kind: ClassVar[str] = FAIL_STOP
     t_sr: float = 0.0
     r_sr: float = 0.0
     t_h: float = 0.0
@@ -155,31 +250,16 @@ class FailStopPeriod:
     t_rb: float = 0.0
     t_r: float = 0.0
 
-    def __post_init__(self):
-        object.__setattr__(self, "t_sr", _check_time("t_sr", self.t_sr))
-        object.__setattr__(self, "r_sr", _check_ratio("r_sr", self.r_sr))
-        object.__setattr__(self, "t_h", _check_time("t_h", self.t_h))
-        object.__setattr__(self, "n_ckpt", _check_count("n_ckpt", self.n_ckpt))
-        object.__setattr__(self, "t_ckpt", _check_time("t_ckpt", self.t_ckpt))
-        object.__setattr__(self, "t_rb", _check_time("t_rb", self.t_rb))
-        object.__setattr__(self, "t_r", _check_time("t_r", self.t_r))
-        if self.observed_time() <= 0:
-            raise ValidationError("fail-stop period has zero total duration; TOR undefined")
-
-    def observed_time(self) -> float:
-        return math.fsum(
-            (self.t_sr, self.t_h, self.n_ckpt * self.t_ckpt, self.t_rb, self.t_r)
-        )
-
 
 @dataclass(frozen=True)
-class FailSlowPeriod:
+class FailSlowPeriod(_PeriodSpec):
     """Parameters of one fail-slow failure-repair cycle.
 
     Instead of a roll-back, the system runs degraded at rate ``r_fs`` for
     ``t_fs`` seconds before repair. Degraded work still counts.
     """
 
+    kind: ClassVar[str] = FAIL_SLOW
     t_sr: float = 0.0
     r_sr: float = 0.0
     t_h: float = 0.0
@@ -188,23 +268,6 @@ class FailSlowPeriod:
     t_fs: float = 0.0
     r_fs: float = 0.0
     t_r: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "t_sr", _check_time("t_sr", self.t_sr))
-        object.__setattr__(self, "r_sr", _check_ratio("r_sr", self.r_sr))
-        object.__setattr__(self, "t_h", _check_time("t_h", self.t_h))
-        object.__setattr__(self, "n_ckpt", _check_count("n_ckpt", self.n_ckpt))
-        object.__setattr__(self, "t_ckpt", _check_time("t_ckpt", self.t_ckpt))
-        object.__setattr__(self, "t_fs", _check_time("t_fs", self.t_fs))
-        object.__setattr__(self, "r_fs", _check_ratio("r_fs", self.r_fs))
-        object.__setattr__(self, "t_r", _check_time("t_r", self.t_r))
-        if self.observed_time() <= 0:
-            raise ValidationError("fail-slow period has zero total duration; TOR undefined")
-
-    def observed_time(self) -> float:
-        return math.fsum(
-            (self.t_sr, self.t_h, self.n_ckpt * self.t_ckpt, self.t_fs, self.t_r)
-        )
 
 
 Period = Union[FailStopPeriod, FailSlowPeriod]
@@ -237,13 +300,47 @@ class FailureMixture:
         return math.fsum(w for _, w in self.components)
 
 
+def period_from_dict(d: dict) -> Period:
+    """Build a period spec from its JSON object: ``kind`` plus the spec's fields."""
+    if not isinstance(d, dict):
+        raise ValidationError("period config must be a JSON object")
+    kind = d.get("kind")
+    for cls in (FailStopPeriod, FailSlowPeriod):
+        if kind == cls.kind:
+            break
+    else:
+        raise ValidationError(
+            f"period 'kind' must be 'fail_stop' or 'fail_slow', got {kind!r}"
+        )
+    allowed = {f.name for f in fields(cls)}
+    unknown = d.keys() - allowed - {"kind"}
+    if unknown:
+        raise ValidationError(f"unknown period fields: {sorted(unknown)}")
+    return cls(**{k: d[k] for k in d.keys() & allowed})
+
+
+def mixture_from_dict(d: dict) -> FailureMixture:
+    """Build a mixture from ``{"mixture": [{"weight": w, "period": {...}}, ...]}``."""
+    comps = d.get("mixture")
+    if not isinstance(comps, list) or not comps:
+        raise ValidationError("'mixture' must be a non-empty list")
+    parsed = []
+    for i, c in enumerate(comps):
+        if not isinstance(c, dict) or "weight" not in c or "period" not in c:
+            raise ValidationError(
+                f"mixture component {i} needs 'weight' and 'period' fields"
+            )
+        parsed.append((period_from_dict(c["period"]), c["weight"]))
+    return FailureMixture(tuple(parsed))
+
+
 def mtbf_fail_stop(p: FailStopPeriod) -> float:
     """Mean time between failures for a fail-stop cycle.
 
     Sum of slow recovery, healthy run, checkpoint saving, and rolled-back
     time; repair downtime is excluded.
     """
-    return math.fsum((p.t_sr, p.t_h, p.n_ckpt * p.t_ckpt, p.t_rb))
+    return p.totals().mtbf
 
 
 def mtbf_fail_slow(p: FailSlowPeriod) -> float:
@@ -252,4 +349,4 @@ def mtbf_fail_slow(p: FailSlowPeriod) -> float:
     Sum of slow recovery, healthy run, and checkpoint saving. The degraded
     interval itself is excluded by definition (see README), as is repair.
     """
-    return math.fsum((p.t_sr, p.t_h, p.n_ckpt * p.t_ckpt))
+    return p.totals().mtbf

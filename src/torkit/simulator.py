@@ -30,16 +30,20 @@ import numpy as np
 
 from .errors import DivergedError, ValidationError
 from .model import (
+    FAIL_STOP,
+    FailSlowPeriod,
+    FailStopPeriod,
     RateTimeline,
     Segment,
     StageKind,
+    StageTotals,
     _check_count,
     _check_number,
     _check_ratio,
     _check_time,
     _segment,
 )
-from .periods import MIXED, PeriodMeans, PeriodRecord, mean_periods, period_records
+from .periods import MIXED, mean_periods, period_records
 from .timeline import integrate_optimal_time, observed_time
 
 INF = math.inf
@@ -66,9 +70,6 @@ class Fixed:
     def sample(self, rng: np.random.Generator) -> float:
         return self.value
 
-    def mean(self) -> float:
-        return self.value
-
 
 @dataclass(frozen=True)
 class Exponential:
@@ -79,9 +80,6 @@ class Exponential:
 
     def sample(self, rng: np.random.Generator) -> float:
         return float(rng.exponential(self.mean_value))
-
-    def mean(self) -> float:
-        return self.mean_value
 
 
 @dataclass(frozen=True)
@@ -101,9 +99,6 @@ class LogNormal:
 
     def sample(self, rng: np.random.Generator) -> float:
         return float(rng.lognormal(math.log(self.median), self.sigma))
-
-    def mean(self) -> float:
-        return self.median * math.exp(0.5 * self.sigma**2)
 
 
 DurationDist = Union[Fixed, Exponential, LogNormal]
@@ -245,24 +240,30 @@ class SimResult:
     tor: float
     timeline: RateTimeline
     counts: dict[StageKind, int]
-    periods: tuple[PeriodRecord, ...]
-    period_means: PeriodMeans | None
+    periods: tuple[StageTotals, ...]
+    period_means: StageTotals | None
 
-    def to_dict(self, include_timeline: bool = False) -> dict:
-        d = {
+    def to_dict(self) -> dict:
+        m = self.period_means
+        return {
             "t_obs": self.t_obs,
             "t_opt": self.t_opt,
             "tor": self.tor,
             "counts": {str(k): v for k, v in self.counts.items()},
             "n_complete_periods": len(self.periods),
-            "period_means": self.period_means.to_dict() if self.period_means else None,
+            "period_means": None if m is None else {
+                "kind": m.kind,
+                "n_periods": len(self.periods),
+                "t_sr": m.t_sr,
+                "r_sr": m.r_sr,
+                "t_h": m.t_h,
+                "ckpt_time": m.ckpt_time,
+                "t_rb": m.t_rb,
+                "t_fs": m.t_fs,
+                "r_fs": m.r_fs,
+                "t_r": m.t_r,
+            },
         }
-        if include_timeline:
-            d["timeline"] = [
-                {"duration": s.duration, "rate": s.rate, "stage": str(s.stage)}
-                for s in self.timeline
-            ]
-        return d
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +276,6 @@ class _Arrivals:
         self._rate = rate
         self._iter: Iterator[float] | None = iter(times) if times is not None else None
         self._rng = rng
-
-    def first(self) -> float:
-        return self.next_after(0.0) if self._iter is not None else self._draw(0.0)
 
     def next_after(self, exposure: float) -> float:
         if self._iter is not None:
@@ -516,37 +514,30 @@ def config_from_period(
     warm-up when comparing against the closed form). Otherwise arrivals are
     Poisson with rate equal to one failure per mean cycle of exposed time.
     """
-    from .model import FailSlowPeriod, FailStopPeriod, mtbf_fail_slow, mtbf_fail_stop
-
     if periods < 1:
         raise ValidationError("periods must be at least 1")
-    is_stop = isinstance(p, FailStopPeriod)
-    if not is_stop and not isinstance(p, FailSlowPeriod):
+    if not isinstance(p, (FailStopPeriod, FailSlowPeriod)):
         raise ValidationError(f"unsupported period type: {type(p).__name__}")
+    t = p.totals()
+    is_stop = t.kind == FAIL_STOP
 
     prog_sr = p.t_sr if p.r_sr > 0 else 0.0
-    t_fs = 0.0 if is_stop else p.t_fs
-    r_fs = 0.0 if is_stop else p.r_fs
-    prog_fs = t_fs if r_fs > 0 else 0.0
-    per_work = math.fsum((p.t_sr * p.r_sr, p.t_h, t_fs * r_fs))
-    if per_work <= 0:
+    prog_fs = p.t_fs if p.r_fs > 0 else 0.0
+    if t.opt_time <= 0:
         raise ValidationError("period accumulates no useful work; nothing to simulate")
 
     if p.n_ckpt >= 1:
         if p.t_ckpt <= 0:
             raise ValidationError("n_ckpt >= 1 requires t_ckpt > 0 in the simulator mapping")
-        if is_stop:
-            ckpt_interval = (prog_sr + p.t_h) / p.n_ckpt
-            if p.t_rb >= ckpt_interval:
-                raise ValidationError(
-                    "t_rb must be smaller than the implied checkpoint interval "
-                    f"({ckpt_interval!r} s); a checkpoint would fire inside the "
-                    "rolled-back span"
-                )
-        else:
-            ckpt_interval = (prog_sr + p.t_h + prog_fs) / p.n_ckpt
+        ckpt_interval = (prog_sr + p.t_h + prog_fs) / p.n_ckpt
         if ckpt_interval <= 0:
             raise ValidationError("period has no progress-accruing time before checkpoints")
+        if p.t_rb >= ckpt_interval:
+            raise ValidationError(
+                "t_rb must be smaller than the implied checkpoint interval "
+                f"({ckpt_interval!r} s); a checkpoint would fire inside the "
+                "rolled-back span"
+            )
     else:
         if is_stop:
             raise ValidationError(
@@ -555,42 +546,35 @@ def config_from_period(
             )
         ckpt_interval = 1e18  # effectively never
 
-    exposure_per_cycle = (
-        mtbf_fail_stop(p) if is_stop else mtbf_fail_slow(p) + t_fs
-    )
-    if exposure_per_cycle <= 0:
-        raise ValidationError("period has zero exposed time between failures")
+    # Exposed (non-repair) time per cycle: the MTBF plus any degraded interval.
+    # It is positive, as some stage accumulates useful work.
+    exposure_per_cycle = t.mtbf + t.t_fs
 
-    kwargs: dict = {}
+    stop_times = slow_times = None
     if deterministic:
-        if is_stop:
-            times = tuple(k * exposure_per_cycle for k in range(1, periods + 3))
-            kwargs["fail_stop_times"] = times
-            kwargs["fail_slow_times"] = ()
-        else:
-            base = mtbf_fail_slow(p)
-            times = tuple(k * base + (k - 1) * t_fs for k in range(1, periods + 3))
-            kwargs["fail_slow_times"] = times
-            kwargs["fail_stop_times"] = ()
+        # Failure k strikes after k MTBFs and the k - 1 earlier degraded intervals.
+        times = tuple(k * t.mtbf + (k - 1) * t.t_fs for k in range(1, periods + 3))
+        stop_times, slow_times = (times, ()) if is_stop else ((), times)
         stop_rate = slow_rate = 0.0
     else:
-        stop_rate = 1.0 / exposure_per_cycle if is_stop else 0.0
-        slow_rate = 0.0 if is_stop else 1.0 / exposure_per_cycle
+        rate = 1.0 / exposure_per_cycle
+        stop_rate, slow_rate = (rate, 0.0) if is_stop else (0.0, rate)
 
     return SimConfig(
         w_opt=w_opt,
-        total_work=w_opt * per_work * (periods + 0.5),
+        total_work=w_opt * t.opt_time * (periods + 0.5),
         ckpt_interval=ckpt_interval,
         t_ckpt=p.t_ckpt,
         fail_stop_rate=stop_rate,
         fail_slow_rate=slow_rate,
         t_r_dist=Fixed(p.t_r),
         t_sr_dist=Fixed(p.t_sr),
-        t_fs_dist=Fixed(t_fs),
+        t_fs_dist=Fixed(p.t_fs),
         r_sr=p.r_sr,
-        r_fs=r_fs,
+        r_fs=p.r_fs,
         seed=seed,
-        **kwargs,
+        fail_stop_times=stop_times,
+        fail_slow_times=slow_times,
     )
 
 

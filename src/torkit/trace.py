@@ -21,9 +21,9 @@ import math
 from dataclasses import dataclass
 from typing import IO, Iterable
 
-from .errors import TraceParseError, UndefinedMetricError
-from .model import RateTimeline, Segment, StageKind, ZERO_RATE_STAGES
-from .periods import FAIL_SLOW, FAIL_STOP, PeriodRecord, period_records
+from .errors import TraceParseError, UndefinedMetricError, ValidationError
+from .model import RateTimeline, Segment, StageKind, ZERO_RATE_STAGES, _check_number
+from .periods import FAIL_SLOW, FAIL_STOP, StageTotals, period_records
 from .timeline import integrate_optimal_time, observed_time, stage_breakdown, tor_of_timeline
 
 SCHEMA_VERSION = 1
@@ -61,6 +61,16 @@ def _is_aware(t: dt.datetime) -> bool:
     return t.utcoffset() is not None
 
 
+def _number(obj: dict, key: str, line: int) -> float:
+    """The JSON number ``obj[key]`` as a float; strings and booleans are rejected."""
+    try:
+        return _check_number(key, obj[key])
+    except KeyError:
+        raise TraceParseError(f"missing {key!r}", line) from None
+    except ValidationError as e:
+        raise TraceParseError(str(e), line) from None
+
+
 def _event_from_obj(obj: dict, line: int) -> tuple[TraceEvent | None, tuple | None]:
     """Returns (event, None) for numeric timestamps or (None, wall-clock tuple)."""
     if not isinstance(obj, dict):
@@ -71,12 +81,7 @@ def _event_from_obj(obj: dict, line: int) -> tuple[TraceEvent | None, tuple | No
         raise TraceParseError("missing 'stage'", line) from None
     except ValueError:
         raise TraceParseError(f"unknown stage {obj.get('stage')!r}", line) from None
-    try:
-        rate = float(obj["rate"])
-    except KeyError:
-        raise TraceParseError("missing 'rate'", line) from None
-    except (TypeError, ValueError):
-        raise TraceParseError(f"bad rate {obj.get('rate')!r}", line) from None
+    rate = _number(obj, "rate", line)
     if not (math.isfinite(rate) and 0.0 <= rate <= 1.0):
         raise TraceParseError(f"rate must lie in [0, 1], got {rate!r}", line)
     if stage in ZERO_RATE_STAGES and rate != 0.0:
@@ -86,40 +91,32 @@ def _event_from_obj(obj: dict, line: int) -> tuple[TraceEvent | None, tuple | No
     note = obj.get("note")
     exact = None
     if "duration" in obj:
-        try:
-            exact = float(obj["duration"])
-        except (TypeError, ValueError):
-            raise TraceParseError(f"bad duration {obj.get('duration')!r}", line) from None
+        exact = _number(obj, "duration", line)
         if not math.isfinite(exact) or exact <= 0:
             raise TraceParseError(f"duration must be positive, got {exact!r}", line)
 
     if "t_start" in obj or "t_end" in obj:
-        try:
-            t0, t1 = float(obj["t_start"]), float(obj["t_end"])
-        except KeyError as e:
-            raise TraceParseError(f"missing {e.args[0]!r}", line) from None
-        except (TypeError, ValueError):
-            raise TraceParseError("t_start/t_end must be numbers", line) from None
+        t0, t1 = _number(obj, "t_start", line), _number(obj, "t_end", line)
         if not (math.isfinite(t0) and math.isfinite(t1)) or t0 < 0:
             raise TraceParseError(f"bad timestamps [{t0!r}, {t1!r})", line)
         if t1 <= t0:
             raise TraceParseError(f"t_end must exceed t_start, got [{t0!r}, {t1!r})", line)
-        if exact is not None and abs(exact - (t1 - t0)) > CONTIGUITY_TOL * max(1.0, t1 - t0):
-            raise TraceParseError(
-                f"duration {exact!r} disagrees with t_end - t_start = {t1 - t0!r}", line
-            )
-        return TraceEvent(t0, t1, stage, rate, note, exact), None
-
-    if "wall_start" in obj and "wall_end" in obj:
+        span = t1 - t0
+        parsed = TraceEvent(t0, t1, stage, rate, note, exact), None
+    elif "wall_start" in obj and "wall_end" in obj:
         w0 = _parse_wall(obj["wall_start"], line, "wall_start")
         w1 = _parse_wall(obj["wall_end"], line, "wall_end")
         if _is_aware(w0) != _is_aware(w1):
             raise TraceParseError("wall_start and wall_end mix timezone-aware and naive times", line)
         if w1 <= w0:
             raise TraceParseError("wall_end must be after wall_start", line)
-        return None, (w0, w1, stage, rate, note)
-
-    raise TraceParseError("event needs t_start/t_end or wall_start/wall_end", line)
+        span = (w1 - w0).total_seconds()
+        parsed = None, (w0, w1, stage, rate, note)
+    else:
+        raise TraceParseError("event needs t_start/t_end or wall_start/wall_end", line)
+    if exact is not None and abs(exact - span) > CONTIGUITY_TOL * max(1.0, span):
+        raise TraceParseError(f"duration {exact!r} disagrees with the event's span {span!r}", line)
+    return parsed
 
 
 def parse_trace(source: IO | bytes | str | Iterable[str]) -> list[TraceEvent]:
@@ -196,10 +193,10 @@ def estimate_mtbf(events: list[TraceEvent]) -> tuple[float | None, float | None]
     return _mtbf_by_kind(period_records(trace_to_timeline(events)))
 
 
-def _mtbf_by_kind(records: list[PeriodRecord]) -> tuple[float | None, float | None]:
+def _mtbf_by_kind(records: list[StageTotals]) -> tuple[float | None, float | None]:
     out = []
     for kind in (FAIL_STOP, FAIL_SLOW):
-        vals = [r.mtbf() for r in records if r.kind == kind]
+        vals = [r.mtbf for r in records if r.kind == kind]
         out.append(math.fsum(vals) / len(vals) if vals else None)
     return out[0], out[1]
 

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from torkit.cli import main
+from torkit.model import period_from_dict
+from torkit.simulator import config_from_period
 
 WORKED_FAIL_STOP = {
     "kind": "fail_stop",
@@ -36,6 +38,20 @@ def period_file(tmp_path):
 @pytest.fixture
 def sim_file(tmp_path):
     return write_json(tmp_path / "sim.json", SIM_CONFIG)
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["analytic"], 5),
+    (["analytic"], "mixture"),
+    (["simulate", "--seed", "1"], 5),
+    (["simulate", "--seed", "1"], [1]),
+], ids=["analytic-number", "analytic-string", "simulate-number", "simulate-list"])
+def test_non_object_config_exit_code(tmp_path, capsys, argv, config):
+    path = write_json(tmp_path / "c.json", config)
+    assert main([argv[0], path, *argv[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "JSON object" in err
+    assert len(err.splitlines()) == 1
 
 
 class TestAnalytic:
@@ -115,6 +131,27 @@ class TestSimulate:
         path = write_json(tmp_path / "sim.json", cfg)
         assert main(["simulate", path]) == 3
         assert "diverged" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("period, means", [
+        (WORKED_FAIL_STOP, {
+            "kind": "fail_stop", "n_periods": 20, "t_sr": 1.9, "r_sr": 0.5, "t_h": 90.1,
+            "ckpt_time": 3.0, "t_rb": 4.99999999999991, "t_fs": 0.0, "r_fs": 0.0, "t_r": 10.0,
+        }),
+        (WORKED_FAIL_SLOW, {
+            "kind": "fail_slow", "n_periods": 20, "t_sr": 1.9, "r_sr": 0.5, "t_h": 90.15,
+            "ckpt_time": 3.0, "t_rb": 0.0, "t_fs": 10.0, "r_fs": 0.4, "t_r": 5.0,
+        }),
+    ])
+    def test_period_means_golden(self, tmp_path, capsys, period, means):
+        # Exact values (shortest reprs) of the deterministic run of a worked
+        # period. The first period lacks the leading slow recovery, hence the
+        # mean t_sr of 1.9.
+        cfg = config_from_period(period_from_dict(period), periods=20, deterministic=True)
+        path = write_json(tmp_path / "sim.json", cfg.to_dict())
+        assert main(["simulate", path, "--json"]) == 0
+        got = json.loads(capsys.readouterr().out)["first_result"]["period_means"]
+        assert list(got) == list(means)
+        assert got == means
 
     def test_invalid_config_exit_code(self, tmp_path, capsys):
         path = write_json(tmp_path / "sim.json", {"w_opt": 1.0})

@@ -1,8 +1,10 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from conftest import random_fail_slow, random_fail_stop
 from torkit import (
     DivergedError,
     FailSlowPeriod,
@@ -12,13 +14,14 @@ from torkit import (
     StageKind,
     ValidationError,
     monte_carlo,
+    period_to_timeline,
     realized_period_tor_check,
     simulate,
     tor_fail_slow,
     tor_fail_stop,
     tor_of_timeline,
 )
-from torkit.periods import FAIL_SLOW, FAIL_STOP, MIXED, PeriodRecord, mean_periods, period_records
+from torkit.periods import FAIL_SLOW, FAIL_STOP, MIXED, StageTotals, mean_periods, period_records
 from torkit.simulator import (
     Exponential,
     Fixed,
@@ -455,7 +458,7 @@ class TestTotalsSink:
                 == [outcome_of_simulate(cfg, k) for k in range(4)]
 
 
-def reference_period_records(tl: RateTimeline) -> list[PeriodRecord]:
+def reference_period_records(tl: RateTimeline) -> list[StageTotals]:
     """Split at the end of each Repair run, then summarise each period."""
     periods, current = [], []
     segs = tl.segments
@@ -479,7 +482,7 @@ def reference_period_records(tl: RateTimeline) -> list[PeriodRecord]:
             if s.stage is StageKind.CHECKPOINT_SAVE
             and (j == 0 or p[j - 1].stage is not StageKind.CHECKPOINT_SAVE)
         )
-        records.append(PeriodRecord(
+        records.append(StageTotals(
             kind=MIXED if has_rb and has_fs else FAIL_SLOW if has_fs else FAIL_STOP,
             t_sr=total(StageKind.SLOW_RECOVERY),
             sr_work=total(StageKind.SLOW_RECOVERY, weighted=True),
@@ -508,3 +511,24 @@ def test_period_records_match_reference_split():
             items.append((float(rng.choice([0.0, 1.0, rng.exponential(3.0)])), rate, stage))
         tl = RateTimeline.build(items)
         assert period_records(tl) == reference_period_records(tl)
+
+
+def test_spec_totals_match_their_timeline_record():
+    """A spec's totals are the lone record of its own one-period timeline.
+
+    ``n_ckpt`` is the exception: the timeline merges the saves into one
+    segment, so its record counts one save.
+    """
+    rng = np.random.default_rng(43)
+    for i in range(300):
+        p = random_fail_stop(rng) if i % 2 == 0 else random_fail_slow(rng)
+        totals = p.totals()
+        records = period_records(period_to_timeline(p))
+        assert len(records) == 1
+        (record,) = records
+        for f in fields(StageTotals):
+            if f.name != "n_ckpt":
+                assert getattr(totals, f.name) == getattr(record, f.name), f.name
+        # The two derived figures agree bit for bit.
+        assert totals.tor.hex() == record.tor.hex()
+        assert totals.mtbf.hex() == record.mtbf.hex()

@@ -74,6 +74,22 @@ class TestParse:
         with pytest.raises(TraceParseError, match="Napping"):
             parse_trace(jsonl(bad))
 
+    @pytest.mark.parametrize("field, value", [
+        ("rate", True), ("rate", "1"), ("t_start", "0"), ("t_end", "10"),
+        ("t_end", None), ("duration", "10"), ("duration", False),
+    ])
+    def test_numeric_fields_take_only_json_numbers(self, field, value):
+        event = {**healthy(0, 10), "duration": 10.0, field: value}
+        with pytest.raises(TraceParseError, match=rf"line 2: {field} must be a number"):
+            parse_trace(jsonl(healthy(10, 20), event))
+
+    def test_wall_clock_duration_checked(self):
+        event = {"wall_start": "2026-08-23T10:00:00", "wall_end": "2026-08-23T10:00:10",
+                 "stage": "HealthyRun", "rate": 1.0}
+        assert parse_trace(jsonl(dict(event, duration=10.0)))[0].t_end == 10.0
+        with pytest.raises(TraceParseError, match="line 1: duration 5.0 disagrees"):
+            parse_trace(jsonl(dict(event, duration=5.0)))
+
     def test_empty_trace_rejected(self):
         with pytest.raises(TraceParseError, match="empty"):
             parse_trace("")
