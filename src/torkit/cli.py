@@ -27,12 +27,12 @@ from .timeline import stage_breakdown, write_csv
 def _load_json(path: str) -> dict:
     try:
         text = Path(path).read_text()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ValidationError(f"cannot read config {path}: {e}") from None
     try:
         value = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ValidationError(f"{path} is not valid JSON: {e.msg} (line {e.lineno})") from None
+    except ValueError as e:  # not JSON, or an integer too long to convert
+        raise ValidationError(f"{path} is not valid JSON: {e}") from None
     if not isinstance(value, dict):
         raise ValidationError(f"{path} must hold a JSON object, got {type(value).__name__}")
     return value
@@ -163,7 +163,6 @@ def cmd_compare(args) -> int:
         p,
         periods=args.periods,
         seed=args.seed,
-        w_opt=args.w_opt,
         deterministic=args.deterministic,
     )
 
@@ -255,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--deterministic", action="store_true",
                     help="inject failures at the exact instants the period implies")
     sp.add_argument("--seed", type=int, default=1)
-    sp.add_argument("--w-opt", type=float, default=1.0, dest="w_opt")
     common(sp)
     sp.set_defaults(func=cmd_compare)
     return parser

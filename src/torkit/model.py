@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from typing import ClassVar, Iterable, Union
 
@@ -48,9 +48,17 @@ def _check_number(name: str, value) -> float:
 
 
 def _check_time(name: str, value: float) -> float:
+    """A finite non-negative number: a time, a rate or a spread."""
     value = _check_number(name, value)
     if not math.isfinite(value) or value < 0:
-        raise ValidationError(f"{name} must be a finite non-negative number of seconds, got {value!r}")
+        raise ValidationError(f"{name} must be a finite non-negative number, got {value!r}")
+    return value
+
+
+def _check_positive(name: str, value: float) -> float:
+    value = _check_number(name, value)
+    if not math.isfinite(value) or value <= 0:
+        raise ValidationError(f"{name} must be positive, got {value!r}")
     return value
 
 
@@ -68,7 +76,84 @@ def _check_count(name: str, value: int) -> int:
         value = int(value)
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:
         raise ValidationError(f"{name} must be a non-negative integer, got {value!r}")
+    _check_number(name, value)  # a count beyond the float range is rejected
     return value
+
+
+def _check_total(name: str, total) -> float:
+    """``total()``, an fsum of finite non-negative terms, rejected beyond the float range."""
+    try:
+        value = total()
+    except OverflowError:  # math.fsum: intermediate overflow
+        value = math.inf
+    if value == math.inf:
+        raise ValidationError(f"{name} exceeds the float range")
+    return value
+
+
+class _Schema:
+    """One field-check loop, JSON reader and JSON writer for the config types.
+
+    ``_checks`` maps a field to its check; every other field is a time. A
+    class with a ``kind`` is tagged with it in JSON.
+    """
+
+    _checks: ClassVar[dict] = {}
+
+    def __post_init__(self):
+        for f in fields(self):
+            check = self._checks.get(f.name, _check_time)
+            object.__setattr__(self, f.name, check(f.name, getattr(self, f.name)))
+
+    def to_dict(self) -> dict:
+        """``kind`` if the class has one, then every field that is not None in
+        declaration order; tuples are written as lists."""
+        d = {"kind": self.kind} if hasattr(self, "kind") else {}
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(v, _Schema):
+                v = v.to_dict()
+            elif isinstance(v, tuple):
+                v = list(v)
+            if v is not None:
+                d[f.name] = v
+        return d
+
+
+def _check_keys(d, what: str, allowed, required) -> None:
+    """Reject a non-object ``d``, a missing ``required`` key or a key not ``allowed``."""
+    if not isinstance(d, dict):
+        raise ValidationError(f"{what} must be a JSON object, got {type(d).__name__}")
+    missing = [k for k in required if k not in d]
+    if missing:
+        raise ValidationError(f"{what}: missing fields {missing}")
+    unknown = d.keys() - set(allowed)
+    if unknown:
+        raise ValidationError(f"{what}: unknown fields {sorted(unknown)}")
+
+
+def _from_dict(cls, d, what: str):
+    """Build ``cls`` from its JSON object; of a tuple of classes, the one ``d["kind"]`` names.
+
+    Fields without a default are required and unknown keys are rejected. A
+    field check's message is prefixed with ``what``.
+    """
+    if isinstance(cls, tuple):
+        _check_keys(d, what, d, ["kind"])  # the other keys are checked against cls below
+        kind = d["kind"]
+        named = [c for c in cls if c.kind == kind]
+        if not named:
+            raise ValidationError(
+                f"{what}: 'kind' must be one of {[c.kind for c in cls]}, got {kind!r}"
+            )
+        cls = named[0]
+        d = {k: v for k, v in d.items() if k != "kind"}
+    fs = fields(cls)
+    _check_keys(d, what, [f.name for f in fs], [f.name for f in fs if f.default is MISSING])
+    try:
+        return cls(**d)
+    except ValidationError as e:
+        raise ValidationError(f"{what}: {e}") from None
 
 
 @dataclass(frozen=True, slots=True)
@@ -198,12 +283,8 @@ class StageTotals:
         return math.fsum((self.t_sr, self.t_h, self.ckpt_time, self.t_rb))
 
 
-# Fields checked as ratios or counts; every other spec field is a time.
-_SPEC_CHECKS = {"r_sr": _check_ratio, "r_fs": _check_ratio, "n_ckpt": _check_count}
-
-
-class _PeriodSpec:
-    """Field checks and stage totals shared by the period specs.
+class _PeriodSpec(_Schema):
+    """Stage totals shared by the period specs, and their duration check.
 
     A field a spec lacks reads as 0: ``t_rb`` on a fail-slow period,
     ``t_fs`` and ``r_fs`` on a fail-stop one.
@@ -213,13 +294,12 @@ class _PeriodSpec:
     t_rb: ClassVar[float] = 0.0
     t_fs: ClassVar[float] = 0.0
     r_fs: ClassVar[float] = 0.0
+    _checks = {"r_sr": _check_ratio, "r_fs": _check_ratio, "n_ckpt": _check_count}
 
     def __post_init__(self):
-        for f in fields(self):
-            check = _SPEC_CHECKS.get(f.name, _check_time)
-            object.__setattr__(self, f.name, check(f.name, getattr(self, f.name)))
-        if self.totals().duration <= 0:
-            label = self.kind.replace("_", "-")
+        super().__post_init__()
+        label = self.kind.replace("_", "-")
+        if _check_total(f"{label} period duration", lambda: self.totals().duration) <= 0:
             raise ValidationError(f"{label} period has zero total duration; TOR undefined")
 
     def totals(self) -> StageTotals:
@@ -271,6 +351,7 @@ class FailSlowPeriod(_PeriodSpec):
 
 
 Period = Union[FailStopPeriod, FailSlowPeriod]
+_PERIODS = (FailStopPeriod, FailSlowPeriod)
 
 
 @dataclass(frozen=True)
@@ -284,16 +365,17 @@ class FailureMixture:
     components: tuple[tuple[Period, float], ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        comps = tuple(self.components)
+        comps = []
+        for i, (spec, weight) in enumerate(self.components):
+            if not isinstance(spec, _PERIODS):
+                raise ValidationError(f"unsupported mixture component: {type(spec).__name__}")
+            comps.append((spec, _check_positive(f"mixture component {i} weight", weight)))
         if not comps:
             raise ValidationError("mixture needs at least one component")
-        for spec, weight in comps:
-            if not isinstance(spec, (FailStopPeriod, FailSlowPeriod)):
-                raise ValidationError(f"unsupported mixture component: {type(spec).__name__}")
-            w = _check_number("mixture weight", weight)
-            if not math.isfinite(w) or w <= 0:
-                raise ValidationError(f"mixture weights must be positive, got {weight!r}")
-        object.__setattr__(self, "components", tuple((s, float(w)) for s, w in comps))
+        object.__setattr__(self, "components", tuple(comps))
+        _check_total("mixture total weight", lambda: self.total_weight)
+        _check_total("mixture weighted duration",
+                     lambda: math.fsum(w * s.totals().duration for s, w in comps))
 
     @property
     def total_weight(self) -> float:
@@ -302,35 +384,20 @@ class FailureMixture:
 
 def period_from_dict(d: dict) -> Period:
     """Build a period spec from its JSON object: ``kind`` plus the spec's fields."""
-    if not isinstance(d, dict):
-        raise ValidationError("period config must be a JSON object")
-    kind = d.get("kind")
-    for cls in (FailStopPeriod, FailSlowPeriod):
-        if kind == cls.kind:
-            break
-    else:
-        raise ValidationError(
-            f"period 'kind' must be 'fail_stop' or 'fail_slow', got {kind!r}"
-        )
-    allowed = {f.name for f in fields(cls)}
-    unknown = d.keys() - allowed - {"kind"}
-    if unknown:
-        raise ValidationError(f"unknown period fields: {sorted(unknown)}")
-    return cls(**{k: d[k] for k in d.keys() & allowed})
+    return _from_dict(_PERIODS, d, "period")
 
 
 def mixture_from_dict(d: dict) -> FailureMixture:
     """Build a mixture from ``{"mixture": [{"weight": w, "period": {...}}, ...]}``."""
-    comps = d.get("mixture")
+    _check_keys(d, "mixture file", ["mixture"], ["mixture"])
+    comps = d["mixture"]
     if not isinstance(comps, list) or not comps:
         raise ValidationError("'mixture' must be a non-empty list")
     parsed = []
     for i, c in enumerate(comps):
-        if not isinstance(c, dict) or "weight" not in c or "period" not in c:
-            raise ValidationError(
-                f"mixture component {i} needs 'weight' and 'period' fields"
-            )
-        parsed.append((period_from_dict(c["period"]), c["weight"]))
+        what = f"mixture component {i}"
+        _check_keys(c, what, ["weight", "period"], ["weight", "period"])
+        parsed.append((_from_dict(_PERIODS, c["period"], f"{what} period"), c["weight"]))
     return FailureMixture(tuple(parsed))
 
 

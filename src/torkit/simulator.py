@@ -24,23 +24,24 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterator, Union
+from typing import ClassVar, Iterator, Union
 
 import numpy as np
 
 from .errors import DivergedError, ValidationError
 from .model import (
     FAIL_STOP,
-    FailSlowPeriod,
-    FailStopPeriod,
     RateTimeline,
     Segment,
     StageKind,
     StageTotals,
+    _PERIODS,
+    _Schema,
     _check_count,
-    _check_number,
+    _check_positive,
     _check_ratio,
     _check_time,
+    _from_dict,
     _segment,
 )
 from .periods import MIXED, mean_periods, period_records
@@ -61,80 +62,73 @@ REPAIR = StageKind.REPAIR
 # duration distributions
 
 @dataclass(frozen=True)
-class Fixed:
+class Fixed(_Schema):
+    kind: ClassVar[str] = "fixed"
     value: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", _check_time("value", self.value))
 
     def sample(self, rng: np.random.Generator) -> float:
         return self.value
 
 
 @dataclass(frozen=True)
-class Exponential:
-    mean_value: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "mean_value", _check_time("mean", self.mean_value))
+class Exponential(_Schema):
+    kind: ClassVar[str] = "exponential"
+    mean: float
 
     def sample(self, rng: np.random.Generator) -> float:
-        return float(rng.exponential(self.mean_value))
+        return float(rng.exponential(self.mean))
 
 
 @dataclass(frozen=True)
-class LogNormal:
+class LogNormal(_Schema):
+    kind: ClassVar[str] = "lognormal"
+    _checks = {"median": _check_positive}
     median: float
     sigma: float
-
-    def __post_init__(self):
-        median = _check_number("median", self.median)
-        sigma = _check_number("sigma", self.sigma)
-        if median <= 0 or not math.isfinite(median):
-            raise ValidationError(f"median must be positive, got {median!r}")
-        if sigma < 0 or not math.isfinite(sigma):
-            raise ValidationError(f"sigma must be non-negative, got {sigma!r}")
-        object.__setattr__(self, "median", median)
-        object.__setattr__(self, "sigma", sigma)
 
     def sample(self, rng: np.random.Generator) -> float:
         return float(rng.lognormal(math.log(self.median), self.sigma))
 
 
 DurationDist = Union[Fixed, Exponential, LogNormal]
+_DISTS = (Fixed, Exponential, LogNormal)
 
 
 def dist_from_dict(name: str, d: dict) -> DurationDist:
-    if not isinstance(d, dict) or "kind" not in d:
-        raise ValidationError(f"{name}: expected an object with a 'kind' field, got {d!r}")
-    kind = d["kind"]
-    try:
-        if kind == "fixed":
-            return Fixed(d["value"])
-        if kind == "exponential":
-            return Exponential(d["mean"])
-        if kind == "lognormal":
-            return LogNormal(d["median"], d["sigma"])
-    except KeyError as e:
-        raise ValidationError(f"{name}: missing field {e.args[0]!r} for kind {kind!r}") from None
-    except ValidationError as e:
-        raise ValidationError(f"{name}: {e}") from None
-    raise ValidationError(f"{name}: unknown distribution kind {kind!r}")
+    return _from_dict(_DISTS, d, name)
 
 
-def dist_to_dict(d: DurationDist) -> dict:
-    if isinstance(d, Fixed):
-        return {"kind": "fixed", "value": d.value}
-    if isinstance(d, Exponential):
-        return {"kind": "exponential", "mean": d.mean_value}
-    return {"kind": "lognormal", "median": d.median, "sigma": d.sigma}
+def _check_dist(name: str, value) -> DurationDist:
+    """A duration distribution, or its JSON object."""
+    return value if isinstance(value, _DISTS) else dist_from_dict(name, value)
+
+
+def _check_seed(name: str, value) -> int:
+    if isinstance(value, bool) or not (isinstance(value, int) and 0 <= value < 2**64):
+        raise ValidationError(f"{name} must be a 64-bit unsigned integer, got {value!r}")
+    return value
+
+
+def _check_cycles(name: str, value) -> int:
+    value = _check_count(name, value)
+    if value < 1:
+        raise ValidationError(f"{name} must be at least 1")
+    return value
+
+
+def _check_times(name: str, times) -> tuple[float, ...] | None:
+    if times is None:
+        return None
+    if not isinstance(times, (list, tuple)):
+        raise ValidationError(f"{name} must be a list of times, got {times!r}")
+    return tuple(sorted(_check_time(f"{name} entry", t) for t in times))
 
 
 # ---------------------------------------------------------------------------
 # config / result
 
 @dataclass(frozen=True)
-class SimConfig:
+class SimConfig(_Schema):
     """Stochastic training-run description.
 
     ``fail_stop_rate`` / ``fail_slow_rate`` are Poisson arrival rates per
@@ -145,6 +139,13 @@ class SimConfig:
     downtime does not consume the checkpoint budget.
     """
 
+    _checks = {
+        "w_opt": _check_positive, "total_work": _check_positive, "ckpt_interval": _check_positive,
+        "t_r_dist": _check_dist, "t_sr_dist": _check_dist, "t_fs_dist": _check_dist,
+        "r_sr": _check_ratio, "r_fs": _check_ratio,
+        "fail_stop_times": _check_times, "fail_slow_times": _check_times,
+        "seed": _check_seed, "watchdog_cycles": _check_cycles,
+    }
     w_opt: float
     total_work: float
     ckpt_interval: float
@@ -157,80 +158,13 @@ class SimConfig:
     r_sr: float
     r_fs: float
     seed: int
+    watchdog_cycles: int = 1000
     fail_stop_times: tuple[float, ...] | None = None
     fail_slow_times: tuple[float, ...] | None = None
-    watchdog_cycles: int = 1000
-
-    def __post_init__(self):
-        for name in ("w_opt", "total_work", "ckpt_interval"):
-            v = _check_number(name, getattr(self, name))
-            if not (math.isfinite(v) and v > 0):
-                raise ValidationError(f"{name} must be positive, got {v!r}")
-            object.__setattr__(self, name, v)
-        object.__setattr__(self, "t_ckpt", _check_time("t_ckpt", self.t_ckpt))
-        for name in ("fail_stop_rate", "fail_slow_rate"):
-            v = _check_number(name, getattr(self, name))
-            if not math.isfinite(v) or v < 0:
-                raise ValidationError(f"{name} must be finite and non-negative, got {v!r}")
-            object.__setattr__(self, name, v)
-        object.__setattr__(self, "r_sr", _check_ratio("r_sr", self.r_sr))
-        object.__setattr__(self, "r_fs", _check_ratio("r_fs", self.r_fs))
-        seed = self.seed
-        if isinstance(seed, bool) or not (isinstance(seed, int) and 0 <= seed < 2**64):
-            raise ValidationError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
-        for name in ("fail_stop_times", "fail_slow_times"):
-            times = getattr(self, name)
-            if times is None:
-                continue
-            if not isinstance(times, (list, tuple)):
-                raise ValidationError(f"{name} must be a list of times, got {times!r}")
-            times = tuple(sorted(_check_time(f"{name} entry", t) for t in times))
-            object.__setattr__(self, name, times)
-        if _check_count("watchdog_cycles", self.watchdog_cycles) < 1:
-            raise ValidationError("watchdog_cycles must be at least 1")
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimConfig":
-        if not isinstance(d, dict):
-            raise ValidationError("sim config must be a JSON object")
-        required = {
-            "w_opt", "total_work", "ckpt_interval", "t_ckpt",
-            "fail_stop_rate", "fail_slow_rate",
-            "t_r_dist", "t_sr_dist", "t_fs_dist", "r_sr", "r_fs", "seed",
-        }
-        optional = {"fail_stop_times", "fail_slow_times", "watchdog_cycles"}
-        missing = required - d.keys()
-        if missing:
-            raise ValidationError(f"sim config missing fields: {sorted(missing)}")
-        unknown = d.keys() - required - optional
-        if unknown:
-            raise ValidationError(f"sim config has unknown fields: {sorted(unknown)}")
-        kwargs = {k: d[k] for k in d.keys() & (required | optional)}
-        for k in ("t_r_dist", "t_sr_dist", "t_fs_dist"):
-            kwargs[k] = dist_from_dict(k, kwargs[k])
-        return cls(**kwargs)
-
-    def to_dict(self) -> dict:
-        d = {
-            "w_opt": self.w_opt,
-            "total_work": self.total_work,
-            "ckpt_interval": self.ckpt_interval,
-            "t_ckpt": self.t_ckpt,
-            "fail_stop_rate": self.fail_stop_rate,
-            "fail_slow_rate": self.fail_slow_rate,
-            "t_r_dist": dist_to_dict(self.t_r_dist),
-            "t_sr_dist": dist_to_dict(self.t_sr_dist),
-            "t_fs_dist": dist_to_dict(self.t_fs_dist),
-            "r_sr": self.r_sr,
-            "r_fs": self.r_fs,
-            "seed": self.seed,
-            "watchdog_cycles": self.watchdog_cycles,
-        }
-        if self.fail_stop_times is not None:
-            d["fail_stop_times"] = list(self.fail_stop_times)
-        if self.fail_slow_times is not None:
-            d["fail_slow_times"] = list(self.fail_slow_times)
-        return d
+        return _from_dict(cls, d, "sim config")
 
 
 @dataclass(frozen=True)
@@ -503,7 +437,6 @@ def config_from_period(
     p,
     periods: int,
     seed: int = 1,
-    w_opt: float = 1.0,
     deterministic: bool = False,
 ) -> SimConfig:
     """Build a SimConfig whose failure-repair cycles mirror a period spec.
@@ -516,7 +449,7 @@ def config_from_period(
     """
     if periods < 1:
         raise ValidationError("periods must be at least 1")
-    if not isinstance(p, (FailStopPeriod, FailSlowPeriod)):
+    if not isinstance(p, _PERIODS):
         raise ValidationError(f"unsupported period type: {type(p).__name__}")
     t = p.totals()
     is_stop = t.kind == FAIL_STOP
@@ -561,8 +494,8 @@ def config_from_period(
         stop_rate, slow_rate = (rate, 0.0) if is_stop else (0.0, rate)
 
     return SimConfig(
-        w_opt=w_opt,
-        total_work=w_opt * t.opt_time * (periods + 0.5),
+        w_opt=1.0,
+        total_work=t.opt_time * (periods + 0.5),
         ckpt_interval=ckpt_interval,
         t_ckpt=p.t_ckpt,
         fail_stop_rate=stop_rate,

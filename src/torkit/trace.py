@@ -2,15 +2,15 @@
 
 Input is JSON Lines, one event per line:
 
-    {"t_start": 0.0, "t_end": 10.0, "stage": "HealthyRun", "rate": 1.0,
-     "note": "optional"}
+    {"t_start": 0.0, "t_end": 10.0, "stage": "HealthyRun", "rate": 1.0}
 
-Timestamps are seconds since trace start. Alternatively, events may carry
-wall-clock ISO-8601 datetimes in ``wall_start`` / ``wall_end``; those are
-normalized to seconds relative to the earliest event. Events must tile the
-observed interval exactly: gaps and overlaps are errors. Each event carries a
-pre-classified stage and rate; mapping raw logs onto stages (including any
-precedence between overlapping degradations) is the log producer's job.
+Other keys are ignored. Timestamps are seconds since trace start.
+Alternatively, events may carry wall-clock ISO-8601 datetimes in
+``wall_start`` / ``wall_end``; those are normalized to seconds relative to
+the earliest event. Events must tile the observed interval exactly: gaps and
+overlaps are errors. Each event carries a pre-classified stage and rate;
+mapping raw logs onto stages (including any precedence between overlapping
+degradations) is the log producer's job.
 """
 from __future__ import annotations
 
@@ -38,7 +38,6 @@ class TraceEvent:
     t_end: float
     stage: StageKind
     rate: float
-    note: str | None = None
     # Optional exact duration; timestamps are cumulative sums, so t_end -
     # t_start alone cannot reproduce a source timeline bit-for-bit.
     exact_duration: float | None = None
@@ -88,7 +87,6 @@ def _event_from_obj(obj: dict, line: int) -> tuple[TraceEvent | None, tuple | No
         raise TraceParseError(f"stage {stage} must have rate 0, got {rate!r}", line)
     if stage is StageKind.HEALTHY_RUN and rate != 1.0:
         raise TraceParseError(f"stage {stage} must have rate 1, got {rate!r}", line)
-    note = obj.get("note")
     exact = None
     if "duration" in obj:
         exact = _number(obj, "duration", line)
@@ -102,7 +100,7 @@ def _event_from_obj(obj: dict, line: int) -> tuple[TraceEvent | None, tuple | No
         if t1 <= t0:
             raise TraceParseError(f"t_end must exceed t_start, got [{t0!r}, {t1!r})", line)
         span = t1 - t0
-        parsed = TraceEvent(t0, t1, stage, rate, note, exact), None
+        parsed = TraceEvent(t0, t1, stage, rate, exact), None
     elif "wall_start" in obj and "wall_end" in obj:
         w0 = _parse_wall(obj["wall_start"], line, "wall_start")
         w1 = _parse_wall(obj["wall_end"], line, "wall_end")
@@ -111,7 +109,7 @@ def _event_from_obj(obj: dict, line: int) -> tuple[TraceEvent | None, tuple | No
         if w1 <= w0:
             raise TraceParseError("wall_end must be after wall_start", line)
         span = (w1 - w0).total_seconds()
-        parsed = None, (w0, w1, stage, rate, note)
+        parsed = None, (w0, w1, stage, rate)
     else:
         raise TraceParseError("event needs t_start/t_end or wall_start/wall_end", line)
     if exact is not None and abs(exact - span) > CONTIGUITY_TOL * max(1.0, span):
@@ -130,17 +128,17 @@ def parse_trace(source: IO | bytes | str | Iterable[str]) -> list[TraceEvent]:
 
     events: list[TraceEvent] = []
     wall_events: list[tuple] = []
-    n_lines = 0
     for line_no, raw in enumerate(lines, start=1):
-        if isinstance(raw, bytes):
-            raw = raw.decode("utf-8")
-        if not raw.strip():
-            continue
-        n_lines += 1
         try:
+            if isinstance(raw, bytes):
+                raw = raw.decode("utf-8")
+            if not raw.strip():
+                continue
             obj = json.loads(raw)
         except json.JSONDecodeError as e:
             raise TraceParseError(f"invalid JSON: {e.msg}", line_no) from None
+        except ValueError as e:  # not UTF-8, or an integer too long to convert
+            raise TraceParseError(str(e), line_no) from None
         ev, wall = _event_from_obj(obj, line_no)
         if ev is not None:
             events.append(ev)
@@ -154,8 +152,8 @@ def parse_trace(source: IO | bytes | str | Iterable[str]) -> list[TraceEvent]:
             raise TraceParseError("trace mixes timezone-aware and naive wall-clock times")
         origin = min(w0 for w0, *_ in wall_events)
         events = [
-            TraceEvent((w0 - origin).total_seconds(), (w1 - origin).total_seconds(), st, r, note)
-            for w0, w1, st, r, note in wall_events
+            TraceEvent((w0 - origin).total_seconds(), (w1 - origin).total_seconds(), st, r)
+            for w0, w1, st, r in wall_events
         ]
     if not events:
         raise TraceParseError("empty trace: TOR undefined")
@@ -225,10 +223,10 @@ def report(events: list[TraceEvent]) -> dict:
     }
 
 
-def render_report(rep: dict, decimals: int = 6) -> str:
+def render_report(rep: dict) -> str:
     """Human-readable rendering of :func:`report` output."""
     def fmt(v):
-        return "n/a" if v is None else f"{v:.{decimals}f}"
+        return "n/a" if v is None else f"{v:.6f}"
 
     lines = [
         f"TOR:            {fmt(rep['tor'])}",
@@ -248,13 +246,13 @@ def render_report(rep: dict, decimals: int = 6) -> str:
     return "\n".join(lines)
 
 
-def timeline_to_events(tl: RateTimeline, note: str | None = None) -> list[TraceEvent]:
+def timeline_to_events(tl: RateTimeline) -> list[TraceEvent]:
     """Lay a timeline onto the absolute time axis starting at 0."""
     events = []
     t = 0.0
     for s in tl:
         t_next = t + s.duration
-        events.append(TraceEvent(t, t_next, s.stage, s.rate, note, s.duration))
+        events.append(TraceEvent(t, t_next, s.stage, s.rate, s.duration))
         t = t_next
     return events
 
@@ -264,6 +262,4 @@ def write_jsonl(events: list[TraceEvent], out: IO) -> None:
         obj = {"t_start": e.t_start, "t_end": e.t_end, "stage": str(e.stage), "rate": e.rate}
         if e.exact_duration is not None:
             obj["duration"] = e.exact_duration
-        if e.note is not None:
-            obj["note"] = e.note
         out.write(json.dumps(obj) + "\n")

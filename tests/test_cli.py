@@ -54,6 +54,48 @@ def test_non_object_config_exit_code(tmp_path, capsys, argv, config):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("command, config, message", [
+    ("analytic", {"kind": "fail_stop", "t_h": 1e308, "t_r": 1e308},
+     "period: fail-stop period duration exceeds the float range"),
+    ("analytic", {"mixture": [{"weight": 1e308, "period": WORKED_FAIL_STOP}] * 2},
+     "mixture total weight exceeds the float range"),
+    ("analytic", {"mixture": [{"weight": 1, "period": {"kind": "fail_stop", "t_h": 1e308}}] * 2},
+     "mixture weighted duration exceeds the float range"),
+    ("analytic", {"mixture": [{"weight": 1, "period": WORKED_FAIL_STOP}], "junk": 1},
+     "mixture file: unknown fields ['junk']"),
+    ("analytic", {"mixture": [{"weight": 1, "period": WORKED_FAIL_STOP, "junk": 1}]},
+     "mixture component 0: unknown fields ['junk']"),
+    ("analytic", {"mixture": [{"weight": 1, "period": dict(WORKED_FAIL_STOP, junk=1)}]},
+     "mixture component 0 period: unknown fields ['junk']"),
+    ("simulate", dict(SIM_CONFIG, t_r_dist={"kind": "fixed", "value": 5, "junk": 1}),
+     "sim config: t_r_dist: unknown fields ['junk']"),
+    ("simulate", dict(SIM_CONFIG, t_r_dist={"kind": "lognormal", "median": 1}),
+     "sim config: t_r_dist: missing fields ['sigma']"),
+], ids=[
+    "duration-overflow", "weight-overflow", "weighted-duration-overflow",
+    "mixture-unknown-key", "component-unknown-key", "component-period-unknown-key",
+    "distribution-unknown-key", "distribution-missing-field",
+])
+def test_rejected_config_exit_code(tmp_path, capsys, command, config, message):
+    path = write_json(tmp_path / "c.json", config)
+    assert main([command, path]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command, data, message", [
+    ("analytic", b"\xff{}", "cannot read config"),
+    ("analytic", b'{"kind": "fail_stop", "t_h": 1' + b"0" * 5000 + b"}", "is not valid JSON"),
+    ("trace", b"\xff{}\n", "line 1: 'utf-8' codec can't decode"),
+    ("trace", b'{"t_start": 0, "t_end": 1' + b"0" * 5000 + b"}\n", "line 1: Exceeds the limit"),
+], ids=["config-not-utf8", "config-long-integer", "trace-not-utf8", "trace-long-integer"])
+def test_undecodable_file_exit_code(tmp_path, capsys, command, data, message):
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and len(err.splitlines()) == 1
+
+
 class TestAnalytic:
     def test_worked_period_text(self, period_file, capsys):
         assert main(["analytic", period_file]) == 0
@@ -92,7 +134,11 @@ class TestAnalytic:
     def test_missing_file(self, tmp_path, capsys):
         assert main(["analytic", str(tmp_path / "nope.json")]) == 2
 
-    @pytest.mark.parametrize("field, value", [("t_sr", None), ("n_ckpt", True)])
+    @pytest.mark.parametrize("field, value", [
+        ("t_sr", None),
+        ("n_ckpt", True),
+        pytest.param("n_ckpt", 10**400, id="n_ckpt-beyond-float"),
+    ])
     def test_malformed_field_exit_code(self, tmp_path, capsys, field, value):
         path = write_json(tmp_path / "p.json", dict(WORKED_FAIL_STOP, **{field: value}))
         assert main(["analytic", path]) == 2

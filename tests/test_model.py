@@ -1,7 +1,9 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
+from conftest import random_fail_slow, random_fail_stop
 from torkit import (
     FailSlowPeriod,
     FailStopPeriod,
@@ -13,6 +15,7 @@ from torkit import (
     mtbf_fail_slow,
     mtbf_fail_stop,
 )
+from torkit.model import period_from_dict
 
 
 class TestValidation:
@@ -66,6 +69,14 @@ class TestValidation:
             FailureMixture(((p, 0.0),))
         with pytest.raises(ValidationError):
             FailureMixture(((p, -2.0),))
+
+    def test_period_json_round_trip(self):
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            p = random_fail_stop(rng) if rng.random() < 0.5 else random_fail_slow(rng)
+            d = p.to_dict()
+            assert d["kind"] == p.kind
+            assert period_from_dict(d) == p
 
     def test_periods_are_immutable(self):
         p = FailStopPeriod(t_h=1)

@@ -28,7 +28,6 @@ from torkit.simulator import (
     LogNormal,
     config_from_period,
     dist_from_dict,
-    dist_to_dict,
     replication_seedseq,
 )
 
@@ -55,7 +54,7 @@ def base_config(**overrides) -> SimConfig:
 class TestDistributions:
     def test_json_round_trip(self):
         for d in (Fixed(3.0), Exponential(2.5), LogNormal(4.0, 0.5)):
-            assert dist_from_dict("d", dist_to_dict(d)) == d
+            assert dist_from_dict("d", d.to_dict()) == d
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValidationError):
@@ -64,6 +63,10 @@ class TestDistributions:
     def test_missing_field_rejected(self):
         with pytest.raises(ValidationError):
             dist_from_dict("d", {"kind": "lognormal", "median": 1})
+
+    def test_unknown_field_rejected(self):
+        with pytest.raises(ValidationError, match=r"^d: unknown fields \['junk'\]$"):
+            dist_from_dict("d", {"kind": "fixed", "value": 5, "junk": 1})
 
     def test_lognormal_median(self):
         rng = np.random.default_rng(5)
@@ -88,6 +91,40 @@ class TestConfigJson:
         d["typo"] = 1
         with pytest.raises(ValidationError, match="typo"):
             SimConfig.from_dict(d)
+
+    def test_distribution_field_type_checked(self):
+        with pytest.raises(ValidationError, match="t_r_dist"):
+            base_config(t_r_dist=5)
+
+    def test_missing_distribution_field_named_once(self):
+        d = dict(base_config().to_dict(), t_r_dist={"kind": "lognormal", "median": 1})
+        message = r"^sim config: t_r_dist: missing fields \['sigma'\]$"
+        with pytest.raises(ValidationError, match=message):
+            SimConfig.from_dict(d)
+
+    @pytest.mark.parametrize("injected, expected", [
+        ({}, {}),
+        ({"fail_stop_times": (30.0, 10.0), "fail_slow_times": [5, 50.5]},
+         {"fail_stop_times": [10.0, 30.0], "fail_slow_times": [5.0, 50.5]}),
+    ], ids=["poisson", "injected"])
+    def test_to_dict_golden(self, injected, expected):
+        cfg = base_config(
+            w_opt=1.5, ckpt_interval=10.0, t_ckpt=0.5, fail_stop_rate=0.01, fail_slow_rate=0.002,
+            t_r_dist=Exponential(5.0), t_sr_dist=LogNormal(2.0, 0.3), t_fs_dist=Fixed(1.0),
+            r_sr=0.5, r_fs=0.25, seed=7, **injected,
+        )
+        golden = {
+            "w_opt": 1.5, "total_work": 100.0, "ckpt_interval": 10.0, "t_ckpt": 0.5,
+            "fail_stop_rate": 0.01, "fail_slow_rate": 0.002,
+            "t_r_dist": {"kind": "exponential", "mean": 5.0},
+            "t_sr_dist": {"kind": "lognormal", "median": 2.0, "sigma": 0.3},
+            "t_fs_dist": {"kind": "fixed", "value": 1.0},
+            "r_sr": 0.5, "r_fs": 0.25, "seed": 7, "watchdog_cycles": 1000, **expected,
+        }
+        d = cfg.to_dict()
+        assert list(d) == list(golden)
+        assert d == golden
+        assert SimConfig.from_dict(d) == cfg
 
 
 class TestFailureFree:

@@ -69,6 +69,12 @@ class TestParse:
         with pytest.raises(TraceParseError, match="line 2"):
             parse_trace(text)
 
+    def test_extra_keys_ignored(self):
+        evs = parse_trace(jsonl(dict(healthy(0, 10), note="warm-up", host="n1")))
+        buf = io.StringIO()
+        write_jsonl(evs, buf)
+        assert json.loads(buf.getvalue()) == healthy(0.0, 10.0)
+
     def test_unknown_stage(self):
         bad = {"t_start": 0, "t_end": 5, "stage": "Napping", "rate": 0.0}
         with pytest.raises(TraceParseError, match="Napping"):
