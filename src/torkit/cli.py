@@ -50,7 +50,7 @@ def cmd_analytic(args) -> int:
     if "mixture" in cfg:
         m = mixture_from_dict(cfg)
         weighted = analytic.tor_mixture_weighted(m)
-        composite = analytic.tor_mixture_time_composite(m)
+        composite = analytic.tor_mixture_time_composite(m) if args.composite else None
         comps = []
         for spec, w in m.components:
             totals = spec.totals()
@@ -179,6 +179,7 @@ def cmd_compare(args) -> int:
         std = 0.0
         ci = (simulated, simulated)
         n_periods = len(steady)
+        replications = {}
     else:
         summary = monte_carlo(cfg, args.replications)
         simulated = summary.mean_tor
@@ -187,6 +188,8 @@ def cmd_compare(args) -> int:
         realized = realized_period_tor_check(summary.first_result)
         sim_label = "simulated mean TOR"
         n_periods = len(summary.first_result.periods)
+        # Diverged replications are left out of the mean.
+        replications = {"completed": summary.completed, "diverged": summary.diverged}
 
     out = {
         "analytic_tor": analytic_tor,
@@ -197,6 +200,7 @@ def cmd_compare(args) -> int:
         "delta_sim_vs_analytic": simulated - analytic_tor,
         "delta_realized_vs_analytic": realized - analytic_tor,
         "complete_periods": n_periods,
+        **replications,
     }
     if args.json:
         _emit_json(out)
@@ -208,6 +212,9 @@ def cmd_compare(args) -> int:
             print(f"delta sim - analytic:         {simulated - analytic_tor:+.6f}")
             print(f"delta realized - analytic:    {realized - analytic_tor:+.6f}")
             print(f"complete periods:             {n_periods}")
+            if replications:
+                print(f"replications:                 {replications['completed']} completed, "
+                      f"{replications['diverged']} diverged")
     return 0
 
 

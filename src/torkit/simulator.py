@@ -11,19 +11,22 @@ Randomness comes from a counter-based generator (numpy Philox) keyed by
 ``SeedSequence(seed, spawn_key=(k,))``. Results are bit-reproducible for a
 given config on a given implementation.
 
-One event loop (``_run``) feeds one of two sinks. :func:`simulate` uses the
-timeline sink, which builds the run's slotted ``Segment``s through the
-package's unvalidated constructor. :func:`monte_carlo` uses it only for its
-first finished replication (``first_result``, the only one that carries a
-timeline); later replications use the totals sink, which keeps durations and
-the duration * rate products that survive rollback. Their
-``ReplicationOutcome`` totals are bit-identical to those of ``simulate``.
+One event loop (``_run``) records every run, :func:`simulate`'s and each
+Monte-Carlo replication's, as three columns: durations, rates and stages.
+``_result`` builds the run's slotted ``Segment``s and its full
+:class:`SimResult`; ``_outcome`` sums the columns into a
+:class:`ReplicationOutcome`, bit-identical to the totals of ``_result``.
+:func:`monte_carlo` builds the full result only for its first finished
+replication (``first_result``).
 """
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import mul
 from typing import ClassVar, Iterator, Union
 
 import numpy as np
@@ -32,7 +35,6 @@ from .errors import DivergedError, ValidationError
 from .model import (
     FAIL_STOP,
     RateTimeline,
-    Segment,
     StageKind,
     StageTotals,
     _PERIODS,
@@ -225,67 +227,21 @@ class _Arrivals:
         return exposure + float(self._rng.exponential(1.0 / self._rate))
 
 
-class _TimelineSink:
-    """Builds the run's segments; a rollback relabels the uncommitted progress."""
-
-    __slots__ = ("segments", "committed")
-
-    def __init__(self):
-        self.segments: list[Segment] = []
-        self.committed = 0             # segments before this index are checkpoint-protected
-
-    def emit(self, dt: float, rate: float, stage: StageKind) -> None:
-        self.segments.append(_segment(dt, rate, stage))
-
-    def rollback(self) -> None:
-        segs = self.segments
-        for i in range(self.committed, len(segs)):
-            if segs[i].rate > 0:
-                segs[i] = _segment(segs[i].duration, 0.0, ROLLBACK_WASTE)
-        self.committed = len(segs)
-
-    def commit(self) -> None:
-        self.committed = len(self.segments)
+Run = tuple[list[float], list[float], list[StageKind]]
 
 
-class _TotalsSink:
-    """Keeps only what a replication outcome needs: no segments are built.
+def _run(cfg: SimConfig, seedseq: np.random.SeedSequence) -> Run:
+    """The event loop: the run's segments of positive duration, as the columns
+    (durations, rates, stages).
 
-    ``products`` holds duration * rate of every progress segment; those after
-    index ``committed`` are dropped on a rollback, the same segments that the
-    timeline sink relabels to rate 0.
+    A fail-stop relabels the progress entries after the last completed
+    checkpoint as rate-0 RollbackWaste, in place.
     """
-
-    __slots__ = ("durations", "products", "committed", "n_periods", "last")
-
-    def __init__(self):
-        self.durations: list[float] = []
-        self.products: list[float] = []
-        self.committed = 0
-        self.n_periods = 0             # maximal runs of Repair segments
-        self.last: StageKind | None = None
-
-    def emit(self, dt: float, rate: float, stage: StageKind) -> None:
-        self.durations.append(dt)
-        if rate > 0:
-            self.products.append(dt * rate)
-        elif stage is REPAIR and self.last is not REPAIR:
-            self.n_periods += 1
-        self.last = stage
-
-    def rollback(self) -> None:
-        del self.products[self.committed:]
-
-    def commit(self) -> None:
-        self.committed = len(self.products)
-
-
-def _run(cfg: SimConfig, seedseq: np.random.SeedSequence, sink) -> None:
-    """The event loop: feeds every segment with positive duration to ``sink``,
-    calls ``sink.rollback()`` on a fail-stop and ``sink.commit()`` when a
-    checkpoint completes."""
     rng = np.random.Generator(np.random.Philox(seedseq))
-    emit, rollback, commit = sink.emit, sink.rollback, sink.commit
+    durations: list[float] = []
+    rates: list[float] = []
+    stages: list[StageKind] = []
+    saved = 0                      # entries before this index are checkpoint-protected
 
     stops = _Arrivals(cfg.fail_stop_rate, cfg.fail_stop_times, rng)
     slows = _Arrivals(cfg.fail_slow_rate, cfg.fail_slow_times, rng)
@@ -342,7 +298,9 @@ def _run(cfg: SimConfig, seedseq: np.random.SeedSequence, sink) -> None:
             dt = 0.0
 
         if dt > 0:
-            emit(dt, rate, stage)
+            durations.append(dt)
+            rates.append(rate)
+            stages.append(stage)
             if rate > 0:
                 work += dt * wrate
                 prog += dt
@@ -352,11 +310,15 @@ def _run(cfg: SimConfig, seedseq: np.random.SeedSequence, sink) -> None:
                 queue[0][1] -= dt
 
         if event == 3:  # work complete
-            return
+            return durations, rates, stages
 
         if event == 0:  # fail-stop
             next_stop = stops.next_after(exposure)
-            rollback()
+            for i in range(saved, len(rates)):
+                if rates[i] > 0:
+                    rates[i] = 0.0
+                    stages[i] = ROLLBACK_WASTE
+            saved = len(rates)
             work = committed
             prog = 0.0
             queue.clear()
@@ -377,19 +339,17 @@ def _run(cfg: SimConfig, seedseq: np.random.SeedSequence, sink) -> None:
                 queue.appendleft([CHECKPOINT_SAVE, cfg.t_ckpt, 0.0])
             else:
                 committed = work
-                commit()
+                saved = len(rates)
         else:  # stage end
             done = queue.popleft()
             if done[0] is CHECKPOINT_SAVE:
                 committed = work
-                commit()
+                saved = len(rates)
 
 
-def simulate(cfg: SimConfig, _seedseq: np.random.SeedSequence | None = None) -> SimResult:
-    """Run one training job to completion; deterministic in (cfg, seed)."""
-    sink = _TimelineSink()
-    _run(cfg, np.random.SeedSequence(cfg.seed) if _seedseq is None else _seedseq, sink)
-    timeline = RateTimeline._trusted(tuple(sink.segments))
+def _result(run: Run) -> SimResult:
+    """The full result of a run: its timeline, counts and periods."""
+    timeline = RateTimeline._trusted(tuple(map(_segment, *run)))
     records = tuple(period_records(timeline))
     counts: dict[StageKind, int] = {}
     prev = None
@@ -408,6 +368,11 @@ def simulate(cfg: SimConfig, _seedseq: np.random.SeedSequence | None = None) -> 
         periods=records,
         period_means=mean_periods(list(records)),
     )
+
+
+def simulate(cfg: SimConfig) -> SimResult:
+    """Run one training job to completion; deterministic in (cfg, seed)."""
+    return _result(_run(cfg, np.random.SeedSequence(cfg.seed)))
 
 
 def realized_period_tor_check(res: SimResult) -> float:
@@ -477,7 +442,8 @@ def config_from_period(
                 "fail-stop simulation needs n_ckpt >= 1: with no checkpoints a "
                 "roll-back discards the entire run"
             )
-        ckpt_interval = 1e18  # effectively never
+        # Longer than any finite progress time: no checkpoint ever fires.
+        ckpt_interval = sys.float_info.max
 
     # Exposed (non-repair) time per cycle: the MTBF plus any degraded interval.
     # It is positive, as some stage accumulates useful work.
@@ -550,20 +516,23 @@ def replication_seedseq(seed: int, k: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=seed, spawn_key=(k,))
 
 
-def _replicate(cfg: SimConfig, k: int, seedseq: np.random.SeedSequence) -> ReplicationOutcome:
-    """Replication ``k`` through the totals sink; bit-identical to ``simulate``."""
-    totals = _TotalsSink()
-    _run(cfg, seedseq, totals)
-    t_obs = math.fsum(totals.durations)
-    t_opt = math.fsum(totals.products)
-    return ReplicationOutcome(k, t_opt / t_obs, t_obs, t_opt, totals.n_periods)
+def _outcome(k: int, run: Run) -> ReplicationOutcome:
+    """Replication ``k``'s totals, bit-identical to those of ``_result(run)``.
+
+    A period ends with each run of Repair entries.
+    """
+    durations, rates, stages = run
+    t_obs = math.fsum(durations)
+    t_opt = math.fsum(map(mul, durations, rates))
+    n_periods = sum(1 for stage, _ in groupby(stages) if stage is REPAIR)
+    return ReplicationOutcome(k, t_opt / t_obs, t_obs, t_opt, n_periods)
 
 
 def monte_carlo(cfg: SimConfig, replications: int) -> MonteCarloSummary:
     """Run ``replications`` simulations with per-replication derived seeds.
 
-    The first replication that finishes runs through :func:`simulate` and is
-    kept whole as ``first_result``; the others keep only their totals.
+    Only the first replication that finishes is kept whole, as
+    ``first_result``; the others keep only their totals.
     Diverged replications are excluded from the statistics and counted.
     The 95% CI is the normal approximation mean +/- 1.96 * s / sqrt(n).
     """
@@ -573,20 +542,15 @@ def monte_carlo(cfg: SimConfig, replications: int) -> MonteCarloSummary:
     first_result: SimResult | None = None
     diverged = 0
     for k in range(replications):
-        seedseq = replication_seedseq(cfg.seed, k)
         try:
-            if first_result is None:
-                first_result = simulate(cfg, _seedseq=seedseq)
-                outcome = ReplicationOutcome(
-                    k, first_result.tor, first_result.t_obs, first_result.t_opt,
-                    len(first_result.periods),
-                )
-            else:
-                outcome = _replicate(cfg, k, seedseq)
+            run = _run(cfg, replication_seedseq(cfg.seed, k))
         except DivergedError:
             diverged += 1
             continue
-        outcomes.append(outcome)
+        outcomes.append(_outcome(k, run))
+        if first_result is None:
+            first_result = _result(run)
+        del run  # free this run's columns before the next one runs
     if not outcomes:
         raise DivergedError(
             f"all {replications} replications diverged", stalled_cycles=cfg.watchdog_cycles

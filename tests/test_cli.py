@@ -292,6 +292,21 @@ class TestCompare:
             data["simulated_tor"] - data["analytic_tor"], abs=1e-15
         )
 
+    def test_replications_reported(self, period_file, capsys):
+        assert main(["compare", period_file, "--periods", "20", "--replications", "7",
+                     "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["completed"] + data["diverged"] == 7
+        assert main(["compare", period_file, "--periods", "20", "--replications", "7"]) == 0
+        assert (f"replications:                 {data['completed']} completed, "
+                f"{data['diverged']} diverged") in capsys.readouterr().out
+
+    def test_no_checkpoints_with_huge_stage_times(self, tmp_path, capsys):
+        # Without checkpoints the run must not schedule any, however long it is.
+        path = write_json(tmp_path / "p.json", {"kind": "fail_slow", "t_h": 1e300,
+                                                "t_fs": 1e300, "r_fs": 0.5, "t_r": 1})
+        assert main(["compare", path, "--periods", "5", "--replications", "2"]) == 0
+
     def test_json_parses_for_every_command(self, period_file, sim_file, tmp_path, capsys):
         trace_path = tmp_path / "t.jsonl"
         for argv in (

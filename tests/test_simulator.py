@@ -26,6 +26,9 @@ from torkit.simulator import (
     Exponential,
     Fixed,
     LogNormal,
+    _outcome,
+    _result,
+    _run,
     config_from_period,
     dist_from_dict,
     replication_seedseq,
@@ -430,8 +433,7 @@ def golden_config(name: str) -> SimConfig:
                        t_fs_dist=Fixed(5.0), r_sr=0.5, r_fs=0.5, seed=17)
 
 
-def outcome_of_simulate(cfg: SimConfig, k: int) -> tuple:
-    res = simulate(cfg, _seedseq=replication_seedseq(cfg.seed, k))
+def result_totals(k: int, res) -> tuple:
     return (k, res.tor, res.t_obs, res.t_opt, len(res.periods))
 
 
@@ -439,9 +441,9 @@ def astuple(o) -> tuple:
     return (o.index, o.tor, o.t_obs, o.t_opt, o.n_periods)
 
 
-class TestTotalsSink:
-    """Replications k >= 1 of monte_carlo build no timeline; their totals
-    must equal those of simulate bit for bit."""
+class TestReplicationOutcome:
+    """A replication's outcome is summed from its run's columns, with no
+    timeline; it must equal the totals of the full result bit for bit."""
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_REPLICATION_2))
     def test_golden_values(self, name):
@@ -449,7 +451,10 @@ class TestTotalsSink:
         summary = monte_carlo(cfg, 3)
         assert summary.completed == 3
         for o in summary.outcomes:
-            assert astuple(o) == outcome_of_simulate(cfg, o.index)
+            run = _run(cfg, replication_seedseq(cfg.seed, o.index))
+            assert astuple(o) == astuple(_outcome(o.index, run)) \
+                == result_totals(o.index, _result(run))
+        assert result_totals(0, summary.first_result) == astuple(summary.outcomes[0])
         o = summary.outcomes[2]
         assert (o.tor.hex(), o.t_obs.hex(), o.t_opt.hex(), o.n_periods) \
             == GOLDEN_REPLICATION_2[name]
@@ -490,9 +495,21 @@ class TestTotalsSink:
                 r_sr=ratio(), r_fs=ratio(),
                 seed=int(rng.integers(0, 2**63)),
             )
-            summary = monte_carlo(cfg, 4)
-            assert [astuple(o) for o in summary.outcomes] \
-                == [outcome_of_simulate(cfg, k) for k in range(4)]
+            for k in range(4):
+                run = _run(cfg, replication_seedseq(cfg.seed, k))
+                assert astuple(_outcome(k, run)) == result_totals(k, _result(run))
+
+    def test_first_result_is_the_first_replication_to_finish(self):
+        # Replications 0, 1 and 3 diverge; values recorded before simulate
+        # and monte_carlo shared one run record.
+        cfg = base_config(total_work=60.0, ckpt_interval=5.0, t_ckpt=1.0, fail_stop_rate=0.3,
+                          t_r_dist=Fixed(0.5), seed=35, watchdog_cycles=5)
+        summary = monte_carlo(cfg, 4)
+        assert (summary.completed, summary.diverged) == (1, 3)
+        assert [o.index for o in summary.outcomes] == [2]
+        first = summary.first_result
+        assert first.tor.hex() == "0x1.11fc4caca2adcp-1"
+        assert astuple(summary.outcomes[0]) == result_totals(2, first)
 
 
 def reference_period_records(tl: RateTimeline) -> list[StageTotals]:
