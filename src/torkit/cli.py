@@ -130,7 +130,7 @@ def cmd_simulate(args) -> int:
             )
             if first is not None:
                 print(
-                    f"replication 0: t_obs {first.t_obs:.6f} s, "
+                    f"replication {summary.outcomes[0].index}: t_obs {first.t_obs:.6f} s, "
                     f"t_opt {first.t_opt:.6f} s, "
                     f"{len(first.periods)} complete periods"
                 )
@@ -242,8 +242,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("config", help="SimConfig JSON file")
     sp.add_argument("--seed", type=int, default=None, help="override the config seed")
     sp.add_argument("--replications", type=int, default=1)
-    sp.add_argument("--emit-trace", metavar="PATH", help="write replication 0 as JSONL trace")
-    sp.add_argument("--emit-csv", metavar="PATH", help="write replication 0 timeline CSV")
+    sp.add_argument("--emit-trace", metavar="PATH",
+                    help="write the first replication to finish as a JSONL trace")
+    sp.add_argument("--emit-csv", metavar="PATH",
+                    help="write the first replication to finish as a timeline CSV")
     common(sp)
     sp.set_defaults(func=cmd_simulate)
 

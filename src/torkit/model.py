@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Iterator, Sequence
 from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from typing import ClassVar, Iterable, Union
@@ -156,6 +157,13 @@ def _from_dict(cls, d, what: str):
         raise ValidationError(f"{what}: {e}") from None
 
 
+def _check_stage(name: str, value) -> StageKind:
+    try:
+        return StageKind(value)
+    except ValueError:
+        raise ValidationError(f"unknown {name} {value!r}") from None
+
+
 @dataclass(frozen=True, slots=True)
 class Segment:
     """One piecewise-constant span of the rate timeline."""
@@ -167,7 +175,7 @@ class Segment:
     def __post_init__(self):
         object.__setattr__(self, "duration", _check_time("duration", self.duration))
         object.__setattr__(self, "rate", _check_ratio("rate", self.rate))
-        object.__setattr__(self, "stage", StageKind(self.stage))
+        object.__setattr__(self, "stage", _check_stage("stage", self.stage))
 
 
 _new = object.__new__
@@ -189,37 +197,89 @@ def _segment(duration: float, rate: float, stage: StageKind) -> Segment:
     return s
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RateTimeline:
-    """Ordered, contiguous piecewise-constant r(t).
+    """Ordered, contiguous piecewise-constant r(t), held as three columns.
 
-    Segment start times are implicit (running sum of durations).
-    Zero-duration segments are dropped at construction; they arise naturally
-    when a period parameter is 0.
+    Entry ``i`` lasts ``durations[i]`` seconds at rate ``rates[i]`` in stage
+    ``stages[i]``; start times are implicit (running sum of durations). Every
+    duration is positive: zero-duration segments are dropped at construction
+    (they arise naturally when a period parameter is 0). The columns are
+    lists that nothing may change; timelines with equal columns are equal.
+
+    ``RateTimeline(segments)`` and :meth:`build` are the validated public
+    constructors; :meth:`_of_columns` wraps columns the package produced.
+    :attr:`segments` and iteration build ``Segment`` objects only when read.
     """
 
-    segments: tuple[Segment, ...]
+    durations: list[float]
+    rates: list[float]
+    stages: list[StageKind]
 
-    def __post_init__(self):
-        segs = tuple(s for s in self.segments if s.duration > 0)
-        object.__setattr__(self, "segments", segs)
+    def __init__(self, segments: Iterable[Segment] = ()):
+        kept = [s for s in segments if s.duration > 0]
+        self._set([s.duration for s in kept], [s.rate for s in kept], [s.stage for s in kept])
+
+    def _set(self, durations: list[float], rates: list[float], stages: list[StageKind]) -> None:
+        object.__setattr__(self, "durations", durations)
+        object.__setattr__(self, "rates", rates)
+        object.__setattr__(self, "stages", stages)
 
     @classmethod
-    def _trusted(cls, segments: tuple[Segment, ...]) -> "RateTimeline":
-        """Wrap segments that all have a positive duration, skipping the filter."""
+    def _of_columns(
+        cls, durations: list[float], rates: list[float], stages: list[StageKind]
+    ) -> "RateTimeline":
+        """Wrap columns the package produced, without a check or a copy.
+
+        The caller guarantees equal lengths, float durations > 0, float rates
+        in [0, 1] and StageKind stages, and hands the lists over.
+        """
         tl = _new(cls)
-        object.__setattr__(tl, "segments", segments)
+        tl._set(durations, rates, stages)
         return tl
 
     @classmethod
     def build(cls, items: Iterable[tuple[float, float, StageKind | str]]) -> "RateTimeline":
-        return cls(tuple(Segment(d, r, StageKind(s)) for d, r, s in items))
+        return cls(Segment(d, r, s) for d, r, s in items)
+
+    @property
+    def segments(self) -> "SegmentView":
+        return SegmentView(self)
 
     def __len__(self) -> int:
-        return len(self.segments)
+        return len(self.durations)
 
-    def __iter__(self):
-        return iter(self.segments)
+    def __iter__(self) -> Iterator[Segment]:
+        return map(_segment, self.durations, self.rates, self.stages)
+
+
+class SegmentView(Sequence):
+    """The segments of a timeline, each built when it is read."""
+
+    __slots__ = ("_tl",)
+
+    def __init__(self, tl: RateTimeline):
+        self._tl = tl
+
+    def __len__(self) -> int:
+        return len(self._tl)
+
+    def __getitem__(self, i):
+        tl = self._tl
+        if isinstance(i, slice):
+            return tuple(map(_segment, tl.durations[i], tl.rates[i], tl.stages[i]))
+        return _segment(tl.durations[i], tl.rates[i], tl.stages[i])
+
+    def __iter__(self) -> Iterator[Segment]:
+        return iter(self._tl)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, SegmentView):
+            return self._tl == other._tl
+        return tuple(self) == other
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 FAIL_STOP = "fail_stop"

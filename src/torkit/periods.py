@@ -13,7 +13,7 @@ from .model import FAIL_SLOW, FAIL_STOP, MIXED, RateTimeline, StageKind, StageTo
 
 
 def period_records(tl: RateTimeline) -> list[StageTotals]:
-    """Summarise each complete period of ``tl`` in one pass over its segments.
+    """Summarise each complete period of ``tl`` in one pass over its columns.
 
     A record is emitted at the end of each maximal run of Repair segments.
     A period holding both a roll-back and a degraded interval is MIXED; one
@@ -39,11 +39,10 @@ def period_records(tl: RateTimeline) -> list[StageTotals]:
     t_r: list[float] = []
     n_ckpt = 0
     prev = None
-    segs = tl.segments
-    last = len(segs) - 1
-    for i, s in enumerate(segs):
-        stage = s.stage
-        d = s.duration
+    durations, rates, stages = tl.durations, tl.rates, tl.stages
+    last = len(stages) - 1
+    for i, stage in enumerate(stages):
+        d = durations[i]
         if stage is HEALTHY_RUN:
             t_h.append(d)
         elif stage is CHECKPOINT_SAVE:
@@ -52,15 +51,15 @@ def period_records(tl: RateTimeline) -> list[StageTotals]:
                 n_ckpt += 1
         elif stage is SLOW_RECOVERY:
             t_sr.append(d)
-            sr_work.append(d * s.rate)
+            sr_work.append(d * rates[i])
         elif stage is ROLLBACK_WASTE:
             t_rb.append(d)
         elif stage is FAIL_SLOW_DEGRADED:
             t_fs.append(d)
-            fs_work.append(d * s.rate)
+            fs_work.append(d * rates[i])
         else:
             t_r.append(d)
-            if i == last or segs[i + 1].stage is not REPAIR:
+            if i == last or stages[i + 1] is not REPAIR:
                 records.append(StageTotals(
                     FAIL_STOP if not t_fs else MIXED if t_rb else FAIL_SLOW,
                     math.fsum(t_sr), math.fsum(sr_work), math.fsum(t_h), math.fsum(ckpt),

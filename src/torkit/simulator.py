@@ -13,11 +13,12 @@ given config on a given implementation.
 
 One event loop (``_run``) records every run, :func:`simulate`'s and each
 Monte-Carlo replication's, as three columns: durations, rates and stages.
-``_result`` builds the run's slotted ``Segment``s and its full
-:class:`SimResult`; ``_outcome`` sums the columns into a
-:class:`ReplicationOutcome`, bit-identical to the totals of ``_result``.
-:func:`monte_carlo` builds the full result only for its first finished
-replication (``first_result``).
+``_result`` wraps those columns, unchecked and uncopied, as the run's
+:class:`RateTimeline` and builds its full :class:`SimResult`; ``_outcome``
+sums the columns into a :class:`ReplicationOutcome`, bit-identical to the
+totals of ``_result``. :func:`monte_carlo` builds the full result only for its
+first finished replication (``first_result``). No ``Segment`` is built on
+either path.
 """
 from __future__ import annotations
 
@@ -44,7 +45,6 @@ from .model import (
     _check_ratio,
     _check_time,
     _from_dict,
-    _segment,
 )
 from .periods import MIXED, mean_periods, period_records
 from .timeline import integrate_optimal_time, observed_time
@@ -348,15 +348,15 @@ def _run(cfg: SimConfig, seedseq: np.random.SeedSequence) -> Run:
 
 
 def _result(run: Run) -> SimResult:
-    """The full result of a run: its timeline, counts and periods."""
-    timeline = RateTimeline._trusted(tuple(map(_segment, *run)))
+    """The full result of a run: its timeline, counts and periods.
+
+    The run's columns become the timeline as they are.
+    """
+    timeline = RateTimeline._of_columns(*run)
     records = tuple(period_records(timeline))
     counts: dict[StageKind, int] = {}
-    prev = None
-    for s in timeline:
-        if s.stage is not prev:
-            counts[s.stage] = counts.get(s.stage, 0) + 1
-        prev = s.stage
+    for stage, _ in groupby(timeline.stages):
+        counts[stage] = counts.get(stage, 0) + 1
     t_obs = observed_time(timeline)
     t_opt = integrate_optimal_time(timeline)
     return SimResult(
@@ -384,7 +384,7 @@ def realized_period_tor_check(res: SimResult) -> float:
     """
     means = res.period_means
     if means is None:
-        if not res.timeline.segments:
+        if not res.timeline:
             raise ValidationError("run has no complete failure-repair periods")
         return res.tor  # failure-free run: TOR is its own closed form
     if means.kind == MIXED:

@@ -2,13 +2,15 @@
 
 These exact summations are the brute-force oracle against which every
 closed-form TOR expression is checked. All accumulation uses ``math.fsum``
-(compensated summation), so additivity properties hold to ~1 ulp.
+(compensated summation), so additivity properties hold to ~1 ulp. The sums,
+the breakdown and the CSV writer read the timeline's columns.
 """
 from __future__ import annotations
 
 import csv
 import io
 import math
+from operator import mul
 from typing import Iterable, TextIO
 
 from .errors import UndefinedMetricError, ValidationError
@@ -19,14 +21,14 @@ CSV_HEADER = ["t_start", "t_end", "rate", "stage"]
 
 def integrate_optimal_time(tl: RateTimeline) -> float:
     """Ideal-system time equivalent of the work in ``tl``: sum of duration*rate."""
-    return math.fsum(s.duration * s.rate for s in tl)
+    return math.fsum(map(mul, tl.durations, tl.rates))
 
 
 def observed_time(tl: RateTimeline) -> float:
     """Wall-clock length of the timeline. Empty timelines are rejected."""
     if len(tl) == 0:
         raise UndefinedMetricError("empty timeline: observed time is zero, TOR undefined")
-    return math.fsum(s.duration for s in tl)
+    return math.fsum(tl.durations)
 
 
 def tor_of_timeline(tl: RateTimeline) -> float:
@@ -42,18 +44,22 @@ def stage_breakdown(tl: RateTimeline) -> dict[StageKind, tuple[float, float]]:
     """
     times: dict[StageKind, list[float]] = {}
     losses: dict[StageKind, list[float]] = {}
-    for s in tl:
-        times.setdefault(s.stage, []).append(s.duration)
-        losses.setdefault(s.stage, []).append(s.duration * (1.0 - s.rate))
+    for d, r, stage in zip(tl.durations, tl.rates, tl.stages):
+        times.setdefault(stage, []).append(d)
+        losses.setdefault(stage, []).append(d * (1.0 - r))
     return {k: (math.fsum(times[k]), math.fsum(losses[k])) for k in times}
 
 
 def concat(timelines: Iterable[RateTimeline]) -> RateTimeline:
     """Append timelines in order. Optimal and observed time are additive."""
-    segs: list[Segment] = []
+    durations: list[float] = []
+    rates: list[float] = []
+    stages: list[StageKind] = []
     for tl in timelines:
-        segs.extend(tl.segments)
-    return RateTimeline(tuple(segs))
+        durations += tl.durations
+        rates += tl.rates
+        stages += tl.stages
+    return RateTimeline._of_columns(durations, rates, stages)
 
 
 def write_csv(tl: RateTimeline, out: TextIO) -> None:
@@ -61,9 +67,9 @@ def write_csv(tl: RateTimeline, out: TextIO) -> None:
     w = csv.writer(out)
     w.writerow(CSV_HEADER)
     t = 0.0
-    for s in tl:
-        t_next = t + s.duration
-        w.writerow([repr(t), repr(t_next), repr(s.rate), str(s.stage)])
+    for d, r, stage in zip(tl.durations, tl.rates, tl.stages):
+        t_next = t + d
+        w.writerow([repr(t), repr(t_next), repr(r), str(stage)])
         t = t_next
 
 

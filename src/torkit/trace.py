@@ -22,7 +22,16 @@ from dataclasses import dataclass
 from typing import IO, Iterable
 
 from .errors import TraceParseError, UndefinedMetricError, ValidationError
-from .model import RateTimeline, Segment, StageKind, ZERO_RATE_STAGES, _check_number
+from .model import (
+    RateTimeline,
+    StageKind,
+    ZERO_RATE_STAGES,
+    _check_number,
+    _check_ratio,
+    _check_stage,
+    _check_time,
+    _new,
+)
 from .periods import FAIL_SLOW, FAIL_STOP, StageTotals, period_records
 from .timeline import integrate_optimal_time, observed_time, stage_breakdown, tor_of_timeline
 
@@ -32,8 +41,14 @@ SCHEMA_VERSION = 1
 CONTIGUITY_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEvent:
+    """One event of a trace: a span of the time axis in one stage at one rate.
+
+    Construction checks what a timeline segment needs: numeric timestamps, a
+    known stage, a rate in [0, 1] and a finite non-negative duration.
+    """
+
     t_start: float
     t_end: float
     stage: StageKind
@@ -42,11 +57,42 @@ class TraceEvent:
     # t_start alone cannot reproduce a source timeline bit-for-bit.
     exact_duration: float | None = None
 
+    def __post_init__(self):
+        object.__setattr__(self, "t_start", _check_number("t_start", self.t_start))
+        object.__setattr__(self, "t_end", _check_number("t_end", self.t_end))
+        object.__setattr__(self, "stage", _check_stage("stage", self.stage))
+        object.__setattr__(self, "rate", _check_ratio("rate", self.rate))
+        if self.exact_duration is not None:
+            object.__setattr__(self, "exact_duration",
+                               _check_number("duration", self.exact_duration))
+        _check_time("duration", self.duration)
+
     @property
     def duration(self) -> float:
         if self.exact_duration is not None:
             return self.exact_duration
         return self.t_end - self.t_start
+
+
+_set_t_start = TraceEvent.t_start.__set__
+_set_t_end = TraceEvent.t_end.__set__
+_set_stage = TraceEvent.stage.__set__
+_set_rate = TraceEvent.rate.__set__
+_set_exact_duration = TraceEvent.exact_duration.__set__
+
+
+def _event(t_start: float, t_end: float, stage: StageKind, rate: float,
+           exact_duration: float | None = None) -> TraceEvent:
+    """Build a TraceEvent without the check, for values the package checked or
+    produced: float times with a non-negative duration, a StageKind stage and
+    a float rate in [0, 1]."""
+    ev = _new(TraceEvent)
+    _set_t_start(ev, t_start)
+    _set_t_end(ev, t_end)
+    _set_stage(ev, stage)
+    _set_rate(ev, rate)
+    _set_exact_duration(ev, exact_duration)
+    return ev
 
 
 def _parse_wall(value: str, line: int, field: str) -> dt.datetime:
@@ -100,7 +146,7 @@ def _event_from_obj(obj: dict, line: int) -> tuple[TraceEvent | None, tuple | No
         if t1 <= t0:
             raise TraceParseError(f"t_end must exceed t_start, got [{t0!r}, {t1!r})", line)
         span = t1 - t0
-        parsed = TraceEvent(t0, t1, stage, rate, exact), None
+        parsed = _event(t0, t1, stage, rate, exact), None
     elif "wall_start" in obj and "wall_end" in obj:
         w0 = _parse_wall(obj["wall_start"], line, "wall_start")
         w1 = _parse_wall(obj["wall_end"], line, "wall_end")
@@ -152,7 +198,7 @@ def parse_trace(source: IO | bytes | str | Iterable[str]) -> list[TraceEvent]:
             raise TraceParseError("trace mixes timezone-aware and naive wall-clock times")
         origin = min(w0 for w0, *_ in wall_events)
         events = [
-            TraceEvent((w0 - origin).total_seconds(), (w1 - origin).total_seconds(), st, r)
+            _event((w0 - origin).total_seconds(), (w1 - origin).total_seconds(), st, r)
             for w0, w1, st, r in wall_events
         ]
     if not events:
@@ -175,10 +221,21 @@ def parse_trace(source: IO | bytes | str | Iterable[str]) -> list[TraceEvent]:
 
 
 def trace_to_timeline(events: list[TraceEvent]) -> RateTimeline:
-    """Convert contiguous events to a rate timeline (durations in order)."""
+    """Convert contiguous events to a rate timeline (durations in order).
+
+    Every ``TraceEvent`` holds checked values, so their columns are wrapped
+    as they are. An event of zero duration (a hand-built one, or a wall-clock
+    span that rounds to 0 s) is dropped, as ``RateTimeline`` drops a
+    zero-duration segment.
+    """
     if not events:
         raise UndefinedMetricError("empty trace: TOR undefined")
-    return RateTimeline(tuple(Segment(e.duration, e.rate, e.stage) for e in events))
+    durations = [e.duration for e in events]
+    if 0.0 in durations:
+        events = [e for e, d in zip(events, durations) if d > 0]
+        durations = [d for d in durations if d > 0]
+    return RateTimeline._of_columns(durations, [e.rate for e in events],
+                                    [e.stage for e in events])
 
 
 def estimate_mtbf(events: list[TraceEvent]) -> tuple[float | None, float | None]:
@@ -250,9 +307,9 @@ def timeline_to_events(tl: RateTimeline) -> list[TraceEvent]:
     """Lay a timeline onto the absolute time axis starting at 0."""
     events = []
     t = 0.0
-    for s in tl:
-        t_next = t + s.duration
-        events.append(TraceEvent(t, t_next, s.stage, s.rate, s.duration))
+    for d, r, stage in zip(tl.durations, tl.rates, tl.stages):
+        t_next = t + d
+        events.append(_event(t, t_next, stage, r, d))
         t = t_next
     return events
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -169,6 +170,35 @@ class TestSimulate:
         ]) == 0
         assert trace_path.exists() and csv_path.exists()
         assert csv_path.read_text().splitlines()[0] == "t_start,t_end,rate,stage"
+
+    def test_first_result_labelled_with_its_replication(self, tmp_path, capsys):
+        # Replications 0, 1 and 3 of this config diverge; 2 is the first to finish.
+        cfg = dict(SIM_CONFIG, total_work=60.0, ckpt_interval=5.0, t_ckpt=1.0,
+                   fail_stop_rate=0.3, t_r_dist={"kind": "fixed", "value": 0.5},
+                   t_sr_dist={"kind": "fixed", "value": 0}, r_sr=0.0, seed=35,
+                   watchdog_cycles=5)
+        path = write_json(tmp_path / "sim.json", cfg)
+        assert main(["simulate", path, "--replications", "4"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "replications: 1 completed, 3 diverged" in lines
+        assert [ln.split(":")[0] for ln in lines if ln.startswith("replication ")] == [
+            "replication 2"
+        ]
+
+    def test_emitted_files_golden(self, sim_file, tmp_path, capsys):
+        # sha256 of the files the README sim config emits, pinned before the
+        # timeline became columnar; the trace's CSV equals the simulation's.
+        trace_path, sim_csv, trace_csv = (tmp_path / n for n in ("run.jsonl", "sim.csv", "tr.csv"))
+        assert main(["simulate", sim_file, "--quiet",
+                     "--emit-trace", str(trace_path), "--emit-csv", str(sim_csv)]) == 0
+        assert main(["trace", str(trace_path), "--quiet", "--csv", str(trace_csv)]) == 0
+        digests = [hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in (trace_path, sim_csv, trace_csv)]
+        assert digests == [
+            "db7ebf0114a8a009667ecc6bf218ec6b45512badef67d24f20babbbce478538d",
+            "b78cdbbef3a38be2e00d6f2b384bf5dfc71e7a0962f2d6be31d226b26f1bae67",
+            "b78cdbbef3a38be2e00d6f2b384bf5dfc71e7a0962f2d6be31d226b26f1bae67",
+        ]
 
     def test_diverged_exit_code(self, tmp_path, capsys):
         cfg = dict(SIM_CONFIG, fail_stop_rate=10.0, ckpt_interval=5.0,

@@ -59,6 +59,10 @@ class TestValidation:
         tl = RateTimeline.build([(0, 1.0, StageKind.HEALTHY_RUN), (5, 1.0, StageKind.HEALTHY_RUN)])
         assert len(tl) == 1
 
+    def test_unknown_stage_rejected(self):
+        with pytest.raises(ValidationError, match="unknown stage"):
+            Segment(1.0, 0.5, "Coffee")
+
     def test_mixture_needs_components(self):
         with pytest.raises(ValidationError):
             FailureMixture(())
@@ -82,6 +86,54 @@ class TestValidation:
         p = FailStopPeriod(t_h=1)
         with pytest.raises(dataclasses.FrozenInstanceError):
             p.t_h = 2
+
+
+class TestRateTimeline:
+    SEGMENTS = (
+        Segment(2.0, 0.5, StageKind.SLOW_RECOVERY),
+        Segment(0.0, 1.0, StageKind.HEALTHY_RUN),
+        Segment(90.0, 1.0, StageKind.HEALTHY_RUN),
+        Segment(0.0, 0.0, StageKind.CHECKPOINT_SAVE),
+        Segment(10.0, 0.0, StageKind.REPAIR),
+        Segment(0.0, 0.0, StageKind.REPAIR),
+    )
+    KEPT = tuple(s for s in SEGMENTS if s.duration > 0)
+
+    def test_segments_round_trip_without_zero_durations(self):
+        tl = RateTimeline(self.SEGMENTS)
+        assert tl.durations == [2.0, 90.0, 10.0]
+        assert tl.rates == [0.5, 1.0, 0.0]
+        assert tl.stages == [StageKind.SLOW_RECOVERY, StageKind.HEALTHY_RUN, StageKind.REPAIR]
+        assert tuple(tl.segments) == tuple(tl) == self.KEPT
+        assert tl.segments == self.KEPT
+        assert len(tl.segments) == len(tl) == 3
+        assert tl.segments[-1] == self.KEPT[-1]
+        assert tl.segments[1:] == self.KEPT[1:]
+        assert RateTimeline(tl.segments) == tl
+
+    def test_columns_are_floats_and_stages(self):
+        tl = RateTimeline.build([(3, 1, "HealthyRun")])
+        assert (tl.durations, tl.rates, tl.stages) == ([3.0], [1.0], [StageKind.HEALTHY_RUN])
+        assert type(tl.durations[0]) is float and type(tl.rates[0]) is float
+
+    def test_equal_timelines_compare_equal(self):
+        a = RateTimeline(self.SEGMENTS)
+        b = RateTimeline.build((s.duration, s.rate, s.stage.value) for s in self.KEPT)
+        c = RateTimeline._of_columns(list(a.durations), list(a.rates), list(a.stages))
+        assert a == b == c
+        assert a.segments == b.segments
+        assert a != RateTimeline(self.KEPT[:-1])
+        assert a != RateTimeline.build([(2.0, 0.25, StageKind.SLOW_RECOVERY),
+                                        *((s.duration, s.rate, s.stage) for s in self.KEPT[1:])])
+
+    def test_empty(self):
+        tl = RateTimeline(())
+        assert len(tl) == 0 and not tl and tl.segments == () and tl == RateTimeline.build([])
+
+    def test_is_immutable(self):
+        tl = RateTimeline(self.SEGMENTS)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tl.durations = []
 
 
 class TestMtbfFailStop:

@@ -10,17 +10,22 @@ from torkit import (
     FailSlowPeriod,
     FailStopPeriod,
     RateTimeline,
+    Segment,
     SimConfig,
     StageKind,
     ValidationError,
+    integrate_optimal_time,
     monte_carlo,
+    observed_time,
     period_to_timeline,
     realized_period_tor_check,
     simulate,
+    stage_breakdown,
     tor_fail_slow,
     tor_fail_stop,
     tor_of_timeline,
 )
+from torkit.model import ZERO_RATE_STAGES
 from torkit.periods import FAIL_SLOW, FAIL_STOP, MIXED, StageTotals, mean_periods, period_records
 from torkit.simulator import (
     Exponential,
@@ -565,6 +570,54 @@ def test_period_records_match_reference_split():
             items.append((float(rng.choice([0.0, 1.0, rng.exponential(3.0)])), rate, stage))
         tl = RateTimeline.build(items)
         assert period_records(tl) == reference_period_records(tl)
+
+
+def random_columns(rng: np.random.Generator, i: int) -> tuple[list, list, list]:
+    """Columns as the simulator records them: positive float durations, float
+    rates pinned for the fixed-rate stages. Every third set has no checkpoint
+    saves (t_ckpt = 0), every tenth a single entry, and stages repeat often so
+    that Repair runs (and others) sit next to each other."""
+    stages = [s for s in StageKind if i % 3 or s is not StageKind.CHECKPOINT_SAVE]
+    n = 1 if i % 10 == 0 else int(rng.integers(1, 60))
+    durations, rates, kinds = [], [], []
+    for _ in range(n):
+        if kinds and rng.random() < 0.3:
+            stage = kinds[-1]
+        else:
+            stage = stages[rng.integers(0, len(stages))]
+        rate = 1.0 if stage is StageKind.HEALTHY_RUN else (
+            0.0 if stage in ZERO_RATE_STAGES else float(rng.uniform(0, 1)))
+        durations.append(float(rng.choice([1.0, rng.exponential(3.0), rng.uniform(0, 1e-3)])))
+        rates.append(rate)
+        kinds.append(stage)
+    return durations, rates, kinds
+
+
+def test_columnar_readers_match_segment_reference():
+    rng = np.random.default_rng(47)
+    for i in range(300):
+        run = random_columns(rng, i)
+        segs = [Segment(d, r, s) for d, r, s in zip(*run)]
+        tl = RateTimeline._of_columns(*run)
+        assert tl == RateTimeline(segs)
+        assert period_records(tl) == reference_period_records(RateTimeline(segs))
+        assert observed_time(tl) == math.fsum(s.duration for s in segs)
+        assert integrate_optimal_time(tl) == math.fsum(s.duration * s.rate for s in segs)
+        breakdown: dict = {}
+        for s in segs:
+            time, lost = breakdown.setdefault(s.stage, ([], []))
+            time.append(s.duration)
+            lost.append(s.duration * (1.0 - s.rate))
+        expected = {k: (math.fsum(t), math.fsum(lost)) for k, (t, lost) in breakdown.items()}
+        got = stage_breakdown(tl)
+        assert got == expected and list(got) == list(expected)
+        counts: dict = {}
+        for j, s in enumerate(segs):
+            if j == 0 or segs[j - 1].stage is not s.stage:
+                counts[s.stage] = counts.get(s.stage, 0) + 1
+        res = _result(run)
+        assert res.counts == counts and list(res.counts) == list(counts)
+        assert list(res.periods) == reference_period_records(RateTimeline(segs))
 
 
 def test_spec_totals_match_their_timeline_record():

@@ -1,12 +1,16 @@
 import io
 import json
+import math
 
 import pytest
 
 from torkit import (
     FailureMixture,
+    RateTimeline,
     StageKind,
+    TraceEvent,
     TraceParseError,
+    ValidationError,
     estimate_mtbf,
     parse_trace,
     period_to_timeline,
@@ -147,6 +151,33 @@ class TestTraceToTimeline:
         back = trace_to_timeline(roundtrip(res.timeline))
         assert back.segments == res.timeline.segments
         assert abs(tor_of_timeline(back) - res.tor) <= 1e-12
+
+    @pytest.mark.parametrize("args, message", [
+        ((0.0, 5.0, StageKind.SLOW_RECOVERY, 2.0), "rate must lie in"),
+        ((0.0, 5.0, StageKind.SLOW_RECOVERY, -0.5), "rate must lie in"),
+        ((5.0, 3.0, StageKind.HEALTHY_RUN, 1.0), "duration must be a finite non-negative"),
+        ((0.0, 5.0, StageKind.HEALTHY_RUN, 1.0, -5.0), "duration must be a finite non-negative"),
+        ((0.0, math.inf, StageKind.HEALTHY_RUN, 1.0), "duration must be a finite non-negative"),
+        ((0.0, 5.0, "Napping", 0.0), "unknown stage 'Napping'"),
+        (("0", 5.0, StageKind.HEALTHY_RUN, 1.0), "t_start must be a number"),
+    ])
+    def test_hand_built_event_checked(self, args, message):
+        with pytest.raises(ValidationError, match=message):
+            TraceEvent(*args)
+
+    def test_hand_built_events_match_parsed(self):
+        hand = [TraceEvent(0, 10, "HealthyRun", 1), TraceEvent(10, 10, "Repair", 0),
+                TraceEvent(10, 12, "Repair", 0)]
+        assert hand[0] == TraceEvent(0.0, 10.0, StageKind.HEALTHY_RUN, 1.0)
+        assert type(hand[0].t_start) is float and type(hand[0].rate) is float
+        parsed = parse_trace(jsonl(healthy(0, 10), {**healthy(10, 12), "stage": "Repair",
+                                                    "rate": 0}))
+        assert parsed == [hand[0], hand[2]]
+        # The zero-duration event is dropped, as a zero-duration segment is.
+        tl = trace_to_timeline(hand)
+        assert tl == trace_to_timeline(parsed)
+        assert tl == RateTimeline.build([(10.0, 1.0, StageKind.HEALTHY_RUN),
+                                         (2.0, 0.0, StageKind.REPAIR)])
 
 
 class TestResplitInvariance:
