@@ -1,7 +1,7 @@
 """Command-line front end: analytic evaluation, simulation, trace analysis,
 and cross-validation of the three TOR routes.
 
-Exit codes: 0 success, 2 validation or parse error, 3 simulation divergence.
+Exit codes: 0 success, 2 validation, parse or file error, 3 simulation divergence.
 Text output rounds to 6 decimals; ``--json`` emits full precision.
 """
 from __future__ import annotations
@@ -36,6 +36,13 @@ def _load_json(path: str) -> dict:
     if not isinstance(value, dict):
         raise ValidationError(f"{path} must hold a JSON object, got {type(value).__name__}")
     return value
+
+
+def _open_output(path: str):
+    try:
+        return open(path, "w")
+    except OSError as e:
+        raise ValidationError(f"cannot write {path}: {e}") from None
 
 
 def _emit_json(obj: dict) -> None:
@@ -109,10 +116,10 @@ def cmd_simulate(args) -> int:
 
     if args.emit_trace and first is not None:
         events = trace_mod.timeline_to_events(first.timeline)
-        with open(args.emit_trace, "w") as f:
+        with _open_output(args.emit_trace) as f:
             trace_mod.write_jsonl(events, f)
     if args.emit_csv and first is not None:
-        with open(args.emit_csv, "w") as f:
+        with _open_output(args.emit_csv) as f:
             write_csv(first.timeline, f)
 
     if args.json:
@@ -145,7 +152,7 @@ def cmd_trace(args) -> int:
         raise ValidationError(f"cannot read trace {args.input}: {e}") from None
     rep = trace_mod.report(events)
     if args.csv:
-        with open(args.csv, "w") as f:
+        with _open_output(args.csv) as f:
             write_csv(trace_mod.trace_to_timeline(events), f)
     if args.json:
         _emit_json(rep)
@@ -236,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--composite", action="store_true",
                     help="also print the time-composite mixture TOR")
     common(sp)
-    sp.set_defaults(func=cmd_analytic)
 
     sp = sub.add_parser("simulate", help="Monte-Carlo simulation from a SimConfig JSON")
     sp.add_argument("config", help="SimConfig JSON file")
@@ -247,13 +253,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--emit-csv", metavar="PATH",
                     help="write the first replication to finish as a timeline CSV")
     common(sp)
-    sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("trace", help="analyze a JSONL event trace")
     sp.add_argument("input", help="JSONL trace file")
     sp.add_argument("--csv", metavar="PATH", help="export the reconstructed timeline as CSV")
     common(sp)
-    sp.set_defaults(func=cmd_trace)
 
     sp = sub.add_parser("compare", help="analytic vs simulated TOR for a period config")
     sp.add_argument("config", help="JSON period file")
@@ -264,14 +268,18 @@ def build_parser() -> argparse.ArgumentParser:
                     help="inject failures at the exact instants the period implies")
     sp.add_argument("--seed", type=int, default=1)
     common(sp)
-    sp.set_defaults(func=cmd_compare)
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
+    # Looked up at each call, so a replaced ``cmd_*`` attribute is the one run.
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except DivergedError as e:
         print(f"error: simulation diverged: {e}", file=sys.stderr)
         return 3

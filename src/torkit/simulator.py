@@ -19,6 +19,18 @@ sums the columns into a :class:`ReplicationOutcome`, bit-identical to the
 totals of ``_result``. :func:`monte_carlo` builds the full result only for its
 first finished replication (``first_result``). No ``Segment`` is built on
 either path.
+
+While the queue is empty (a healthy run), ``_run`` takes a fast path that
+emits (HealthyRun block, CheckpointSave) pairs in a tight loop, with the
+general loop's float operations in the same order, so its columns are
+bit-identical to stepping event by event. A pair is emitted only when the
+general loop would do the same: the checkpoint trigger is strictly before
+both failure arrivals (a failure wins a tie) and no later than completion (a
+trigger due at completion still fires), and, for ``t_ckpt > 0``, the save
+ends strictly before both arrivals. A run that completes strictly before the
+trigger and both arrivals ends there. Otherwise the fast path leaves its
+state to the general loop, with an arrival-interrupted save queued as the
+trigger branch queues it.
 """
 from __future__ import annotations
 
@@ -248,7 +260,7 @@ def _run(cfg: SimConfig, seedseq: np.random.SeedSequence) -> Run:
     next_stop = stops.next_after(0.0)
     next_slow = slows.next_after(0.0)
 
-    total, w_opt, ckpt_interval = cfg.total_work, cfg.w_opt, cfg.ckpt_interval
+    total, w_opt, ckpt_interval, t_ckpt = cfg.total_work, cfg.w_opt, cfg.ckpt_interval, cfg.t_ckpt
     queue: deque[list] = deque()   # [stage, remaining, rate]; empty queue = healthy run
 
     exposure = 0.0                 # non-repair wall time
@@ -274,6 +286,37 @@ def _run(cfg: SimConfig, seedseq: np.random.SeedSequence) -> Run:
         work_at_last_failure = work
 
     while True:
+        if not queue:
+            # Fast path of (HealthyRun block, CheckpointSave) pairs; its tie
+            # rules are the general loop's (see the module docstring).
+            while True:
+                dt = ckpt_interval - prog
+                if not (dt < next_stop - exposure and dt < next_slow - exposure):
+                    break
+                dt_work = (total - work) / w_opt
+                if dt_work < dt:  # a trigger due at completion still fires
+                    if dt_work > 0:
+                        durations.append(dt_work)
+                        rates.append(1.0)
+                        stages.append(HEALTHY_RUN)
+                    return durations, rates, stages
+                if dt > 0:  # also false for a negative dt, which the general loop clamps to 0
+                    durations.append(dt)
+                    rates.append(1.0)
+                    stages.append(HEALTHY_RUN)
+                    work += dt * w_opt
+                    exposure += dt
+                prog = 0.0
+                if t_ckpt > 0:
+                    if not (t_ckpt < next_stop - exposure and t_ckpt < next_slow - exposure):
+                        queue.append([CHECKPOINT_SAVE, t_ckpt, 0.0])  # an arrival interrupts it
+                        break
+                    durations.append(t_ckpt)
+                    rates.append(0.0)
+                    stages.append(CHECKPOINT_SAVE)
+                    exposure += t_ckpt
+                committed = work
+                saved = len(rates)
         if queue:
             stage, rem, rate = queue[0]
         else:
@@ -334,9 +377,9 @@ def _run(cfg: SimConfig, seedseq: np.random.SeedSequence) -> Run:
             on_failure_progress_check()
         elif event == 2:  # checkpoint trigger
             prog = 0.0
-            if cfg.t_ckpt > 0:
+            if t_ckpt > 0:
                 # Suspend whatever is running; it resumes after the save.
-                queue.appendleft([CHECKPOINT_SAVE, cfg.t_ckpt, 0.0])
+                queue.appendleft([CHECKPOINT_SAVE, t_ckpt, 0.0])
             else:
                 committed = work
                 saved = len(rates)

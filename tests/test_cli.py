@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import torkit.cli
 from torkit.cli import main
 from torkit.model import period_from_dict
 from torkit.simulator import config_from_period
@@ -95,6 +96,51 @@ def test_undecodable_file_exit_code(tmp_path, capsys, command, data, message):
     assert main([command, str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command, option", [
+    ("simulate", "--emit-trace"),
+    ("simulate", "--emit-csv"),
+    ("trace", "--csv"),
+])
+def test_unwritable_output_exit_code(sim_file, tmp_path, capsys, command, option):
+    source = sim_file
+    if command == "trace":
+        source = str(tmp_path / "run.jsonl")
+        assert main(["simulate", sim_file, "--quiet", "--emit-trace", source]) == 0
+        capsys.readouterr()
+    target = str(tmp_path / "missing" / "out")
+    assert main([command, source, option, target]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {target}: ") and len(err.splitlines()) == 1
+
+
+def test_main_runs_the_current_command_attribute(monkeypatch):
+    calls = []
+
+    def fake_trace(args):
+        calls.append(args.input)
+        return 7
+
+    monkeypatch.setattr(torkit.cli, "cmd_trace", fake_trace)
+    assert main(["trace", "a.jsonl"]) == 7
+    assert main(["trace", "b.jsonl"]) == 7
+    assert calls == ["a.jsonl", "b.jsonl"]
+
+
+def test_main_repeats_every_command(period_file, sim_file, tmp_path, capsys):
+    trace_path = tmp_path / "t.jsonl"
+    for argv in (
+        ["analytic", period_file],
+        ["simulate", sim_file, "--replications", "2", "--emit-trace", str(trace_path)],
+        ["trace", str(trace_path), "--json"],
+        ["compare", period_file, "--periods", "20", "--replications", "3"],
+    ):
+        outputs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1] and outputs[0].out
 
 
 class TestAnalytic:

@@ -1,4 +1,5 @@
 import math
+from collections import deque
 from dataclasses import fields
 
 import numpy as np
@@ -28,9 +29,18 @@ from torkit import (
 from torkit.model import ZERO_RATE_STAGES
 from torkit.periods import FAIL_SLOW, FAIL_STOP, MIXED, StageTotals, mean_periods, period_records
 from torkit.simulator import (
+    CHECKPOINT_SAVE,
+    FAIL_SLOW_DEGRADED,
+    HEALTHY_RUN,
+    INF,
+    REPAIR,
+    ROLLBACK_WASTE,
+    SLOW_RECOVERY,
     Exponential,
     Fixed,
     LogNormal,
+    Run,
+    _Arrivals,
     _outcome,
     _result,
     _run,
@@ -639,3 +649,228 @@ def test_spec_totals_match_their_timeline_record():
         # The two derived figures agree bit for bit.
         assert totals.tor.hex() == record.tor.hex()
         assert totals.mtbf.hex() == record.mtbf.hex()
+
+
+# ---------------------------------------------------------------------------
+# the event loop against its reference
+
+# The event loop as it was before its healthy-run fast path, kept verbatim.
+def reference_run(cfg: SimConfig, seedseq: np.random.SeedSequence) -> Run:
+    """The event loop: the run's segments of positive duration, as the columns
+    (durations, rates, stages).
+
+    A fail-stop relabels the progress entries after the last completed
+    checkpoint as rate-0 RollbackWaste, in place.
+    """
+    rng = np.random.Generator(np.random.Philox(seedseq))
+    durations: list[float] = []
+    rates: list[float] = []
+    stages: list[StageKind] = []
+    saved = 0                      # entries before this index are checkpoint-protected
+
+    stops = _Arrivals(cfg.fail_stop_rate, cfg.fail_stop_times, rng)
+    slows = _Arrivals(cfg.fail_slow_rate, cfg.fail_slow_times, rng)
+    next_stop = stops.next_after(0.0)
+    next_slow = slows.next_after(0.0)
+
+    total, w_opt, ckpt_interval = cfg.total_work, cfg.w_opt, cfg.ckpt_interval
+    queue: deque[list] = deque()   # [stage, remaining, rate]; empty queue = healthy run
+
+    exposure = 0.0                 # non-repair wall time
+    prog = 0.0                     # progress-accruing time since last checkpoint start
+    work = 0.0                     # contributed work (committed + at-risk)
+    committed = 0.0                # checkpoint-protected work
+    stalled = 0
+    work_at_last_failure: float | None = None
+
+    def on_failure_progress_check():
+        nonlocal stalled, work_at_last_failure
+        if work_at_last_failure is not None and work <= work_at_last_failure:
+            stalled += 1
+            if stalled >= cfg.watchdog_cycles:
+                raise DivergedError(
+                    f"no contributed work across {stalled} consecutive failure cycles; "
+                    "the configuration cannot finish (e.g. checkpoints never complete "
+                    "between failures)",
+                    stalled_cycles=stalled,
+                )
+        else:
+            stalled = 0
+        work_at_last_failure = work
+
+    while True:
+        if queue:
+            stage, rem, rate = queue[0]
+        else:
+            stage, rem, rate = HEALTHY_RUN, INF, 1.0
+        in_repair = stage is REPAIR
+        wrate = rate * w_opt
+
+        dt_work = (total - work) / wrate if wrate > 0 else INF
+        dt_stop = (next_stop - exposure) if not in_repair else INF
+        dt_slow = (next_slow - exposure) if not in_repair else INF
+        dt_ckpt = (ckpt_interval - prog) if rate > 0 else INF
+        dt_end = rem
+
+        # Priority on ties: fail-stop, fail-slow, checkpoint trigger, work
+        # completion, stage end (index() picks the first minimum). A
+        # checkpoint due exactly at completion still fires: the run ends at
+        # the first progress instant after the total work is contributed.
+        candidates = (dt_stop, dt_slow, dt_ckpt, dt_work, dt_end)
+        dt = min(candidates)
+        event = candidates.index(dt)
+        if dt < 0:  # float slack from clock bookkeeping; fire immediately
+            dt = 0.0
+
+        if dt > 0:
+            durations.append(dt)
+            rates.append(rate)
+            stages.append(stage)
+            if rate > 0:
+                work += dt * wrate
+                prog += dt
+            if not in_repair:
+                exposure += dt
+            if queue:
+                queue[0][1] -= dt
+
+        if event == 3:  # work complete
+            return durations, rates, stages
+
+        if event == 0:  # fail-stop
+            next_stop = stops.next_after(exposure)
+            for i in range(saved, len(rates)):
+                if rates[i] > 0:
+                    rates[i] = 0.0
+                    stages[i] = ROLLBACK_WASTE
+            saved = len(rates)
+            work = committed
+            prog = 0.0
+            queue.clear()
+            queue.append([REPAIR, cfg.t_r_dist.sample(rng), 0.0])
+            queue.append([SLOW_RECOVERY, cfg.t_sr_dist.sample(rng), cfg.r_sr])
+            on_failure_progress_check()
+        elif event == 1:  # fail-slow
+            next_slow = slows.next_after(exposure)
+            queue.clear()
+            queue.append([FAIL_SLOW_DEGRADED, cfg.t_fs_dist.sample(rng), cfg.r_fs])
+            queue.append([REPAIR, cfg.t_r_dist.sample(rng), 0.0])
+            queue.append([SLOW_RECOVERY, cfg.t_sr_dist.sample(rng), cfg.r_sr])
+            on_failure_progress_check()
+        elif event == 2:  # checkpoint trigger
+            prog = 0.0
+            if cfg.t_ckpt > 0:
+                # Suspend whatever is running; it resumes after the save.
+                queue.appendleft([CHECKPOINT_SAVE, cfg.t_ckpt, 0.0])
+            else:
+                committed = work
+                saved = len(rates)
+        else:  # stage end
+            done = queue.popleft()
+            if done[0] is CHECKPOINT_SAVE:
+                committed = work
+                saved = len(rates)
+
+
+def run_record(run, cfg: SimConfig, k: int) -> tuple:
+    """Replication ``k`` of ``run`` as float.hex columns, or its divergence."""
+    try:
+        durations, rates, stages = run(cfg, replication_seedseq(cfg.seed, k))
+    except DivergedError as e:
+        return ("diverged", e.stalled_cycles, str(e))
+    return ([d.hex() for d in durations], [r.hex() for r in rates], stages)
+
+
+# Uninterrupted, ckpt_interval 10 and t_ckpt 1 put the triggers at exposure
+# 10, 21, 32, ... and the save ends at 11, 22, 33, ...
+TIE_CONFIGS = {
+    "stop_at_first_block_end": dict(fail_stop_times=(10.0, 54.0)),
+    "stop_at_block_end": dict(fail_stop_times=(21.0,)),
+    "slow_at_block_end": dict(fail_slow_times=(21.0,)),
+    "stop_at_save_end": dict(fail_stop_times=(22.0,)),
+    # The later fail-stop shows whether the interrupted save committed.
+    "slow_at_save_end": dict(fail_slow_times=(11.0,), fail_stop_times=(15.0,)),
+    "stop_inside_save": dict(fail_stop_times=(21.5,)),
+    "slow_inside_save": dict(fail_slow_times=(10.5,)),
+    "completion_at_trigger": dict(total_work=30.0),
+    "completion_at_trigger_w_opt": dict(w_opt=1.5, total_work=45.0),
+    "completion_after_save_w_opt": dict(w_opt=0.75, total_work=22.5, fail_stop_rate=0.01),
+    "no_ckpt_cost_stop_at_trigger": dict(t_ckpt=0.0, fail_stop_times=(20.0,),
+                                         fail_slow_rate=0.02),
+    # The fail-slow wins the tie with the trigger and nothing accrues progress
+    # until the healthy run resumes, so its trigger is due at once (dt = 0).
+    "r_sr_zero_trigger_due_at_resume": dict(fail_slow_times=(10.0,), t_fs_dist=Fixed(3.0),
+                                            t_sr_dist=Fixed(2.0)),
+    "fixed_zero_repair": dict(fail_stop_rate=0.03, fail_slow_rate=0.02, t_r_dist=Fixed(0.0),
+                              t_sr_dist=Fixed(1.0), t_fs_dist=Fixed(2.0), r_sr=0.5, r_fs=0.5),
+    "diverging": dict(total_work=60.0, ckpt_interval=5.0, fail_stop_rate=0.3,
+                      t_r_dist=Fixed(0.5), seed=35, watchdog_cycles=5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TIE_CONFIGS))
+def test_run_matches_reference_on_ties(name):
+    cfg = base_config(**{"ckpt_interval": 10.0, "t_ckpt": 1.0, "t_r_dist": Fixed(2.0),
+                         **TIE_CONFIGS[name]})
+    for k in range(4):
+        assert run_record(_run, cfg, k) == run_record(reference_run, cfg, k)
+
+
+def random_reference_config(rng: np.random.Generator, i: int) -> SimConfig:
+    """Half the configs inject their failures at the block ends, save ends
+    and save midpoints of an uninterrupted run, so that ties are common; a
+    quarter of the totals end exactly at a trigger; every tenth config has
+    frequent fail-stops and a short watchdog, so many of those diverge."""
+    ckpt_interval = float(rng.choice([2.0, 4.0, 5.0, 10.0, rng.uniform(1, 20)]))
+    t_ckpt = float(rng.choice([0.0, 0.5, 1.0, rng.uniform(0, 2)]))
+    w_opt = float(rng.choice([1.0, 0.5, 1.5, rng.uniform(0.5, 2)]))
+    cycle = ckpt_interval + t_ckpt
+
+    def dist():
+        pick = rng.integers(0, 4)
+        if pick == 0:
+            return Fixed(0.0)
+        if pick == 1:
+            return Fixed(float(rng.choice([1.0, 2.0, rng.uniform(0, 5)])))
+        if pick == 2:
+            return Exponential(float(rng.uniform(0.5, 5)))
+        return LogNormal(float(rng.uniform(0.5, 5)), 0.5)
+
+    def ratio():
+        return (0.0, 1.0, float(rng.uniform(0, 1)))[rng.integers(0, 3)]
+
+    def injected():
+        offsets = (0.0, t_ckpt, t_ckpt / 2)
+        return [k * cycle + ckpt_interval + offsets[rng.integers(0, 3)]
+                for k in rng.integers(0, 12, size=rng.integers(0, 4))]
+
+    if rng.random() < 0.25:
+        total_work = float(rng.integers(1, 20)) * ckpt_interval * w_opt
+    else:
+        total_work = float(rng.uniform(20, 200))
+    failures: dict = {}
+    if i % 2:
+        failures.update(fail_stop_times=injected(), fail_slow_times=injected())
+    elif i % 5 == 0:
+        failures.update(fail_stop_rate=float(rng.uniform(0.2, 1.0)),
+                        watchdog_cycles=int(rng.integers(1, 6)))
+    else:
+        failures.update(fail_stop_rate=float(rng.uniform(0, 0.05)),
+                        fail_slow_rate=float(rng.choice([0.0, rng.uniform(0, 0.05)])))
+    return base_config(
+        w_opt=w_opt, total_work=total_work, ckpt_interval=ckpt_interval, t_ckpt=t_ckpt,
+        t_r_dist=dist(), t_sr_dist=dist(), t_fs_dist=dist(), r_sr=ratio(), r_fs=ratio(),
+        seed=int(rng.integers(0, 2**63)), **failures,
+    )
+
+
+def test_run_matches_reference_on_random_configs():
+    rng = np.random.default_rng(53)
+    diverged = 0
+    for i in range(600):
+        cfg = random_reference_config(rng, i)
+        for k in range(2):
+            record = run_record(_run, cfg, k)
+            assert record == run_record(reference_run, cfg, k), (i, k, cfg)
+            diverged += record[0] == "diverged"
+    assert diverged > 50
