@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -43,6 +44,29 @@ def _open_output(path: str):
         return open(path, "w")
     except OSError as e:
         raise ValidationError(f"cannot write {path}: {e}") from None
+
+
+def _check_writable(*paths: str | None) -> None:
+    """Check that every given output path can be opened for writing, before
+    any is written, so that a failed command leaves no partial set of outputs.
+
+    The check writes nothing; a file it creates is removed again when a later
+    path fails. A path that exists and is not a regular file (a FIFO, a
+    device) is not probed: closing a probe would end a FIFO reader's input.
+    """
+    created = []
+    for path in filter(None, paths):
+        if os.path.exists(path) and not os.path.isfile(path):
+            continue
+        new = not os.path.lexists(path)
+        try:
+            open(path, "a").close()
+        except OSError as e:
+            for p in created:
+                os.remove(p)
+            raise ValidationError(f"cannot write {path}: {e}") from None
+        if new:
+            created.append(path)
 
 
 def _emit_json(obj: dict) -> None:
@@ -114,13 +138,15 @@ def cmd_simulate(args) -> int:
     summary = monte_carlo(cfg, args.replications)
     first = summary.first_result
 
-    if args.emit_trace and first is not None:
-        events = trace_mod.timeline_to_events(first.timeline)
-        with _open_output(args.emit_trace) as f:
-            trace_mod.write_jsonl(events, f)
-    if args.emit_csv and first is not None:
-        with _open_output(args.emit_csv) as f:
-            write_csv(first.timeline, f)
+    if first is not None:
+        _check_writable(args.emit_trace, args.emit_csv)
+        if args.emit_trace:
+            events = trace_mod.timeline_to_events(first.timeline)
+            with _open_output(args.emit_trace) as f:
+                trace_mod.write_jsonl(events, f)
+        if args.emit_csv:
+            with _open_output(args.emit_csv) as f:
+                write_csv(first.timeline, f)
 
     if args.json:
         out = summary.to_dict()

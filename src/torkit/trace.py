@@ -11,6 +11,20 @@ the earliest event. Events must tile the observed interval exactly: gaps and
 overlaps are errors. Each event carries a pre-classified stage and rate;
 mapping raw logs onto stages (including any precedence between overlapping
 degradations) is the log producer's job.
+
+:func:`parse_trace` reads the lines in one pass. Each line must be one JSON
+object (blank lines are skipped) and is checked in this order: a known
+``stage``; a numeric ``rate`` in [0, 1], and the fixed rate of a stage that
+has one (1 for HealthyRun; 0 for CheckpointSave, RollbackWaste and Repair); an
+optional ``duration``, finite and positive; then finite ``t_start`` >= 0 and
+``t_end`` > ``t_start``, or parseable ``wall_start`` < ``wall_end`` of one kind
+(both timezone-aware or both naive); and a ``duration`` that agrees with the
+span to 1e-9 relative (absolute below 1 s). Numbers must be JSON numbers, not
+strings or booleans. The first failing check is reported with its line. Then
+the whole trace must use one timestamp format and one kind of wall clock, and
+be non-empty and contiguous. Input whose events tile the time axis exactly
+in line order is returned as is; other input is sorted stably by (t_start,
+t_end) before the contiguity check.
 """
 from __future__ import annotations
 
@@ -102,10 +116,6 @@ def _parse_wall(value: str, line: int, field: str) -> dt.datetime:
         raise TraceParseError(f"bad ISO-8601 datetime in {field!r}: {value!r}", line) from None
 
 
-def _is_aware(t: dt.datetime) -> bool:
-    return t.utcoffset() is not None
-
-
 def _number(obj: dict, key: str, line: int) -> float:
     """The JSON number ``obj[key]`` as a float; strings and booleans are rejected."""
     try:
@@ -116,55 +126,61 @@ def _number(obj: dict, key: str, line: int) -> float:
         raise TraceParseError(str(e), line) from None
 
 
-def _event_from_obj(obj: dict, line: int) -> tuple[TraceEvent | None, tuple | None]:
-    """Returns (event, None) for numeric timestamps or (None, wall-clock tuple)."""
-    if not isinstance(obj, dict):
-        raise TraceParseError(f"expected a JSON object, got {type(obj).__name__}", line)
-    try:
-        stage = StageKind(obj["stage"])
-    except KeyError:
-        raise TraceParseError("missing 'stage'", line) from None
-    except ValueError:
-        raise TraceParseError(f"unknown stage {obj.get('stage')!r}", line) from None
-    rate = _number(obj, "rate", line)
-    if not (math.isfinite(rate) and 0.0 <= rate <= 1.0):
-        raise TraceParseError(f"rate must lie in [0, 1], got {rate!r}", line)
-    if stage in ZERO_RATE_STAGES and rate != 0.0:
-        raise TraceParseError(f"stage {stage} must have rate 0, got {rate!r}", line)
-    if stage is StageKind.HEALTHY_RUN and rate != 1.0:
-        raise TraceParseError(f"stage {stage} must have rate 1, got {rate!r}", line)
-    exact = None
-    if "duration" in obj:
-        exact = _number(obj, "duration", line)
-        if not math.isfinite(exact) or exact <= 0:
-            raise TraceParseError(f"duration must be positive, got {exact!r}", line)
+_fromisoformat = dt.datetime.fromisoformat
+_JSON_WS = " \t\n\r"
+_scan = json.JSONDecoder().scan_once
+_BLANK = object()
+_INF = math.inf
+_STAGE = {str(s): s for s in StageKind}
+# The rate a stage's events must carry, where the stage fixes one.
+_FIXED_RATE = {**dict.fromkeys(ZERO_RATE_STAGES, 0.0), StageKind.HEALTHY_RUN: 1.0}
 
-    if "t_start" in obj or "t_end" in obj:
-        t0, t1 = _number(obj, "t_start", line), _number(obj, "t_end", line)
-        if not (math.isfinite(t0) and math.isfinite(t1)) or t0 < 0:
-            raise TraceParseError(f"bad timestamps [{t0!r}, {t1!r})", line)
-        if t1 <= t0:
-            raise TraceParseError(f"t_end must exceed t_start, got [{t0!r}, {t1!r})", line)
-        span = t1 - t0
-        parsed = _event(t0, t1, stage, rate, exact), None
-    elif "wall_start" in obj and "wall_end" in obj:
+
+def _decode(raw: str | bytes, line: int):
+    """``json.loads`` of one line, or _BLANK for a blank line; raises its error.
+
+    Runs for a line the fast scan in :func:`parse_trace` did not take, so the
+    message is the one ``json.loads`` gives.
+    """
+    try:
+        if isinstance(raw, bytes):
+            raw = raw.decode("utf-8")
+        if not raw.strip():
+            return _BLANK
+        return json.loads(raw)
+    except json.JSONDecodeError as e:
+        raise TraceParseError(f"invalid JSON: {e.msg}", line) from None
+    except ValueError as e:  # not UTF-8, or an integer too long to convert
+        raise TraceParseError(str(e), line) from None
+
+
+def _wall_times(obj: dict, line: int) -> tuple[dt.datetime, dt.datetime]:
+    """The checked (wall_start, wall_end) of an event without t_start/t_end.
+
+    A ``fromisoformat`` datetime is timezone-aware exactly when it has a tzinfo.
+    """
+    try:
+        w0 = _fromisoformat(obj["wall_start"])
+        w1 = _fromisoformat(obj["wall_end"])
+    except (KeyError, TypeError, ValueError):  # find the first check that fails
+        if "wall_start" not in obj or "wall_end" not in obj:
+            raise TraceParseError("event needs t_start/t_end or wall_start/wall_end",
+                                  line) from None
         w0 = _parse_wall(obj["wall_start"], line, "wall_start")
         w1 = _parse_wall(obj["wall_end"], line, "wall_end")
-        if _is_aware(w0) != _is_aware(w1):
-            raise TraceParseError("wall_start and wall_end mix timezone-aware and naive times", line)
-        if w1 <= w0:
-            raise TraceParseError("wall_end must be after wall_start", line)
-        span = (w1 - w0).total_seconds()
-        parsed = None, (w0, w1, stage, rate)
-    else:
-        raise TraceParseError("event needs t_start/t_end or wall_start/wall_end", line)
-    if exact is not None and abs(exact - span) > CONTIGUITY_TOL * max(1.0, span):
-        raise TraceParseError(f"duration {exact!r} disagrees with the event's span {span!r}", line)
-    return parsed
+    if (w0.tzinfo is None) != (w1.tzinfo is None):
+        raise TraceParseError("wall_start and wall_end mix timezone-aware and naive times", line)
+    if w1 <= w0:
+        raise TraceParseError("wall_end must be after wall_start", line)
+    return w0, w1
 
 
 def parse_trace(source: IO | bytes | str | Iterable[str]) -> list[TraceEvent]:
-    """Parse and validate a JSONL trace; returns events sorted by t_start."""
+    """Parse and validate a JSONL trace; returns events sorted by t_start.
+
+    The checks and their order are those of the module docstring. Each event
+    goes into columns as its line is checked; the events are built last.
+    """
     if isinstance(source, bytes):
         lines: Iterable[str] = io.StringIO(source.decode("utf-8"))
     elif isinstance(source, str):
@@ -172,52 +188,112 @@ def parse_trace(source: IO | bytes | str | Iterable[str]) -> list[TraceEvent]:
     else:
         lines = source
 
-    events: list[TraceEvent] = []
-    wall_events: list[tuple] = []
+    # Columns of the events: numeric timestamps (starts, ends) or wall-clock
+    # ones (wall_starts, wall_ends); a trace holding both is rejected below.
+    starts: list[float] = []
+    ends: list[float] = []
+    exacts: list[float | None] = []
+    wall_starts: list[dt.datetime] = []
+    wall_ends: list[dt.datetime] = []
+    stages: list[StageKind] = []
+    rates: list[float] = []
     for line_no, raw in enumerate(lines, start=1):
         try:
-            if isinstance(raw, bytes):
-                raw = raw.decode("utf-8")
-            if not raw.strip():
+            text = (raw.decode("utf-8") if isinstance(raw, bytes) else raw).strip(_JSON_WS)
+            obj, end = _scan(text, 0)
+            if end != len(text):
+                raise ValueError("extra data")
+        except (StopIteration, ValueError, TypeError):  # blank, not JSON, not text
+            obj = _decode(raw, line_no)
+            if obj is _BLANK:
                 continue
-            obj = json.loads(raw)
-        except json.JSONDecodeError as e:
-            raise TraceParseError(f"invalid JSON: {e.msg}", line_no) from None
-        except ValueError as e:  # not UTF-8, or an integer too long to convert
-            raise TraceParseError(str(e), line_no) from None
-        ev, wall = _event_from_obj(obj, line_no)
-        if ev is not None:
-            events.append(ev)
-        else:
-            wall_events.append(wall)
 
-    if events and wall_events:
+        # The checks run in this order; the first one to fail is reported.
+        if type(obj) is not dict:
+            raise TraceParseError(f"expected a JSON object, got {type(obj).__name__}", line_no)
+        try:
+            stage = _STAGE[obj["stage"]]
+        except (KeyError, TypeError):  # missing, unknown, or unhashable
+            if "stage" not in obj:
+                raise TraceParseError("missing 'stage'", line_no) from None
+            raise TraceParseError(f"unknown stage {obj['stage']!r}", line_no) from None
+        rate = obj.get("rate")
+        if type(rate) is not float:
+            rate = _number(obj, "rate", line_no)
+        if not 0.0 <= rate <= 1.0:
+            raise TraceParseError(f"rate must lie in [0, 1], got {rate!r}", line_no)
+        if _FIXED_RATE.get(stage, rate) != rate:
+            raise TraceParseError(
+                f"stage {stage} must have rate {_FIXED_RATE[stage]:g}, got {rate!r}", line_no)
+        exact = obj.get("duration")
+        if exact is not None or "duration" in obj:
+            if type(exact) is not float:
+                exact = _number(obj, "duration", line_no)
+            if not 0.0 < exact < _INF:
+                raise TraceParseError(f"duration must be positive, got {exact!r}", line_no)
+
+        t0 = obj.get("t_start")
+        t1 = obj.get("t_end")
+        if type(t0) is float and type(t1) is float or "t_start" in obj or "t_end" in obj:
+            if type(t0) is not float:
+                t0 = _number(obj, "t_start", line_no)
+            if type(t1) is not float:
+                t1 = _number(obj, "t_end", line_no)
+            if not 0.0 <= t0 < t1 < _INF:
+                if not (math.isfinite(t0) and math.isfinite(t1)) or t0 < 0:
+                    raise TraceParseError(f"bad timestamps [{t0!r}, {t1!r})", line_no)
+                raise TraceParseError(
+                    f"t_end must exceed t_start, got [{t0!r}, {t1!r})", line_no)
+            span = t1 - t0
+            starts.append(t0)
+            ends.append(t1)
+            exacts.append(exact)
+        else:
+            w0, w1 = _wall_times(obj, line_no)
+            if exact is not None:
+                span = (w1 - w0).total_seconds()
+            wall_starts.append(w0)
+            wall_ends.append(w1)
+        if exact is not None:
+            tol = CONTIGUITY_TOL * span if span > 1.0 else CONTIGUITY_TOL
+            if not -tol <= exact - span <= tol:
+                raise TraceParseError(
+                    f"duration {exact!r} disagrees with the event's span {span!r}", line_no)
+        stages.append(stage)
+        rates.append(rate)
+
+    if starts and wall_starts:
         raise TraceParseError("trace mixes numeric and wall-clock timestamps")
-    if wall_events:
-        if len({_is_aware(w0) for w0, *_ in wall_events}) > 1:
+    if wall_starts:
+        if len({w0.tzinfo is None for w0 in wall_starts}) > 1:
             raise TraceParseError("trace mixes timezone-aware and naive wall-clock times")
-        origin = min(w0 for w0, *_ in wall_events)
-        events = [
-            _event((w0 - origin).total_seconds(), (w1 - origin).total_seconds(), st, r)
-            for w0, w1, st, r in wall_events
-        ]
-    if not events:
+        origin = min(wall_starts)
+        starts = [(w0 - origin).total_seconds() for w0 in wall_starts]
+        ends = [(w1 - origin).total_seconds() for w1 in wall_ends]
+        exacts = [None] * len(starts)
+    if not starts:
         raise TraceParseError("empty trace: TOR undefined")
 
-    events.sort(key=lambda e: (e.t_start, e.t_end))
-    for prev, cur in zip(events, events[1:]):
-        delta = cur.t_start - prev.t_end
-        tol = CONTIGUITY_TOL * max(1.0, abs(prev.t_end))
-        if delta > tol:
-            raise TraceParseError(
-                f"gap in trace: interval [{prev.t_end!r}, {cur.t_start!r}) is unclassified"
-            )
-        if delta < -tol:
-            raise TraceParseError(
-                f"overlapping events: [{prev.t_start!r}, {prev.t_end!r}) and "
-                f"[{cur.t_start!r}, {cur.t_end!r})"
-            )
-    return events
+    if starts[1:] != ends[:-1]:
+        # Not tiled exactly in line order (exact tiling implies sorted order,
+        # as no event ends before it starts). Sort stably by (t_start, t_end),
+        # then check contiguity with the tolerance.
+        keys = list(zip(starts, ends))
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        starts, ends, stages, rates, exacts = (
+            [col[i] for i in order] for col in (starts, ends, stages, rates, exacts))
+        for i in range(1, len(starts)):
+            cur, prev_end = starts[i], ends[i - 1]
+            delta = cur - prev_end
+            tol = CONTIGUITY_TOL * max(1.0, abs(prev_end))
+            if delta > tol:
+                raise TraceParseError(
+                    f"gap in trace: interval [{prev_end!r}, {cur!r}) is unclassified")
+            if delta < -tol:
+                raise TraceParseError(
+                    f"overlapping events: [{starts[i - 1]!r}, {prev_end!r}) and "
+                    f"[{cur!r}, {ends[i]!r})")
+    return list(map(_event, starts, ends, stages, rates, exacts))
 
 
 def trace_to_timeline(events: list[TraceEvent]) -> RateTimeline:

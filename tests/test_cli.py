@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+import threading
 
 import pytest
 
@@ -113,6 +115,58 @@ def test_unwritable_output_exit_code(sim_file, tmp_path, capsys, command, option
     assert main([command, source, option, target]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {target}: ") and len(err.splitlines()) == 1
+
+
+def test_unwritable_output_leaves_no_other_output(sim_file, tmp_path, capsys):
+    trace_path = tmp_path / "a.jsonl"
+    csv_path = tmp_path / "missing" / "b.csv"
+    assert main(["simulate", sim_file, "--emit-trace", str(trace_path),
+                 "--emit-csv", str(csv_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {csv_path}: ")
+    assert not trace_path.exists()
+    # An output file that was there before is left as it was.
+    trace_path.write_text("kept\n")
+    assert main(["simulate", sim_file, "--emit-trace", str(trace_path),
+                 "--emit-csv", str(csv_path)]) == 2
+    assert trace_path.read_text() == "kept\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_emit_trace_to_fifo(sim_file, tmp_path, capsys, monkeypatch):
+    # A FIFO output is opened once. Opening and closing it beforehand would
+    # give its reader end of input, and the real write would then block with
+    # no reader.
+    regular = tmp_path / "a.jsonl"
+    assert main(["simulate", sim_file, "--emit-trace", str(regular)]) == 0
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    opened = []
+
+    def spy_open(path, *args, **kwargs):
+        opened.append(str(path))
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(torkit.cli, "open", spy_open, raising=False)
+    received, codes = [], []
+
+    def read_fifo():
+        with open(fifo, "rb") as f:
+            received.append(f.read())
+
+    reader = threading.Thread(target=read_fifo, daemon=True)
+    reader.start()
+    writer = threading.Thread(
+        target=lambda: codes.append(main(["simulate", sim_file, "--emit-trace", str(fifo)])),
+        daemon=True)
+    writer.start()
+    writer.join(timeout=30)
+    if writer.is_alive():  # blocked opening the FIFO: give it a reader, then fail
+        os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+        pytest.fail("simulate blocked writing to a FIFO")
+    reader.join(timeout=30)
+    assert codes == [0]
+    assert opened.count(str(fifo)) == 1
+    assert received == [regular.read_bytes()]
 
 
 def test_main_runs_the_current_command_attribute(monkeypatch):

@@ -2,8 +2,9 @@
 
 Whatever a config or trace holds, torkit either accepts it or raises a
 ``TorkitError``, which the CLI turns into exit code 2 and one ``error:`` line.
-Any other exception escapes and fails the test. The examples are
-derandomized, so every run checks the same inputs.
+Any other exception escapes and fails the test. A trace also gives the same
+events, or the same error, as the reference parser in ``test_trace``. The
+examples are derandomized, so every run checks the same inputs.
 """
 import contextlib
 import io
@@ -17,6 +18,7 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from torkit import SimConfig, StageKind, TorkitError, parse_trace, report  # noqa: E402
 from torkit.cli import main  # noqa: E402
+from test_trace import outcome, reference_parse_trace  # noqa: E402
 
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=50)
 
@@ -126,7 +128,12 @@ events = st.fixed_dictionaries({}, optional={
 @given(lines=st.lists(events.map(json.dumps) | st.text(max_size=8), max_size=4))
 @example(lines=['{"t_start": 0, "t_end": 10, "stage": "HealthyRun", "rate": 1, "note": [1]}'])
 def test_trace_parse_and_report(lines):
-    try:
-        report(parse_trace("\n".join(lines)))
-    except TorkitError:
-        pass
+    text = "\n".join(lines)
+    # The same events as the reference parser, or the same error.
+    result = outcome(parse_trace, lambda: text)
+    assert result == outcome(reference_parse_trace, lambda: text)
+    if result[0] == "events":
+        try:
+            report(parse_trace(text))
+        except TorkitError:
+            pass

@@ -1,6 +1,9 @@
+import datetime as dt
 import io
 import json
 import math
+import random
+from typing import IO, Iterable
 
 import pytest
 
@@ -20,10 +23,18 @@ from torkit import (
     tor_of_timeline,
 )
 from torkit.analytic import mixture_concat_timeline
+from torkit.model import ZERO_RATE_STAGES
 from torkit.periods import period_records
 from torkit.simulator import config_from_period
 from torkit.timeline import concat, observed_time
-from torkit.trace import render_report, timeline_to_events, write_jsonl
+from torkit.model import _check_number
+from torkit.trace import (
+    CONTIGUITY_TOL,
+    _event,
+    render_report,
+    timeline_to_events,
+    write_jsonl,
+)
 
 
 def jsonl(*objs) -> str:
@@ -267,3 +278,326 @@ class TestReport:
         text = render_report(report(roundtrip(period_to_timeline(worked_fail_stop))))
         assert "TOR:" in text and "0.827273" in text
         assert "fail-stop MTBF: 100.000000 s" in text
+
+
+# ---------------------------------------------------------------------------
+# the parser against its reference
+
+# The parser as it was before its one-pass rewrite, with its helpers, kept verbatim.
+def _parse_wall(value: str, line: int, field: str) -> dt.datetime:
+    try:
+        return dt.datetime.fromisoformat(value)
+    except (TypeError, ValueError):
+        raise TraceParseError(f"bad ISO-8601 datetime in {field!r}: {value!r}", line) from None
+
+
+def _is_aware(t: dt.datetime) -> bool:
+    return t.utcoffset() is not None
+
+
+def _number(obj: dict, key: str, line: int) -> float:
+    """The JSON number ``obj[key]`` as a float; strings and booleans are rejected."""
+    try:
+        return _check_number(key, obj[key])
+    except KeyError:
+        raise TraceParseError(f"missing {key!r}", line) from None
+    except ValidationError as e:
+        raise TraceParseError(str(e), line) from None
+
+
+def reference_event_from_obj(obj: dict, line: int) -> tuple[TraceEvent | None, tuple | None]:
+    """Returns (event, None) for numeric timestamps or (None, wall-clock tuple)."""
+    if not isinstance(obj, dict):
+        raise TraceParseError(f"expected a JSON object, got {type(obj).__name__}", line)
+    try:
+        stage = StageKind(obj["stage"])
+    except KeyError:
+        raise TraceParseError("missing 'stage'", line) from None
+    except ValueError:
+        raise TraceParseError(f"unknown stage {obj.get('stage')!r}", line) from None
+    rate = _number(obj, "rate", line)
+    if not (math.isfinite(rate) and 0.0 <= rate <= 1.0):
+        raise TraceParseError(f"rate must lie in [0, 1], got {rate!r}", line)
+    if stage in ZERO_RATE_STAGES and rate != 0.0:
+        raise TraceParseError(f"stage {stage} must have rate 0, got {rate!r}", line)
+    if stage is StageKind.HEALTHY_RUN and rate != 1.0:
+        raise TraceParseError(f"stage {stage} must have rate 1, got {rate!r}", line)
+    exact = None
+    if "duration" in obj:
+        exact = _number(obj, "duration", line)
+        if not math.isfinite(exact) or exact <= 0:
+            raise TraceParseError(f"duration must be positive, got {exact!r}", line)
+
+    if "t_start" in obj or "t_end" in obj:
+        t0, t1 = _number(obj, "t_start", line), _number(obj, "t_end", line)
+        if not (math.isfinite(t0) and math.isfinite(t1)) or t0 < 0:
+            raise TraceParseError(f"bad timestamps [{t0!r}, {t1!r})", line)
+        if t1 <= t0:
+            raise TraceParseError(f"t_end must exceed t_start, got [{t0!r}, {t1!r})", line)
+        span = t1 - t0
+        parsed = _event(t0, t1, stage, rate, exact), None
+    elif "wall_start" in obj and "wall_end" in obj:
+        w0 = _parse_wall(obj["wall_start"], line, "wall_start")
+        w1 = _parse_wall(obj["wall_end"], line, "wall_end")
+        if _is_aware(w0) != _is_aware(w1):
+            raise TraceParseError("wall_start and wall_end mix timezone-aware and naive times", line)
+        if w1 <= w0:
+            raise TraceParseError("wall_end must be after wall_start", line)
+        span = (w1 - w0).total_seconds()
+        parsed = None, (w0, w1, stage, rate)
+    else:
+        raise TraceParseError("event needs t_start/t_end or wall_start/wall_end", line)
+    if exact is not None and abs(exact - span) > CONTIGUITY_TOL * max(1.0, span):
+        raise TraceParseError(f"duration {exact!r} disagrees with the event's span {span!r}", line)
+    return parsed
+
+
+def reference_parse_trace(source: IO | bytes | str | Iterable[str]) -> list[TraceEvent]:
+    """Parse and validate a JSONL trace; returns events sorted by t_start."""
+    if isinstance(source, bytes):
+        lines: Iterable[str] = io.StringIO(source.decode("utf-8"))
+    elif isinstance(source, str):
+        lines = io.StringIO(source)
+    else:
+        lines = source
+
+    events: list[TraceEvent] = []
+    wall_events: list[tuple] = []
+    for line_no, raw in enumerate(lines, start=1):
+        try:
+            if isinstance(raw, bytes):
+                raw = raw.decode("utf-8")
+            if not raw.strip():
+                continue
+            obj = json.loads(raw)
+        except json.JSONDecodeError as e:
+            raise TraceParseError(f"invalid JSON: {e.msg}", line_no) from None
+        except ValueError as e:  # not UTF-8, or an integer too long to convert
+            raise TraceParseError(str(e), line_no) from None
+        ev, wall = reference_event_from_obj(obj, line_no)
+        if ev is not None:
+            events.append(ev)
+        else:
+            wall_events.append(wall)
+
+    if events and wall_events:
+        raise TraceParseError("trace mixes numeric and wall-clock timestamps")
+    if wall_events:
+        if len({_is_aware(w0) for w0, *_ in wall_events}) > 1:
+            raise TraceParseError("trace mixes timezone-aware and naive wall-clock times")
+        origin = min(w0 for w0, *_ in wall_events)
+        events = [
+            _event((w0 - origin).total_seconds(), (w1 - origin).total_seconds(), st, r)
+            for w0, w1, st, r in wall_events
+        ]
+    if not events:
+        raise TraceParseError("empty trace: TOR undefined")
+
+    events.sort(key=lambda e: (e.t_start, e.t_end))
+    for prev, cur in zip(events, events[1:]):
+        delta = cur.t_start - prev.t_end
+        tol = CONTIGUITY_TOL * max(1.0, abs(prev.t_end))
+        if delta > tol:
+            raise TraceParseError(
+                f"gap in trace: interval [{prev.t_end!r}, {cur.t_start!r}) is unclassified"
+            )
+        if delta < -tol:
+            raise TraceParseError(
+                f"overlapping events: [{prev.t_start!r}, {prev.t_end!r}) and "
+                f"[{cur.t_start!r}, {cur.t_end!r})"
+            )
+    return events
+
+
+def outcome(parse, make_source):
+    """The events, with every float as its hex, or the error and its line."""
+    try:
+        events = parse(make_source())
+    except TraceParseError as e:
+        return "error", str(e), e.line
+    return "events", [(e.t_start.hex(), e.t_end.hex(), e.stage.name, e.rate.hex(),
+                       None if e.exact_duration is None else e.exact_duration.hex())
+                      for e in events]
+
+
+FREE_RATE_STAGES = [StageKind.SLOW_RECOVERY, StageKind.FAIL_SLOW_DEGRADED]
+TZS = [None, dt.timezone.utc, dt.timezone(dt.timedelta(hours=-5))]
+
+
+def random_event_lines(rng: random.Random) -> list[dict]:
+    """A contiguous trace as JSON objects: seconds or wall clock, float or
+    int fields, with or without ``duration``, with or without extra keys."""
+    n = rng.randint(1, 25)
+    wall = rng.random() < 0.4
+    ints = rng.random() < 0.3
+    far = wall and rng.random() < 0.25   # float seconds coarser than a microsecond
+    origin = dt.datetime(1, 1, 1) if far else dt.datetime(2026, 1, 1)
+    origin = origin.replace(tzinfo=rng.choice(TZS))
+    objs = []
+    t, us = 0.0, 0
+    for i in range(n):
+        stage = rng.choice(list(StageKind))
+        if stage in FREE_RATE_STAGES:
+            rate = rng.choice([0, 1, 0.25, rng.random()])
+        else:
+            rate = 0 if stage in ZERO_RATE_STAGES else 1
+        obj = {"stage": str(stage), "rate": rate if ints else float(rate)}
+        if wall:
+            step = (rng.randint(1, 10**17) if far and i == 0
+                    else rng.randint(1, 5 if far else 10**8))
+            w0 = origin + dt.timedelta(microseconds=us)
+            w1 = origin + dt.timedelta(microseconds=us + step)
+            obj.update(wall_start=w0.isoformat(), wall_end=w1.isoformat())
+            span = step / 1e6
+            us += step
+        else:
+            d = rng.randint(1, 50) if ints else rng.choice([rng.uniform(1e-3, 100), 1e-7, 3e5])
+            # Now and then a start off the previous end, within both tolerances.
+            t0 = t if i == 0 or rng.random() < 0.8 else t + rng.choice([-1e-10, 1e-10]) * min(t, d)
+            obj.update(t_start=t0, t_end=t + d)
+            span = (t + d) - t0
+            t += d
+        if rng.random() < 0.5:
+            obj["duration"] = (d if ints and not wall and t0 == t - d
+                               else span * (1 + rng.choice([0.0, 1e-12, -1e-12])))
+        if rng.random() < 0.2:
+            obj.update(note="warm-up", host=["n1", {"gpu": 7}])
+        objs.append(obj)
+    return objs
+
+
+def random_source(rng: random.Random, objs: list[dict]):
+    """The objects as JSONL, shuffled or with a tied line now and then, with
+    blank and CRLF lines, as one of the source types parse_trace takes."""
+    lines = [json.dumps(o) for o in objs]
+    if rng.random() < 0.3:
+        rng.shuffle(lines)
+    if rng.random() < 0.1:
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice(lines))
+    for _ in range(rng.choice([0, 0, 1, 3])):
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice(["", "  ", "\t"]))
+    end = rng.choice(["\n", "\r\n"])
+    text = "".join(line + end for line in lines)
+    kind = rng.choice(["str", "bytes", "str lines", "bytes lines", "binary file", "text file"])
+    return {
+        "str": lambda: text,
+        "bytes": lambda: text.encode(),
+        "str lines": lambda: text.splitlines(keepends=True),
+        "bytes lines": lambda: text.encode().splitlines(keepends=True),
+        "binary file": lambda: io.BytesIO(text.encode()),
+        "text file": lambda: io.StringIO(text),
+    }[kind]
+
+
+def test_parse_matches_reference_on_random_traces():
+    rng = random.Random(20261018)
+    parsed = 0
+    for i in range(400):
+        make_source = random_source(rng, random_event_lines(rng))
+        result = outcome(parse_trace, make_source)
+        assert result == outcome(reference_parse_trace, make_source), i
+        parsed += result[0] == "events"
+    assert parsed >= 300   # most traces are valid; the tied lines make overlaps
+
+
+def line(**fields):
+    return json.dumps({"t_start": 0.0, "t_end": 10.0, "stage": "HealthyRun", "rate": 1.0,
+                       **fields}) + "\n"
+
+
+def wall_line(w0, w1, **fields):
+    return json.dumps({"wall_start": w0, "wall_end": w1, "stage": "Repair", "rate": 0,
+                       **fields}) + "\n"
+
+
+def without(key, **fields):
+    obj = json.loads(line(**fields))
+    del obj[key]
+    return json.dumps(obj) + "\n"
+
+
+# One case for each check of the parser, and the inputs around them.
+MALFORMED = {
+    "bad-json": line() + "{not json}\n",
+    "truncated-object": '{"t_start": 0, "t_end": 1\n',
+    "bom": "\ufeff" + line(),
+    "extra-data": line().rstrip() + " 1\n",
+    "two-objects": line().rstrip() + line(),
+    "nbsp-before-object": "\u00a0" + line(),
+    "not-utf8": [line().encode(), b"\xff{}\n"],
+    "array": "[1, 2]\n",
+    "number": "3\n",
+    "string": '"HealthyRun"\n',
+    "null": "null\n",
+    "missing-stage": without("stage"),
+    "unknown-stage": line(stage="Napping"),
+    "null-stage": line(stage=None),
+    "list-stage": line(stage=["HealthyRun"]),
+    "dict-stage": line(stage={"HealthyRun": 1}),
+    "missing-rate": without("rate"),
+    "bool-rate": line(rate=True),
+    "string-rate": line(rate="1"),
+    "null-rate": line(rate=None),
+    "nan-rate": line(stage="SlowRecovery", rate=math.nan),
+    "rate-above-1": line(stage="SlowRecovery", rate=1.5),
+    "negative-rate": line(stage="SlowRecovery", rate=-0.5),
+    "repair-rate": line(stage="Repair", rate=0.5),
+    "save-rate": line(stage="CheckpointSave", rate=1),
+    "rollback-rate": line(stage="RollbackWaste", rate=-0.0) + line(stage="RollbackWaste",
+                                                                   rate=1e-300),
+    "healthy-rate": line(rate=0.9),
+    "healthy-int-rate": line(rate=0),
+    "over-long-int": line(t_end=10**400),
+    "int-beyond-digit-limit": line().replace("10.0", "1" + "0" * 5000),
+    "nan-start": line(t_start=math.nan),
+    "inf-end": line(t_end=math.inf),
+    "negative-inf-end": line(t_end=-math.inf),
+    "negative-start": line(t_start=-1),
+    "end-before-start": line(t_start=10, t_end=5),
+    "empty-span": line(t_start=10, t_end=10),
+    "missing-end": without("t_end"),
+    "missing-start": without("t_start"),
+    "string-start": line(t_start="0"),
+    "bool-end": line(t_end=False),
+    "zero-duration": line(duration=0),
+    "negative-duration": line(duration=-1.0),
+    "nan-duration": line(duration=math.nan),
+    "inf-duration": line(duration=math.inf),
+    "string-duration": line(duration="10"),
+    "null-duration": line(duration=None),
+    "disagreeing-duration": line(duration=10.5),
+    # Below 1 s the tolerance is absolute, 1e-9 s.
+    "short-span-duration": line(t_end=0.5, duration=0.5 + 8e-10),
+    "short-span-disagreeing-duration": line(t_end=0.5, duration=0.5 + 2e-9),
+    "disagreeing-wall-duration": wall_line("2026-01-01T00:00:00", "2026-01-01T00:00:10",
+                                           duration=5.0),
+    "no-timestamps": without("t_start").replace('"t_end": 10.0, ', ""),
+    "wall-start-only": json.dumps({"wall_start": "2026-01-01T00:00:00",
+                                   "stage": "Repair", "rate": 0}) + "\n",
+    "bad-wall": wall_line("2026-01-01T00:00:00", "yesterday"),
+    "number-wall": wall_line(5, "2026-01-01T00:00:10"),
+    "wall-end-first": wall_line("2026-01-01T00:00:10", "2026-01-01T00:00:00"),
+    "wall-mixed-tz-in-line": wall_line("2026-01-01T00:00:00", "2026-01-01T00:00:10+00:00"),
+    "mixed-formats": line() + wall_line("2026-01-01T00:00:00", "2026-01-01T00:00:10"),
+    "mixed-tz": wall_line("2026-01-01T00:00:00", "2026-01-01T00:00:10")
+    + wall_line("2026-01-01T00:00:10+00:00", "2026-01-01T00:00:20+00:00"),
+    "gap": line() + line(t_start=12.0, t_end=20.0),
+    "gap-after-sort": line(t_start=20.0, t_end=30.0) + line() + line(t_start=12.0, t_end=20.0),
+    "overlap": line() + line(t_start=8.0, t_end=20.0),
+    "tied-lines": line() + line(stage="SlowRecovery", rate=0.5),
+    "wall-overlap": wall_line("2026-01-01T00:00:00", "2026-01-01T00:00:10")
+    + wall_line("2026-01-01T00:00:05", "2026-01-01T00:00:20"),
+    "empty": "",
+    "blank-lines": "\n  \n\t\r\n",
+    "unicode-blank-lines": "\u00a0\n\x0c\n\u2028\n",
+}
+VALID_EDGES = {"rollback-rate", "short-span-duration", "unicode-blank-lines"}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_parse_matches_reference_on_malformed_input(name):
+    data = MALFORMED[name]
+    result = outcome(parse_trace, lambda: data)
+    assert result == outcome(reference_parse_trace, lambda: data)
+    if name not in VALID_EDGES:
+        assert result[0] == "error"
