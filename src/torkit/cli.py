@@ -34,6 +34,8 @@ def _load_json(path: str) -> dict:
         value = json.loads(text)
     except ValueError as e:  # not JSON, or an integer too long to convert
         raise ValidationError(f"{path} is not valid JSON: {e}") from None
+    except RecursionError:
+        raise ValidationError(f"{path} is not valid JSON: nested too deeply") from None
     if not isinstance(value, dict):
         raise ValidationError(f"{path} must hold a JSON object, got {type(value).__name__}")
     return value
@@ -135,6 +137,9 @@ def cmd_simulate(args) -> int:
     if args.seed is not None:
         cfg_dict["seed"] = args.seed
     cfg = SimConfig.from_dict(cfg_dict)
+    if (args.emit_trace and args.emit_csv
+            and os.path.realpath(args.emit_trace) == os.path.realpath(args.emit_csv)):
+        raise ValidationError(f"--emit-trace and --emit-csv name the same file: {args.emit_csv}")
     summary = monte_carlo(cfg, args.replications)
     first = summary.first_result
 

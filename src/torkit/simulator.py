@@ -14,11 +14,12 @@ given config on a given implementation.
 One event loop (``_run``) records every run, :func:`simulate`'s and each
 Monte-Carlo replication's, as three columns: durations, rates and stages.
 ``_result`` wraps those columns, unchecked and uncopied, as the run's
-:class:`RateTimeline` and builds its full :class:`SimResult`; ``_outcome``
-sums the columns into a :class:`ReplicationOutcome`, bit-identical to the
-totals of ``_result``. :func:`monte_carlo` builds the full result only for its
-first finished replication (``first_result``). No ``Segment`` is built on
-either path.
+:class:`RateTimeline` and sums its totals into a :class:`SimResult`, whose
+analysis (stage counts, periods, period means) is computed only when read;
+``_outcome`` sums the columns into a :class:`ReplicationOutcome`,
+bit-identical to the totals of ``_result``. :func:`monte_carlo` builds a
+result only for its first finished replication (``first_result``). No
+``Segment`` is built on either path.
 
 While the queue is empty (a healthy run), ``_run`` takes a fast path that
 emits (HealthyRun block, CheckpointSave) pairs in a tight loop, with the
@@ -31,6 +32,14 @@ ends strictly before both arrivals. A run that completes strictly before the
 trigger and both arrivals ends there. Otherwise the fast path leaves its
 state to the general loop, with an arrival-interrupted save queued as the
 trigger branch queues it.
+
+Two recovery stages at the head of the queue end without the general loop's
+candidate scan, with its float operations in the same order. A Repair ends
+at once, since no arrival, trigger or completion can come during a repair
+(an infinite repair sample is left to the general loop). A stage with a
+positive work rate (SlowRecovery, FailSlowDegraded) ends at once when its
+end is strictly before both arrivals, the trigger and completion. A tie, a
+rate of 0 and every other stage go to the general loop.
 """
 from __future__ import annotations
 
@@ -38,6 +47,7 @@ import math
 import sys
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import groupby
 from operator import mul
 from typing import ClassVar, Iterator, Union
@@ -183,13 +193,33 @@ class SimConfig(_Schema):
 
 @dataclass(frozen=True)
 class SimResult:
+    """A simulated run: its totals and its timeline.
+
+    ``counts`` (the runs of each stage), ``periods`` (the complete
+    failure-repair periods) and ``period_means`` are computed from the
+    timeline when first read, and kept. ``==`` and ``repr`` cover ``t_obs``,
+    ``t_opt``, ``tor`` and the timeline.
+    """
+
     t_obs: float
     t_opt: float
     tor: float
     timeline: RateTimeline
-    counts: dict[StageKind, int]
-    periods: tuple[StageTotals, ...]
-    period_means: StageTotals | None
+
+    @cached_property
+    def counts(self) -> dict[StageKind, int]:
+        counts: dict[StageKind, int] = {}
+        for stage, _ in groupby(self.timeline.stages):
+            counts[stage] = counts.get(stage, 0) + 1
+        return counts
+
+    @cached_property
+    def periods(self) -> tuple[StageTotals, ...]:
+        return tuple(period_records(self.timeline))
+
+    @cached_property
+    def period_means(self) -> StageTotals | None:
+        return mean_periods(list(self.periods))
 
     def to_dict(self) -> dict:
         m = self.period_means
@@ -319,6 +349,27 @@ def _run(cfg: SimConfig, seedseq: np.random.SeedSequence) -> Run:
                 saved = len(rates)
         if queue:
             stage, rem, rate = queue[0]
+            # Recovery stages whose end is decided; the rules are in the
+            # module docstring.
+            if stage is REPAIR and rem < INF:
+                if rem > 0:
+                    durations.append(rem)
+                    rates.append(rate)
+                    stages.append(REPAIR)
+                queue.popleft()
+                continue
+            wrate = rate * w_opt
+            if (wrate > 0 and rem < next_stop - exposure and rem < next_slow - exposure
+                    and rem < ckpt_interval - prog and rem < (total - work) / wrate):
+                if rem > 0:
+                    durations.append(rem)
+                    rates.append(rate)
+                    stages.append(stage)
+                    work += rem * wrate
+                    prog += rem
+                    exposure += rem
+                queue.popleft()
+                continue
         else:
             stage, rem, rate = HEALTHY_RUN, INF, 1.0
         in_repair = stage is REPAIR
@@ -391,26 +442,12 @@ def _run(cfg: SimConfig, seedseq: np.random.SeedSequence) -> Run:
 
 
 def _result(run: Run) -> SimResult:
-    """The full result of a run: its timeline, counts and periods.
-
-    The run's columns become the timeline as they are.
-    """
+    """The result of a run: its totals and its timeline, which wraps the
+    run's columns as they are. The analysis is computed when first read."""
     timeline = RateTimeline._of_columns(*run)
-    records = tuple(period_records(timeline))
-    counts: dict[StageKind, int] = {}
-    for stage, _ in groupby(timeline.stages):
-        counts[stage] = counts.get(stage, 0) + 1
     t_obs = observed_time(timeline)
     t_opt = integrate_optimal_time(timeline)
-    return SimResult(
-        t_obs=t_obs,
-        t_opt=t_opt,
-        tor=t_opt / t_obs,
-        timeline=timeline,
-        counts=counts,
-        periods=records,
-        period_means=mean_periods(list(records)),
-    )
+    return SimResult(t_obs=t_obs, t_opt=t_opt, tor=t_opt / t_obs, timeline=timeline)
 
 
 def simulate(cfg: SimConfig) -> SimResult:

@@ -152,6 +152,8 @@ def _decode(raw: str | bytes, line: int):
         raise TraceParseError(f"invalid JSON: {e.msg}", line) from None
     except ValueError as e:  # not UTF-8, or an integer too long to convert
         raise TraceParseError(str(e), line) from None
+    except RecursionError:
+        raise TraceParseError("JSON nested too deeply", line) from None
 
 
 def _wall_times(obj: dict, line: int) -> tuple[dt.datetime, dt.datetime]:
@@ -181,8 +183,8 @@ def parse_trace(source: IO | bytes | str | Iterable[str]) -> list[TraceEvent]:
     The checks and their order are those of the module docstring. Each event
     goes into columns as its line is checked; the events are built last.
     """
-    if isinstance(source, bytes):
-        lines: Iterable[str] = io.StringIO(source.decode("utf-8"))
+    if isinstance(source, bytes):  # decoded line by line, as a binary file is
+        lines: Iterable[str | bytes] = io.BytesIO(source)
     elif isinstance(source, str):
         lines = io.StringIO(source)
     else:
@@ -203,7 +205,8 @@ def parse_trace(source: IO | bytes | str | Iterable[str]) -> list[TraceEvent]:
             obj, end = _scan(text, 0)
             if end != len(text):
                 raise ValueError("extra data")
-        except (StopIteration, ValueError, TypeError):  # blank, not JSON, not text
+        except (StopIteration, ValueError, TypeError, RecursionError):
+            # blank, not JSON, nested too deeply, or not text
             obj = _decode(raw, line_no)
             if obj is _BLANK:
                 continue

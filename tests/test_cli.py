@@ -91,7 +91,12 @@ def test_rejected_config_exit_code(tmp_path, capsys, command, config, message):
     ("analytic", b'{"kind": "fail_stop", "t_h": 1' + b"0" * 5000 + b"}", "is not valid JSON"),
     ("trace", b"\xff{}\n", "line 1: 'utf-8' codec can't decode"),
     ("trace", b'{"t_start": 0, "t_end": 1' + b"0" * 5000 + b"}\n", "line 1: Exceeds the limit"),
-], ids=["config-not-utf8", "config-long-integer", "trace-not-utf8", "trace-long-integer"])
+    ("analytic", b"[" * 100_000, "is not valid JSON: nested too deeply"),
+    ("trace", b"[" * 100_000 + b"\n", "line 1: JSON nested too deeply"),
+    ("trace", b'{"t_start": 0, "t_end": 1, "stage": "Repair", "rate": 0}\n' + b'{"a": ' * 100_000,
+     "line 2: JSON nested too deeply"),
+], ids=["config-not-utf8", "config-long-integer", "trace-not-utf8", "trace-long-integer",
+        "config-too-deep", "trace-too-deep", "trace-too-deep-object"])
 def test_undecodable_file_exit_code(tmp_path, capsys, command, data, message):
     path = tmp_path / "input"
     path.write_bytes(data)
@@ -129,6 +134,21 @@ def test_unwritable_output_leaves_no_other_output(sim_file, tmp_path, capsys):
     assert main(["simulate", sim_file, "--emit-trace", str(trace_path),
                  "--emit-csv", str(csv_path)]) == 2
     assert trace_path.read_text() == "kept\n"
+
+
+def test_one_file_for_both_outputs(sim_file, tmp_path, capsys, monkeypatch):
+    def not_run(*args):
+        raise AssertionError("simulated before the output paths were checked")
+
+    monkeypatch.setattr("torkit.cli.monte_carlo", not_run)
+    (tmp_path / "sub").mkdir()
+    out = tmp_path / "out"
+    for other in (out, tmp_path / "sub" / ".." / "out"):
+        assert main(["simulate", sim_file, "--emit-trace", str(out),
+                     "--emit-csv", str(other)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --emit-trace and --emit-csv name the same file: {other}\n")
+        assert not out.exists()
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")

@@ -527,6 +527,27 @@ class TestReplicationOutcome:
         assert astuple(summary.outcomes[0]) == result_totals(2, first)
 
 
+def test_analysis_is_computed_once_when_first_read(monkeypatch):
+    calls = []
+
+    def counting_period_records(tl):
+        calls.append(tl)
+        return period_records(tl)
+
+    monkeypatch.setattr("torkit.simulator.period_records", counting_period_records)
+    cfg = golden_config("mixed")
+    summary = monte_carlo(cfg, 3)
+    res = simulate(cfg)
+    assert calls == []
+    assert res == simulate(cfg) and "periods" not in repr(res)
+    for _ in range(2):
+        means, periods, counts = res.period_means, res.periods, res.counts
+    assert calls == [res.timeline]
+    assert periods == tuple(period_records(res.timeline))
+    assert means == mean_periods(list(periods))
+    assert counts[StageKind.REPAIR] == len(periods)
+
+
 def reference_period_records(tl: RateTimeline) -> list[StageTotals]:
     """Split at the end of each Repair run, then summarise each period."""
     periods, current = [], []
@@ -783,6 +804,8 @@ def run_record(run, cfg: SimConfig, k: int) -> tuple:
 
 # Uninterrupted, ckpt_interval 10 and t_ckpt 1 put the triggers at exposure
 # 10, 21, 32, ... and the save ends at 11, 22, 33, ...
+RECOVERY = dict(t_sr_dist=Fixed(2.0), r_sr=0.5)
+DEGRADED = dict(t_fs_dist=Fixed(3.0), r_fs=0.5, **RECOVERY)
 TIE_CONFIGS = {
     "stop_at_first_block_end": dict(fail_stop_times=(10.0, 54.0)),
     "stop_at_block_end": dict(fail_stop_times=(21.0,)),
@@ -805,6 +828,36 @@ TIE_CONFIGS = {
                               t_sr_dist=Fixed(1.0), t_fs_dist=Fixed(2.0), r_sr=0.5, r_fs=0.5),
     "diverging": dict(total_work=60.0, ckpt_interval=5.0, fail_stop_rate=0.3,
                       t_r_dist=Fixed(0.5), seed=35, watchdog_cycles=5),
+    # A slow recovery after the fail-stop at 5 (or at 1), or a degraded
+    # interval after the fail-slow at 5, that ends exactly at an arrival, the
+    # trigger (progress 10) or completion: the general loop gives the tie to
+    # the other event.
+    "recovery_end_at_stop": dict(fail_stop_times=(5.0, 7.0), **RECOVERY),
+    "recovery_end_at_slow": dict(fail_stop_times=(5.0,), fail_slow_times=(7.0,), **RECOVERY),
+    "recovery_end_at_trigger": dict(fail_stop_times=(5.0,), t_sr_dist=Fixed(10.0), r_sr=0.5),
+    "recovery_end_at_completion": dict(total_work=2.0, fail_stop_times=(1.0,),
+                                       t_sr_dist=Fixed(4.0), r_sr=0.5),
+    # 5.45 - 1.1 is 4.35, but 1.1 + 4.35 rounds below 5.45: a recovery ended
+    # before the fail-stop would leave a sliver of healthy run behind it.
+    "recovery_end_at_stop_rounded": dict(fail_stop_times=(1.1, 5.45),
+                                         t_sr_dist=Fixed(5.45 - 1.1), r_sr=0.5),
+    "degraded_end_at_stop": dict(fail_slow_times=(5.0,), fail_stop_times=(8.0,), **DEGRADED),
+    "degraded_end_at_slow": dict(fail_slow_times=(5.0, 8.0), **DEGRADED),
+    "degraded_end_at_trigger": dict(fail_slow_times=(5.0,), **{**DEGRADED,
+                                                               "t_fs_dist": Fixed(5.0)}),
+    "degraded_end_at_completion": dict(total_work=6.5, fail_slow_times=(5.0,), **DEGRADED),
+    # Rate-0 recovery and degraded stages stay with the general loop.
+    "r_sr_zero": dict(fail_stop_rate=0.05, fail_slow_rate=0.03, t_sr_dist=Fixed(2.0),
+                      t_fs_dist=Fixed(3.0), r_fs=0.5),
+    "r_fs_zero": dict(fail_stop_rate=0.05, fail_slow_rate=0.03, t_sr_dist=Fixed(2.0),
+                      t_fs_dist=Fixed(3.0), r_sr=0.5),
+    "fixed_zero_repair_and_recovery": dict(fail_stop_rate=0.03, fail_slow_rate=0.03,
+                                           t_r_dist=Fixed(0.0), t_sr_dist=Fixed(0.0),
+                                           t_fs_dist=Fixed(0.0), r_sr=0.5, r_fs=0.5),
+    # About one repair in six samples as inf: the general loop then fires a
+    # fail-stop at infinite time, which a recovery stage must not pre-empt.
+    "infinite_repair": dict(fail_stop_rate=0.05, t_r_dist=Exponential(1e308),
+                            t_sr_dist=Fixed(1.0), r_sr=0.5, seed=3),
 }
 
 

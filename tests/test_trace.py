@@ -123,6 +123,14 @@ class TestParse:
         evs = parse_trace(jsonl(healthy(0, 10)).encode())
         assert len(evs) == 1
 
+    @pytest.mark.parametrize("wrap", [bytes, io.BytesIO], ids=["bytes", "binary-file"])
+    def test_bytes_decoded_line_by_line(self, wrap):
+        data = jsonl(healthy(0, 10)).encode() + b"\xff\n"
+        message = "^line 2: 'utf-8' codec can't decode byte 0xff in position 0"
+        with pytest.raises(TraceParseError, match=message) as e:
+            parse_trace(wrap(data))
+        assert e.value.line == 2
+
     def test_wall_clock_normalization(self):
         evs = parse_trace(jsonl(
             {"wall_start": "2026-08-23T10:00:00", "wall_end": "2026-08-23T10:01:30",
