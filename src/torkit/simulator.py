@@ -13,13 +13,12 @@ given config on a given implementation.
 
 One event loop (``_run``) records every run, :func:`simulate`'s and each
 Monte-Carlo replication's, as three columns: durations, rates and stages.
-``_result`` wraps those columns, unchecked and uncopied, as the run's
-:class:`RateTimeline` and sums its totals into a :class:`SimResult`, whose
-analysis (stage counts, periods, period means) is computed only when read;
-``_outcome`` sums the columns into a :class:`ReplicationOutcome`,
-bit-identical to the totals of ``_result``. :func:`monte_carlo` builds a
-result only for its first finished replication (``first_result``). No
-``Segment`` is built on either path.
+``_result`` is the one reader of a run: it wraps those columns, unchecked and
+uncopied, as the run's :class:`RateTimeline` and sums its totals into a
+:class:`SimResult`, whose analysis (stage counts, periods, period means) is
+computed only when read. :func:`monte_carlo` keeps each replication's totals
+as a :class:`ReplicationOutcome` and the first finished replication's result
+whole (``first_result``). No ``Segment`` is built on either path.
 
 While the queue is empty (a healthy run), ``_run`` takes a fast path that
 emits (HealthyRun block, CheckpointSave) pairs in a tight loop, with the
@@ -35,11 +34,10 @@ trigger branch queues it.
 
 Two recovery stages at the head of the queue end without the general loop's
 candidate scan, with its float operations in the same order. A Repair ends
-at once, since no arrival, trigger or completion can come during a repair
-(an infinite repair sample is left to the general loop). A stage with a
-positive work rate (SlowRecovery, FailSlowDegraded) ends at once when its
-end is strictly before both arrivals, the trigger and completion. A tie, a
-rate of 0 and every other stage go to the general loop.
+at once, since no arrival, trigger or completion can come during a repair.
+A stage with a positive work rate (SlowRecovery, FailSlowDegraded) ends at
+once when its end is strictly before both arrivals, the trigger and
+completion. A tie, a rate of 0 and every other stage go to the general loop.
 """
 from __future__ import annotations
 
@@ -49,7 +47,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import groupby
-from operator import mul
 from typing import ClassVar, Iterator, Union
 
 import numpy as np
@@ -85,6 +82,13 @@ REPAIR = StageKind.REPAIR
 # ---------------------------------------------------------------------------
 # duration distributions
 
+def _finite(dist, x: float) -> float:
+    """A draw of ``dist``; one beyond the float range is rejected."""
+    if not math.isfinite(x):
+        raise ValidationError(f"{dist!r} drew a duration beyond the float range")
+    return x
+
+
 @dataclass(frozen=True)
 class Fixed(_Schema):
     kind: ClassVar[str] = "fixed"
@@ -100,7 +104,7 @@ class Exponential(_Schema):
     mean: float
 
     def sample(self, rng: np.random.Generator) -> float:
-        return float(rng.exponential(self.mean))
+        return _finite(self, float(rng.exponential(self.mean)))
 
 
 @dataclass(frozen=True)
@@ -111,7 +115,7 @@ class LogNormal(_Schema):
     sigma: float
 
     def sample(self, rng: np.random.Generator) -> float:
-        return float(rng.lognormal(math.log(self.median), self.sigma))
+        return _finite(self, float(rng.lognormal(math.log(self.median), self.sigma)))
 
 
 DurationDist = Union[Fixed, Exponential, LogNormal]
@@ -351,7 +355,7 @@ def _run(cfg: SimConfig, seedseq: np.random.SeedSequence) -> Run:
             stage, rem, rate = queue[0]
             # Recovery stages whose end is decided; the rules are in the
             # module docstring.
-            if stage is REPAIR and rem < INF:
+            if stage is REPAIR:
                 if rem > 0:
                     durations.append(rem)
                     rates.append(rate)
@@ -372,12 +376,11 @@ def _run(cfg: SimConfig, seedseq: np.random.SeedSequence) -> Run:
                 continue
         else:
             stage, rem, rate = HEALTHY_RUN, INF, 1.0
-        in_repair = stage is REPAIR
         wrate = rate * w_opt
 
         dt_work = (total - work) / wrate if wrate > 0 else INF
-        dt_stop = (next_stop - exposure) if not in_repair else INF
-        dt_slow = (next_slow - exposure) if not in_repair else INF
+        dt_stop = next_stop - exposure
+        dt_slow = next_slow - exposure
         dt_ckpt = (ckpt_interval - prog) if rate > 0 else INF
         dt_end = rem
 
@@ -398,8 +401,7 @@ def _run(cfg: SimConfig, seedseq: np.random.SeedSequence) -> Run:
             if rate > 0:
                 work += dt * wrate
                 prog += dt
-            if not in_repair:
-                exposure += dt
+            exposure += dt
             if queue:
                 queue[0][1] -= dt
 
@@ -494,6 +496,8 @@ def config_from_period(
     """
     if periods < 1:
         raise ValidationError("periods must be at least 1")
+    if periods > sys.float_info.max:
+        raise ValidationError("periods exceeds the float range")
     if not isinstance(p, _PERIODS):
         raise ValidationError(f"unsupported period type: {type(p).__name__}")
     t = p.totals()
@@ -566,7 +570,6 @@ class ReplicationOutcome:
     tor: float
     t_obs: float
     t_opt: float
-    n_periods: int
 
 
 @dataclass(frozen=True)
@@ -596,18 +599,6 @@ def replication_seedseq(seed: int, k: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=seed, spawn_key=(k,))
 
 
-def _outcome(k: int, run: Run) -> ReplicationOutcome:
-    """Replication ``k``'s totals, bit-identical to those of ``_result(run)``.
-
-    A period ends with each run of Repair entries.
-    """
-    durations, rates, stages = run
-    t_obs = math.fsum(durations)
-    t_opt = math.fsum(map(mul, durations, rates))
-    n_periods = sum(1 for stage, _ in groupby(stages) if stage is REPAIR)
-    return ReplicationOutcome(k, t_opt / t_obs, t_obs, t_opt, n_periods)
-
-
 def monte_carlo(cfg: SimConfig, replications: int) -> MonteCarloSummary:
     """Run ``replications`` simulations with per-replication derived seeds.
 
@@ -623,14 +614,14 @@ def monte_carlo(cfg: SimConfig, replications: int) -> MonteCarloSummary:
     diverged = 0
     for k in range(replications):
         try:
-            run = _run(cfg, replication_seedseq(cfg.seed, k))
+            res = _result(_run(cfg, replication_seedseq(cfg.seed, k)))
         except DivergedError:
             diverged += 1
             continue
-        outcomes.append(_outcome(k, run))
+        outcomes.append(ReplicationOutcome(k, res.tor, res.t_obs, res.t_opt))
         if first_result is None:
-            first_result = _result(run)
-        del run  # free this run's columns before the next one runs
+            first_result = res
+        del res  # free this run's columns before the next one runs
     if not outcomes:
         raise DivergedError(
             f"all {replications} replications diverged", stalled_cycles=cfg.watchdog_cycles

@@ -75,15 +75,29 @@ def test_non_object_config_exit_code(tmp_path, capsys, argv, config):
      "sim config: t_r_dist: unknown fields ['junk']"),
     ("simulate", dict(SIM_CONFIG, t_r_dist={"kind": "lognormal", "median": 1}),
      "sim config: t_r_dist: missing fields ['sigma']"),
+    # total_work / w_opt underflows to 0, so the run has no entries.
+    ("simulate", dict(SIM_CONFIG, w_opt=2.0, total_work=5e-324),
+     "empty timeline: observed time is zero, TOR undefined"),
+    # The first replication draws a repair beyond the float range.
+    ("simulate", dict(SIM_CONFIG, t_r_dist={"kind": "exponential", "mean": 1e308}),
+     "Exponential(mean=1e+308) drew a duration beyond the float range"),
+    ("simulate", dict(SIM_CONFIG, t_r_dist={"kind": "lognormal", "median": 1e300, "sigma": 50}),
+     "LogNormal(median=1e+300, sigma=50.0) drew a duration beyond the float range"),
 ], ids=[
     "duration-overflow", "weight-overflow", "weighted-duration-overflow",
     "mixture-unknown-key", "component-unknown-key", "component-period-unknown-key",
-    "distribution-unknown-key", "distribution-missing-field",
+    "distribution-unknown-key", "distribution-missing-field", "empty-run",
+    "exponential-draw-overflow", "lognormal-draw-overflow",
 ])
 def test_rejected_config_exit_code(tmp_path, capsys, command, config, message):
     path = write_json(tmp_path / "c.json", config)
     assert main([command, path]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_periods_beyond_float_range_exit_code(period_file, capsys):
+    assert main(["compare", period_file, "--periods", "1" + "0" * 400]) == 2
+    assert capsys.readouterr().err == "error: periods exceeds the float range\n"
 
 
 @pytest.mark.parametrize("command, data, message", [

@@ -1,6 +1,6 @@
 import math
 from collections import deque
-from dataclasses import fields
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ from torkit import (
     Segment,
     SimConfig,
     StageKind,
+    UndefinedMetricError,
     ValidationError,
     integrate_optimal_time,
     monte_carlo,
@@ -41,7 +42,6 @@ from torkit.simulator import (
     LogNormal,
     Run,
     _Arrivals,
-    _outcome,
     _result,
     _run,
     config_from_period,
@@ -383,6 +383,15 @@ class TestMonteCarlo:
         with pytest.raises(ValidationError):
             monte_carlo(base_config(), 0)
 
+    def test_empty_run_rejected_like_simulate(self):
+        # total_work / w_opt underflows to 0: the run has no entries.
+        cfg = base_config(w_opt=2.0, total_work=5e-324)
+        with pytest.raises(UndefinedMetricError) as simulated:
+            simulate(cfg)
+        with pytest.raises(UndefinedMetricError) as replicated:
+            monte_carlo(cfg, 2)
+        assert str(replicated.value) == str(simulated.value)
+
 
 # Replication 2 of ``monte_carlo(cfg, 3)``: (tor, t_obs, t_opt) as float.hex and the
 # complete-period count, recorded from the simulator before replications k >= 1
@@ -449,16 +458,20 @@ def golden_config(name: str) -> SimConfig:
 
 
 def result_totals(k: int, res) -> tuple:
-    return (k, res.tor, res.t_obs, res.t_opt, len(res.periods))
+    return (k, res.tor, res.t_obs, res.t_opt)
 
 
-def astuple(o) -> tuple:
-    return (o.index, o.tor, o.t_obs, o.t_opt, o.n_periods)
+def column_totals(k: int, run: Run) -> tuple:
+    """Replication ``k``'s (index, tor, t_obs, t_opt), summed from its columns."""
+    durations, rates, _ = run
+    t_obs = math.fsum(durations)
+    t_opt = math.fsum(d * r for d, r in zip(durations, rates))
+    return (k, t_opt / t_obs, t_obs, t_opt)
 
 
 class TestReplicationOutcome:
-    """A replication's outcome is summed from its run's columns, with no
-    timeline; it must equal the totals of the full result bit for bit."""
+    """A replication's outcome holds the totals of its run; they must equal
+    compensated sums over the run's columns bit for bit."""
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_REPLICATION_2))
     def test_golden_values(self, name):
@@ -467,12 +480,10 @@ class TestReplicationOutcome:
         assert summary.completed == 3
         for o in summary.outcomes:
             run = _run(cfg, replication_seedseq(cfg.seed, o.index))
-            assert astuple(o) == astuple(_outcome(o.index, run)) \
-                == result_totals(o.index, _result(run))
+            assert astuple(o) == column_totals(o.index, run)
         assert result_totals(0, summary.first_result) == astuple(summary.outcomes[0])
-        o = summary.outcomes[2]
-        assert (o.tor.hex(), o.t_obs.hex(), o.t_opt.hex(), o.n_periods) \
-            == GOLDEN_REPLICATION_2[name]
+        assert (o.index, o.tor.hex(), o.t_obs.hex(), o.t_opt.hex(), len(_result(run).periods)) \
+            == (2, *GOLDEN_REPLICATION_2[name])
 
     def test_rollback_relabels_an_earlier_period(self):
         res = simulate(golden_config("rollback_across_fail_slow"))
@@ -510,9 +521,9 @@ class TestReplicationOutcome:
                 r_sr=ratio(), r_fs=ratio(),
                 seed=int(rng.integers(0, 2**63)),
             )
-            for k in range(4):
-                run = _run(cfg, replication_seedseq(cfg.seed, k))
-                assert astuple(_outcome(k, run)) == result_totals(k, _result(run))
+            for o in monte_carlo(cfg, 4).outcomes:
+                run = _run(cfg, replication_seedseq(cfg.seed, o.index))
+                assert astuple(o) == column_totals(o.index, run)
 
     def test_first_result_is_the_first_replication_to_finish(self):
         # Replications 0, 1 and 3 diverge; values recorded before simulate
@@ -854,10 +865,6 @@ TIE_CONFIGS = {
     "fixed_zero_repair_and_recovery": dict(fail_stop_rate=0.03, fail_slow_rate=0.03,
                                            t_r_dist=Fixed(0.0), t_sr_dist=Fixed(0.0),
                                            t_fs_dist=Fixed(0.0), r_sr=0.5, r_fs=0.5),
-    # About one repair in six samples as inf: the general loop then fires a
-    # fail-stop at infinite time, which a recovery stage must not pre-empt.
-    "infinite_repair": dict(fail_stop_rate=0.05, t_r_dist=Exponential(1e308),
-                            t_sr_dist=Fixed(1.0), r_sr=0.5, seed=3),
 }
 
 
@@ -867,6 +874,23 @@ def test_run_matches_reference_on_ties(name):
                          **TIE_CONFIGS[name]})
     for k in range(4):
         assert run_record(_run, cfg, k) == run_record(reference_run, cfg, k)
+
+
+# Replication 0 of each draws a repair beyond the float range: about one
+# Exponential(1e308) draw in six overflows, and about one LogNormal(1e300, 50)
+# draw in three.
+NON_FINITE_DRAWS = {
+    "infinite_repair": Exponential(1e308),
+    "lognormal_overflow": LogNormal(1e300, 50.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE_DRAWS))
+def test_run_rejects_non_finite_draw(name):
+    cfg = base_config(ckpt_interval=10.0, t_ckpt=1.0, fail_stop_rate=0.05,
+                      t_r_dist=NON_FINITE_DRAWS[name], t_sr_dist=Fixed(1.0), r_sr=0.5, seed=3)
+    with pytest.raises(ValidationError, match="drew a duration beyond the float range$"):
+        _run(cfg, replication_seedseq(cfg.seed, 0))
 
 
 def random_reference_config(rng: np.random.Generator, i: int) -> SimConfig:
