@@ -50,6 +50,6 @@ from .simulator import (
     realized_period_tor_check,
     simulate,
 )
-from .trace import TraceEvent, estimate_mtbf, parse_trace, report, trace_to_timeline
+from .trace import Trace, TraceEvent, estimate_mtbf, parse_trace, report, trace_to_timeline
 
 __version__ = "0.1.0"

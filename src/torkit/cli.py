@@ -143,19 +143,18 @@ def cmd_simulate(args) -> int:
     summary = monte_carlo(cfg, args.replications)
     first = summary.first_result
 
-    if first is not None:
-        _check_writable(args.emit_trace, args.emit_csv)
-        if args.emit_trace:
-            events = trace_mod.timeline_to_events(first.timeline)
-            with _open_output(args.emit_trace) as f:
-                trace_mod.write_jsonl(events, f)
-        if args.emit_csv:
-            with _open_output(args.emit_csv) as f:
-                write_csv(first.timeline, f)
+    _check_writable(args.emit_trace, args.emit_csv)
+    if args.emit_trace:
+        tr = trace_mod.timeline_to_events(first.timeline)
+        with _open_output(args.emit_trace) as f:
+            trace_mod.write_jsonl(tr, f)
+    if args.emit_csv:
+        with _open_output(args.emit_csv) as f:
+            write_csv(first.timeline, f)
 
     if args.json:
         out = summary.to_dict()
-        out["first_result"] = first.to_dict() if first is not None else None
+        out["first_result"] = first.to_dict()
         _emit_json(out)
     else:
         print(f"mean TOR: {summary.mean_tor:.6f}")
@@ -166,25 +165,21 @@ def cmd_simulate(args) -> int:
                 f"replications: {summary.completed} completed, "
                 f"{summary.diverged} diverged"
             )
-            if first is not None:
-                print(
-                    f"replication {summary.outcomes[0].index}: t_obs {first.t_obs:.6f} s, "
-                    f"t_opt {first.t_opt:.6f} s, "
-                    f"{len(first.periods)} complete periods"
-                )
+            print(f"replication {summary.outcomes[0].index}: t_obs {first.t_obs:.6f} s, "
+                  f"t_opt {first.t_opt:.6f} s, {len(first.periods)} complete periods")
     return 0
 
 
 def cmd_trace(args) -> int:
     try:
         with open(args.input, "rb") as f:
-            events = trace_mod.parse_trace(f)
+            tr = trace_mod.parse_trace(f)
     except OSError as e:
         raise ValidationError(f"cannot read trace {args.input}: {e}") from None
-    rep = trace_mod.report(events)
+    rep = trace_mod.report(tr)
     if args.csv:
         with _open_output(args.csv) as f:
-            write_csv(trace_mod.trace_to_timeline(events), f)
+            write_csv(tr, f)
     if args.json:
         _emit_json(rep)
     elif args.quiet:

@@ -8,9 +8,10 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
+from operator import index
 from typing import ClassVar, Iterable, Union
 
 from .errors import ValidationError
@@ -209,7 +210,8 @@ class RateTimeline:
 
     ``RateTimeline(segments)`` and :meth:`build` are the validated public
     constructors; :meth:`_of_columns` wraps columns the package produced.
-    :attr:`segments` and iteration build ``Segment`` objects only when read.
+    The timeline is its own :attr:`segments`: an int index or iteration
+    builds a ``Segment`` when read; a slice is rejected.
     """
 
     durations: list[float]
@@ -227,15 +229,16 @@ class RateTimeline:
 
     @classmethod
     def _of_columns(
-        cls, durations: list[float], rates: list[float], stages: list[StageKind]
+        cls, durations: list[float], rates: list[float], stages: list[StageKind], *more: list
     ) -> "RateTimeline":
         """Wrap columns the package produced, without a check or a copy.
 
         The caller guarantees equal lengths, float durations > 0, float rates
-        in [0, 1] and StageKind stages, and hands the lists over.
+        in [0, 1] and StageKind stages, and hands the lists over. ``more`` are
+        a subclass's own columns, passed on to its ``_set``.
         """
         tl = _new(cls)
-        tl._set(durations, rates, stages)
+        tl._set(durations, rates, stages, *more)
         return tl
 
     @classmethod
@@ -243,43 +246,18 @@ class RateTimeline:
         return cls(Segment(d, r, s) for d, r, s in items)
 
     @property
-    def segments(self) -> "SegmentView":
-        return SegmentView(self)
+    def segments(self) -> "RateTimeline":
+        """The timeline itself, a sequence of its segments."""
+        return self
 
     def __len__(self) -> int:
         return len(self.durations)
 
+    def __getitem__(self, i: int) -> Segment:
+        return _segment(self.durations[index(i)], self.rates[i], self.stages[i])
+
     def __iter__(self) -> Iterator[Segment]:
         return map(_segment, self.durations, self.rates, self.stages)
-
-
-class SegmentView(Sequence):
-    """The segments of a timeline, each built when it is read."""
-
-    __slots__ = ("_tl",)
-
-    def __init__(self, tl: RateTimeline):
-        self._tl = tl
-
-    def __len__(self) -> int:
-        return len(self._tl)
-
-    def __getitem__(self, i):
-        tl = self._tl
-        if isinstance(i, slice):
-            return tuple(map(_segment, tl.durations[i], tl.rates[i], tl.stages[i]))
-        return _segment(tl.durations[i], tl.rates[i], tl.stages[i])
-
-    def __iter__(self) -> Iterator[Segment]:
-        return iter(self._tl)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, SegmentView):
-            return self._tl == other._tl
-        return tuple(self) == other
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
 
 
 FAIL_STOP = "fail_stop"

@@ -581,7 +581,7 @@ class MonteCarloSummary:
     std_tor: float
     ci95: tuple[float, float]
     outcomes: tuple[ReplicationOutcome, ...]
-    first_result: SimResult | None = field(repr=False, default=None)
+    first_result: SimResult = field(repr=False)
 
     def to_dict(self) -> dict:
         return {

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from itertools import accumulate
 from operator import mul
 from typing import Iterable, TextIO
 
@@ -19,16 +20,24 @@ from .model import RateTimeline, Segment, StageKind
 CSV_HEADER = ["t_start", "t_end", "rate", "stage"]
 
 
+def _total(what: str, terms: Iterable[float]) -> float:
+    """``math.fsum(terms)``; a sum beyond the float range is an UndefinedMetricError."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:  # intermediate overflow
+        raise UndefinedMetricError(f"{what} exceeds the float range, TOR undefined") from None
+
+
 def integrate_optimal_time(tl: RateTimeline) -> float:
     """Ideal-system time equivalent of the work in ``tl``: sum of duration*rate."""
-    return math.fsum(map(mul, tl.durations, tl.rates))
+    return _total("optimal time", map(mul, tl.durations, tl.rates))
 
 
 def observed_time(tl: RateTimeline) -> float:
     """Wall-clock length of the timeline. Empty timelines are rejected."""
     if len(tl) == 0:
         raise UndefinedMetricError("empty timeline: observed time is zero, TOR undefined")
-    return math.fsum(tl.durations)
+    return _total("observed time", tl.durations)
 
 
 def tor_of_timeline(tl: RateTimeline) -> float:
@@ -66,11 +75,9 @@ def write_csv(tl: RateTimeline, out: TextIO) -> None:
     """Export as CSV with columns t_start,t_end,rate,stage (header included)."""
     w = csv.writer(out)
     w.writerow(CSV_HEADER)
-    t = 0.0
-    for d, r, stage in zip(tl.durations, tl.rates, tl.stages):
-        t_next = t + d
-        w.writerow([repr(t), repr(t_next), repr(r), str(stage)])
-        t = t_next
+    edges = list(accumulate(tl.durations, initial=0.0))
+    w.writerows([repr(t0), repr(t1), repr(r), str(stage)]
+                for t0, t1, r, stage in zip(edges, edges[1:], tl.rates, tl.stages))
 
 
 def read_csv(inp: TextIO) -> RateTimeline:

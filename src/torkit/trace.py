@@ -23,8 +23,10 @@ span to 1e-9 relative (absolute below 1 s). Numbers must be JSON numbers, not
 strings or booleans. The first failing check is reported with its line. Then
 the whole trace must use one timestamp format and one kind of wall clock, and
 be non-empty and contiguous. Input whose events tile the time axis exactly
-in line order is returned as is; other input is sorted stably by (t_start,
-t_end) before the contiguity check.
+in line order is kept as is; other input is sorted stably by (t_start, t_end)
+before the contiguity check. The result is a :class:`Trace`, the checked
+columns as a ``RateTimeline`` that :func:`report` reads as it is; a
+hand-built :class:`TraceEvent` list goes through :func:`trace_to_timeline`.
 """
 from __future__ import annotations
 
@@ -32,7 +34,10 @@ import datetime as dt
 import io
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import sub
 from typing import IO, Iterable
 
 from .errors import TraceParseError, UndefinedMetricError, ValidationError
@@ -44,7 +49,6 @@ from .model import (
     _check_ratio,
     _check_stage,
     _check_time,
-    _new,
 )
 from .periods import FAIL_SLOW, FAIL_STOP, StageTotals, period_records
 from .timeline import integrate_optimal_time, observed_time, stage_breakdown, tor_of_timeline
@@ -57,7 +61,7 @@ CONTIGUITY_TOL = 1e-9
 
 @dataclass(frozen=True, slots=True)
 class TraceEvent:
-    """One event of a trace: a span of the time axis in one stage at one rate.
+    """One hand-built event: a span of the time axis in one stage at one rate.
 
     Construction checks what a timeline segment needs: numeric timestamps, a
     known stage, a rate in [0, 1] and a finite non-negative duration.
@@ -88,25 +92,26 @@ class TraceEvent:
         return self.t_end - self.t_start
 
 
-_set_t_start = TraceEvent.t_start.__set__
-_set_t_end = TraceEvent.t_end.__set__
-_set_stage = TraceEvent.stage.__set__
-_set_rate = TraceEvent.rate.__set__
-_set_exact_duration = TraceEvent.exact_duration.__set__
+@dataclass(frozen=True, init=False)
+class Trace(RateTimeline):
+    """A parsed trace: the timeline of its events, with their start and end times.
 
+    Event ``i`` spans ``[t_start[i], t_end[i])``, in seconds from the trace's
+    start, and lasts ``durations[i]``. One built from segments (``Trace(segments)``,
+    :meth:`build`, :func:`timeline_to_events`) lays its events out from 0.
+    """
 
-def _event(t_start: float, t_end: float, stage: StageKind, rate: float,
-           exact_duration: float | None = None) -> TraceEvent:
-    """Build a TraceEvent without the check, for values the package checked or
-    produced: float times with a non-negative duration, a StageKind stage and
-    a float rate in [0, 1]."""
-    ev = _new(TraceEvent)
-    _set_t_start(ev, t_start)
-    _set_t_end(ev, t_end)
-    _set_stage(ev, stage)
-    _set_rate(ev, rate)
-    _set_exact_duration(ev, exact_duration)
-    return ev
+    t_start: list[float]
+    t_end: list[float]
+
+    def _set(self, durations: list[float], rates: list[float], stages: list[StageKind],
+             t_start: list[float] | None = None, t_end: list[float] | None = None) -> None:
+        if t_start is None:
+            edges = list(accumulate(durations, initial=0.0))
+            t_start, t_end = edges[:-1], edges[1:]
+        super()._set(durations, rates, stages)
+        object.__setattr__(self, "t_start", t_start)
+        object.__setattr__(self, "t_end", t_end)
 
 
 def _parse_wall(value: str, line: int, field: str) -> dt.datetime:
@@ -177,11 +182,13 @@ def _wall_times(obj: dict, line: int) -> tuple[dt.datetime, dt.datetime]:
     return w0, w1
 
 
-def parse_trace(source: IO | bytes | str | Iterable[str]) -> list[TraceEvent]:
-    """Parse and validate a JSONL trace; returns events sorted by t_start.
+def parse_trace(source: IO | bytes | str | Iterable[str]) -> Trace:
+    """Parse and validate a JSONL trace into a :class:`Trace` sorted by t_start.
 
     The checks and their order are those of the module docstring. Each event
-    goes into columns as its line is checked; the events are built last.
+    goes into the columns as its line is checked. An event's duration is its
+    ``duration`` where it has one, else ``t_end - t_start``; an event whose
+    duration is 0 (a wall-clock span that rounds to 0 s) is dropped last.
     """
     if isinstance(source, bytes):  # decoded line by line, as a binary file is
         lines: Iterable[str | bytes] = io.BytesIO(source)
@@ -194,7 +201,7 @@ def parse_trace(source: IO | bytes | str | Iterable[str]) -> list[TraceEvent]:
     # ones (wall_starts, wall_ends); a trace holding both is rejected below.
     starts: list[float] = []
     ends: list[float] = []
-    exacts: list[float | None] = []
+    durations: list[float] = []
     wall_starts: list[dt.datetime] = []
     wall_ends: list[dt.datetime] = []
     stages: list[StageKind] = []
@@ -250,7 +257,7 @@ def parse_trace(source: IO | bytes | str | Iterable[str]) -> list[TraceEvent]:
             span = t1 - t0
             starts.append(t0)
             ends.append(t1)
-            exacts.append(exact)
+            durations.append(span if exact is None else exact)
         else:
             w0, w1 = _wall_times(obj, line_no)
             if exact is not None:
@@ -273,7 +280,7 @@ def parse_trace(source: IO | bytes | str | Iterable[str]) -> list[TraceEvent]:
         origin = min(wall_starts)
         starts = [(w0 - origin).total_seconds() for w0 in wall_starts]
         ends = [(w1 - origin).total_seconds() for w1 in wall_ends]
-        exacts = [None] * len(starts)
+        durations = list(map(sub, ends, starts))
     if not starts:
         raise TraceParseError("empty trace: TOR undefined")
 
@@ -283,8 +290,8 @@ def parse_trace(source: IO | bytes | str | Iterable[str]) -> list[TraceEvent]:
         # then check contiguity with the tolerance.
         keys = list(zip(starts, ends))
         order = sorted(range(len(keys)), key=keys.__getitem__)
-        starts, ends, stages, rates, exacts = (
-            [col[i] for i in order] for col in (starts, ends, stages, rates, exacts))
+        starts, ends, durations, rates, stages = (
+            [col[i] for i in order] for col in (starts, ends, durations, rates, stages))
         for i in range(1, len(starts)):
             cur, prev_end = starts[i], ends[i - 1]
             delta = cur - prev_end
@@ -296,35 +303,32 @@ def parse_trace(source: IO | bytes | str | Iterable[str]) -> list[TraceEvent]:
                 raise TraceParseError(
                     f"overlapping events: [{starts[i - 1]!r}, {prev_end!r}) and "
                     f"[{cur!r}, {ends[i]!r})")
-    return list(map(_event, starts, ends, stages, rates, exacts))
+    if 0.0 in durations:
+        kept = [i for i, d in enumerate(durations) if d]
+        starts, ends, durations, rates, stages = (
+            [col[i] for i in kept] for col in (starts, ends, durations, rates, stages))
+    return Trace._of_columns(durations, rates, stages, starts, ends)
 
 
 def trace_to_timeline(events: list[TraceEvent]) -> RateTimeline:
-    """Convert contiguous events to a rate timeline (durations in order).
+    """The rate timeline of hand-built contiguous events (durations in order).
 
-    Every ``TraceEvent`` holds checked values, so their columns are wrapped
-    as they are. An event of zero duration (a hand-built one, or a wall-clock
-    span that rounds to 0 s) is dropped, as ``RateTimeline`` drops a
-    zero-duration segment.
+    A ``TraceEvent`` is a checked segment, so the events are read as the
+    timeline's segments, and one of zero duration is dropped.
     """
     if not events:
         raise UndefinedMetricError("empty trace: TOR undefined")
-    durations = [e.duration for e in events]
-    if 0.0 in durations:
-        events = [e for e, d in zip(events, durations) if d > 0]
-        durations = [d for d in durations if d > 0]
-    return RateTimeline._of_columns(durations, [e.rate for e in events],
-                                    [e.stage for e in events])
+    return RateTimeline(events)
 
 
-def estimate_mtbf(events: list[TraceEvent]) -> tuple[float | None, float | None]:
+def estimate_mtbf(tl: RateTimeline) -> tuple[float | None, float | None]:
     """(fail-stop MTBF, fail-slow MTBF) from complete periods; None if absent.
 
     Periods are delimited by repair ends; the trailing partial period is
     excluded. Periods containing both a roll-back and a degraded interval are
     ambiguous and excluded from both classes.
     """
-    return _mtbf_by_kind(period_records(trace_to_timeline(events)))
+    return _mtbf_by_kind(period_records(tl))
 
 
 def _mtbf_by_kind(records: list[StageTotals]) -> tuple[float | None, float | None]:
@@ -335,23 +339,21 @@ def _mtbf_by_kind(records: list[StageTotals]) -> tuple[float | None, float | Non
     return out[0], out[1]
 
 
-def report(events: list[TraceEvent]) -> dict:
-    """Structured trace report: TOR, MTBF estimates, stage and period breakdown."""
-    tl = trace_to_timeline(events)
+def report(tl: RateTimeline) -> dict:
+    """Structured report of a timeline (a parsed :class:`Trace`, say): TOR,
+    MTBF estimates, stage and period breakdown."""
+    t_obs = observed_time(tl)  # first: it bounds every other sum
     records = period_records(tl)
     fail_stop_mtbf, fail_slow_mtbf = _mtbf_by_kind(records)
     breakdown = stage_breakdown(tl)
-    period_counts: dict[str, int] = {}
-    for r in records:
-        period_counts[r.kind] = period_counts.get(r.kind, 0) + 1
     return {
         "schema_version": SCHEMA_VERSION,
         "tor": tor_of_timeline(tl),
         "t_opt": integrate_optimal_time(tl),
-        "t_obs": observed_time(tl),
+        "t_obs": t_obs,
         "fail_stop_mtbf": fail_stop_mtbf,
         "fail_slow_mtbf": fail_slow_mtbf,
-        "complete_periods": period_counts,
+        "complete_periods": dict(Counter(r.kind for r in records)),
         "stage_breakdown": {
             str(stage): {"time": time, "lost_time": lost}
             for stage, (time, lost) in breakdown.items()
@@ -382,20 +384,13 @@ def render_report(rep: dict) -> str:
     return "\n".join(lines)
 
 
-def timeline_to_events(tl: RateTimeline) -> list[TraceEvent]:
-    """Lay a timeline onto the absolute time axis starting at 0."""
-    events = []
-    t = 0.0
-    for d, r, stage in zip(tl.durations, tl.rates, tl.stages):
-        t_next = t + d
-        events.append(_event(t, t_next, stage, r, d))
-        t = t_next
-    return events
+def timeline_to_events(tl: RateTimeline) -> Trace:
+    """The timeline as a trace laid onto the time axis from 0."""
+    return Trace._of_columns(tl.durations, tl.rates, tl.stages)
 
 
-def write_jsonl(events: list[TraceEvent], out: IO) -> None:
-    for e in events:
-        obj = {"t_start": e.t_start, "t_end": e.t_end, "stage": str(e.stage), "rate": e.rate}
-        if e.exact_duration is not None:
-            obj["duration"] = e.exact_duration
-        out.write(json.dumps(obj) + "\n")
+def write_jsonl(tr: Trace, out: IO) -> None:
+    """Write a trace as JSON Lines, one event per line, each with its duration."""
+    for t0, t1, stage, rate, d in zip(tr.t_start, tr.t_end, tr.stages, tr.rates, tr.durations):
+        out.write(json.dumps({"t_start": t0, "t_end": t1, "stage": str(stage), "rate": rate,
+                              "duration": d}) + "\n")

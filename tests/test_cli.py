@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -83,16 +85,44 @@ def test_non_object_config_exit_code(tmp_path, capsys, argv, config):
      "Exponential(mean=1e+308) drew a duration beyond the float range"),
     ("simulate", dict(SIM_CONFIG, t_r_dist={"kind": "lognormal", "median": 1e300, "sigma": 50}),
      "LogNormal(median=1e+300, sigma=50.0) drew a duration beyond the float range"),
+    # Two finite repairs whose sum is beyond the float range.
+    ("simulate", dict(SIM_CONFIG, t_r_dist={"kind": "fixed", "value": 1e308}),
+     "observed time exceeds the float range, TOR undefined"),
 ], ids=[
     "duration-overflow", "weight-overflow", "weighted-duration-overflow",
     "mixture-unknown-key", "component-unknown-key", "component-period-unknown-key",
     "distribution-unknown-key", "distribution-missing-field", "empty-run",
-    "exponential-draw-overflow", "lognormal-draw-overflow",
+    "exponential-draw-overflow", "lognormal-draw-overflow", "summed-overflow",
 ])
 def test_rejected_config_exit_code(tmp_path, capsys, command, config, message):
     path = write_json(tmp_path / "c.json", config)
     assert main([command, path]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_trace_sum_beyond_float_range_exit_code(tmp_path, capsys):
+    # Each duration agrees with its span to 1e-9, but their sum overflows.
+    span = 1.7976931348623157e308 - 1e308
+    path = tmp_path / "t.jsonl"
+    path.write_text(
+        json.dumps({"t_start": 0, "t_end": 1e308, "stage": "HealthyRun", "rate": 1}) + "\n"
+        + json.dumps({"t_start": 1e308, "t_end": 1.7976931348623157e308, "stage": "HealthyRun",
+                      "rate": 1, "duration": span * (1 + 5e-10)}) + "\n")
+    assert main(["trace", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: observed time exceeds the float range, TOR undefined\n"
+
+
+def test_python_m_torkit(period_file):
+    # The package runs as ``python -m torkit``, from outside the checkout.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-m", "torkit", "analytic", period_file],
+                          capture_output=True, text=True, env=env,
+                          cwd=os.path.dirname(period_file), timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert "TOR:  0.827273" in done.stdout.splitlines()
 
 
 def test_periods_beyond_float_range_exit_code(period_file, capsys):

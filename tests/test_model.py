@@ -105,11 +105,25 @@ class TestRateTimeline:
         assert tl.rates == [0.5, 1.0, 0.0]
         assert tl.stages == [StageKind.SLOW_RECOVERY, StageKind.HEALTHY_RUN, StageKind.REPAIR]
         assert tuple(tl.segments) == tuple(tl) == self.KEPT
-        assert tl.segments == self.KEPT
+        assert tl.segments is tl
         assert len(tl.segments) == len(tl) == 3
-        assert tl.segments[-1] == self.KEPT[-1]
-        assert tl.segments[1:] == self.KEPT[1:]
+        assert tl.segments[-1] == tl[-1] == self.KEPT[-1]
+        assert tuple(tl[i] for i in range(1, len(tl))) == self.KEPT[1:]
         assert RateTimeline(tl.segments) == tl
+
+    def test_index_gives_the_segment_iteration_gives(self):
+        tl = RateTimeline(self.SEGMENTS)
+        segs = tuple(tl)
+        for i in range(-len(tl), len(tl)):
+            assert type(tl[i]) is Segment and tl[i] == segs[i]
+        assert tl[np.int64(1)] == segs[1]
+        for i in (len(tl), -len(tl) - 1):
+            with pytest.raises(IndexError):
+                tl[i]
+        # A slice is rejected, not read as a Segment of lists.
+        for i in (slice(1, None), slice(None), slice(0, 1)):
+            with pytest.raises(TypeError):
+                tl[i]
 
     def test_columns_are_floats_and_stages(self):
         tl = RateTimeline.build([(3, 1, "HealthyRun")])
@@ -128,7 +142,7 @@ class TestRateTimeline:
 
     def test_empty(self):
         tl = RateTimeline(())
-        assert len(tl) == 0 and not tl and tl.segments == () and tl == RateTimeline.build([])
+        assert len(tl) == 0 and not tl and tuple(tl.segments) == () and tl == RateTimeline.build([])
 
     def test_is_immutable(self):
         tl = RateTimeline(self.SEGMENTS)

@@ -392,6 +392,14 @@ class TestMonteCarlo:
             monte_carlo(cfg, 2)
         assert str(replicated.value) == str(simulated.value)
 
+    def test_summed_overflow_rejected_like_simulate(self):
+        # Two finite repairs of 1e308: the run's observed time is beyond the float range.
+        cfg = base_config(total_work=500.0, fail_stop_rate=0.01, t_r_dist=Fixed(1e308), seed=21)
+        with pytest.raises(UndefinedMetricError, match="observed time exceeds the float range"):
+            simulate(cfg)
+        with pytest.raises(UndefinedMetricError, match="observed time exceeds the float range"):
+            monte_carlo(cfg, 2)
+
 
 # Replication 2 of ``monte_carlo(cfg, 3)``: (tor, t_obs, t_opt) as float.hex and the
 # complete-period count, recorded from the simulator before replications k >= 1

@@ -10,7 +10,9 @@ import pytest
 from torkit import (
     FailureMixture,
     RateTimeline,
+    Segment,
     StageKind,
+    Trace,
     TraceEvent,
     TraceParseError,
     ValidationError,
@@ -30,7 +32,6 @@ from torkit.timeline import concat, observed_time
 from torkit.model import _check_number
 from torkit.trace import (
     CONTIGUITY_TOL,
-    _event,
     render_report,
     timeline_to_events,
     write_jsonl,
@@ -57,9 +58,9 @@ def roundtrip(tl):
 
 class TestParse:
     def test_two_contiguous_events(self):
-        evs = parse_trace(jsonl(healthy(0, 10), healthy(10, 20)))
-        assert len(evs) == 2
-        assert evs[0].t_end == evs[1].t_start == 10.0
+        tr = parse_trace(jsonl(healthy(0, 10), healthy(10, 20)))
+        assert len(tr) == 2
+        assert tr.t_end[0] == tr.t_start[1] == 10.0
 
     def test_gap_error_names_interval(self):
         with pytest.raises(TraceParseError, match=r"\[10.0, 12.0\)"):
@@ -85,10 +86,10 @@ class TestParse:
             parse_trace(text)
 
     def test_extra_keys_ignored(self):
-        evs = parse_trace(jsonl(dict(healthy(0, 10), note="warm-up", host="n1")))
+        tr = parse_trace(jsonl(dict(healthy(0, 10), note="warm-up", host="n1")))
         buf = io.StringIO()
-        write_jsonl(evs, buf)
-        assert json.loads(buf.getvalue()) == healthy(0.0, 10.0)
+        write_jsonl(tr, buf)
+        assert json.loads(buf.getvalue()) == {**healthy(0.0, 10.0), "duration": 10.0}
 
     def test_unknown_stage(self):
         bad = {"t_start": 0, "t_end": 5, "stage": "Napping", "rate": 0.0}
@@ -107,7 +108,7 @@ class TestParse:
     def test_wall_clock_duration_checked(self):
         event = {"wall_start": "2026-08-23T10:00:00", "wall_end": "2026-08-23T10:00:10",
                  "stage": "HealthyRun", "rate": 1.0}
-        assert parse_trace(jsonl(dict(event, duration=10.0)))[0].t_end == 10.0
+        assert parse_trace(jsonl(dict(event, duration=10.0))).t_end == [10.0]
         with pytest.raises(TraceParseError, match="line 1: duration 5.0 disagrees"):
             parse_trace(jsonl(dict(event, duration=5.0)))
 
@@ -116,8 +117,8 @@ class TestParse:
             parse_trace("")
 
     def test_unsorted_input_is_sorted(self):
-        evs = parse_trace(jsonl(healthy(10, 20), healthy(0, 10)))
-        assert [e.t_start for e in evs] == [0.0, 10.0]
+        tr = parse_trace(jsonl(healthy(10, 20), healthy(0, 10)))
+        assert tr.t_start == [0.0, 10.0]
 
     def test_bytes_input(self):
         evs = parse_trace(jsonl(healthy(0, 10)).encode())
@@ -132,15 +133,29 @@ class TestParse:
         assert e.value.line == 2
 
     def test_wall_clock_normalization(self):
-        evs = parse_trace(jsonl(
+        tr = parse_trace(jsonl(
             {"wall_start": "2026-08-23T10:00:00", "wall_end": "2026-08-23T10:01:30",
              "stage": "HealthyRun", "rate": 1.0},
             {"wall_start": "2026-08-23T10:01:30", "wall_end": "2026-08-23T10:02:00",
              "stage": "Repair", "rate": 0.0},
         ))
-        assert evs[0].t_start == 0.0
-        assert evs[0].t_end == 90.0
-        assert evs[1].t_end == 120.0
+        assert tr.t_start == [0.0, 90.0]
+        assert tr.t_end == [90.0, 120.0]
+
+    def test_span_that_rounds_to_zero_is_dropped(self):
+        # 1,000 years from the origin, a 1 us span rounds to 0 s.
+        text = jsonl(
+            {"wall_start": "2000-01-01T00:00:00", "wall_end": "3000-01-01T00:00:00",
+             "stage": "HealthyRun", "rate": 1.0},
+            {"wall_start": "3000-01-01T00:00:00", "wall_end": "3000-01-01T00:00:00.000001",
+             "stage": "Repair", "rate": 0.0},
+        )
+        events = reference_parse_trace(text)
+        assert [e.duration for e in events] == [31556995200.0, 0.0]
+        tr = parse_trace(text)
+        assert len(tr) == 1
+        assert (tr.t_start, tr.t_end, tr.durations) == ([0.0], [31556995200.0], [31556995200.0])
+        assert report(tr) == report(trace_to_timeline(events))
 
     def test_mixing_time_conventions_rejected(self):
         with pytest.raises(TraceParseError, match="mixes"):
@@ -191,10 +206,14 @@ class TestTraceToTimeline:
         assert type(hand[0].t_start) is float and type(hand[0].rate) is float
         parsed = parse_trace(jsonl(healthy(0, 10), {**healthy(10, 12), "stage": "Repair",
                                                     "rate": 0}))
-        assert parsed == [hand[0], hand[2]]
+        assert list(zip(parsed.t_start, parsed.t_end, parsed.stages, parsed.rates,
+                        parsed.durations)) == [
+            (e.t_start, e.t_end, e.stage, e.rate, e.duration) for e in (hand[0], hand[2])]
         # The zero-duration event is dropped, as a zero-duration segment is.
         tl = trace_to_timeline(hand)
-        assert tl == trace_to_timeline(parsed)
+        assert (tl.durations, tl.rates, tl.stages) == (
+            parsed.durations, parsed.rates, parsed.stages)
+        assert report(tl) == report(parsed)
         assert tl == RateTimeline.build([(10.0, 1.0, StageKind.HEALTHY_RUN),
                                          (2.0, 0.0, StageKind.REPAIR)])
 
@@ -202,16 +221,15 @@ class TestTraceToTimeline:
 class TestResplitInvariance:
     def test_tor_invariant_to_event_splits(self, worked_fail_slow):
         tl = period_to_timeline(worked_fail_slow)
-        evs = events_for(tl)
+        tr = events_for(tl)
         split = []
-        for e in evs:
-            mid = (e.t_start + e.t_end) / 2
-            split.append({"t_start": e.t_start, "t_end": mid, "stage": str(e.stage), "rate": e.rate})
-            split.append({"t_start": mid, "t_end": e.t_end, "stage": str(e.stage), "rate": e.rate})
+        for t0, t1, stage, rate in zip(tr.t_start, tr.t_end, tr.stages, tr.rates):
+            mid = (t0 + t1) / 2
+            split.append({"t_start": t0, "t_end": mid, "stage": str(stage), "rate": rate})
+            split.append({"t_start": mid, "t_end": t1, "stage": str(stage), "rate": rate})
         resplit = parse_trace(jsonl(*split))
-        assert tor_of_timeline(trace_to_timeline(resplit)) == pytest.approx(
-            tor_of_timeline(tl), abs=1e-12
-        )
+        assert len(resplit) == 2 * len(tr)
+        assert tor_of_timeline(resplit) == pytest.approx(tor_of_timeline(tl), abs=1e-12)
 
 
 class TestEstimateMtbf:
@@ -232,14 +250,49 @@ class TestEstimateMtbf:
 
     def test_trailing_partial_period_excluded(self, worked_fail_stop):
         tl = concat([period_to_timeline(worked_fail_stop)] * 2)
-        evs = events_for(tl) + [
-            # partial next period: healthy run, then the trace just stops
-            type(events_for(tl)[0])(220.0, 260.0, StageKind.HEALTHY_RUN, 1.0)
-        ]
         buf = io.StringIO()
-        write_jsonl(evs, buf)
-        stop, _ = estimate_mtbf(parse_trace(buf.getvalue()))
+        write_jsonl(events_for(tl), buf)
+        # partial next period: healthy run, then the trace just stops
+        stop, _ = estimate_mtbf(parse_trace(buf.getvalue() + jsonl(healthy(220.0, 260.0))))
         assert stop == 100.0
+
+
+class TestTrace:
+    # (duration, rate, stage); the zero-duration entry is dropped.
+    ITEMS = [(2.0, 0.5, StageKind.SLOW_RECOVERY), (0.0, 1.0, StageKind.HEALTHY_RUN),
+             (90.0, 1.0, StageKind.HEALTHY_RUN), (10.0, 0.0, StageKind.REPAIR)]
+
+    @staticmethod
+    def parsed(items):
+        t, objs = 0.0, []
+        for d, r, stage in items:
+            if d:
+                objs.append({"t_start": t, "t_end": t + d, "stage": str(stage), "rate": r})
+                t += d
+        return parse_trace(jsonl(*objs))
+
+    @pytest.mark.parametrize("build", [
+        lambda items: Trace(Segment(*item) for item in items),
+        Trace.build,
+        lambda items: timeline_to_events(RateTimeline.build(items)),
+        parsed,
+    ], ids=["segments", "build", "timeline_to_events", "parse_trace"])
+    def test_every_way_to_build_has_time_columns(self, build):
+        tr = build(self.ITEMS)
+        assert type(tr) is Trace and len(tr) == 3
+        assert tr.durations == [2.0, 90.0, 10.0]
+        assert tr.t_start == [0.0, 2.0, 92.0] and tr.t_end == [2.0, 92.0, 102.0]
+        assert tr == Trace(RateTimeline.build(self.ITEMS))
+
+    def test_empty(self):
+        tr = Trace()
+        assert (tr.t_start, tr.t_end, tr.durations) == ([], [], []) and tr == Trace.build([])
+
+    def test_equal_only_with_equal_times(self):
+        tr = parse_trace(jsonl(healthy(0, 10)))
+        moved = parse_trace(jsonl(healthy(5, 15)))
+        assert (tr.durations, tr.rates, tr.stages) == (moved.durations, moved.rates, moved.stages)
+        assert tr != moved and tr == timeline_to_events(moved)
 
 
 class TestReport:
@@ -343,7 +396,7 @@ def reference_event_from_obj(obj: dict, line: int) -> tuple[TraceEvent | None, t
         if t1 <= t0:
             raise TraceParseError(f"t_end must exceed t_start, got [{t0!r}, {t1!r})", line)
         span = t1 - t0
-        parsed = _event(t0, t1, stage, rate, exact), None
+        parsed = TraceEvent(t0, t1, stage, rate, exact), None
     elif "wall_start" in obj and "wall_end" in obj:
         w0 = _parse_wall(obj["wall_start"], line, "wall_start")
         w1 = _parse_wall(obj["wall_end"], line, "wall_end")
@@ -395,7 +448,7 @@ def reference_parse_trace(source: IO | bytes | str | Iterable[str]) -> list[Trac
             raise TraceParseError("trace mixes timezone-aware and naive wall-clock times")
         origin = min(w0 for w0, *_ in wall_events)
         events = [
-            _event((w0 - origin).total_seconds(), (w1 - origin).total_seconds(), st, r)
+            TraceEvent((w0 - origin).total_seconds(), (w1 - origin).total_seconds(), st, r)
             for w0, w1, st, r in wall_events
         ]
     if not events:
@@ -418,14 +471,23 @@ def reference_parse_trace(source: IO | bytes | str | Iterable[str]) -> list[Trac
 
 
 def outcome(parse, make_source):
-    """The events, with every float as its hex, or the error and its line."""
+    """The events as (t_start, t_end, stage, rate, duration) rows, with every
+    float as its hex, or the error and its line.
+
+    ``parse_trace`` gives a Trace, whose five columns are read. The
+    reference gives a list of TraceEvents; an event of zero duration is left
+    out, as ``trace_to_timeline`` leaves it out of the events' timeline.
+    """
     try:
-        events = parse(make_source())
+        parsed = parse(make_source())
     except TraceParseError as e:
         return "error", str(e), e.line
-    return "events", [(e.t_start.hex(), e.t_end.hex(), e.stage.name, e.rate.hex(),
-                       None if e.exact_duration is None else e.exact_duration.hex())
-                      for e in events]
+    if isinstance(parsed, Trace):
+        rows = zip(parsed.t_start, parsed.t_end, parsed.stages, parsed.rates, parsed.durations)
+    else:
+        rows = ((e.t_start, e.t_end, e.stage, e.rate, e.duration) for e in parsed if e.duration)
+    return "events", [(t0.hex(), t1.hex(), stage.name, rate.hex(), d.hex())
+                      for t0, t1, stage, rate, d in rows]
 
 
 FREE_RATE_STAGES = [StageKind.SLOW_RECOVERY, StageKind.FAIL_SLOW_DEGRADED]
@@ -506,6 +568,26 @@ def test_parse_matches_reference_on_random_traces():
         assert result == outcome(reference_parse_trace, make_source), i
         parsed += result[0] == "events"
     assert parsed >= 300   # most traces are valid; the tied lines make overlaps
+
+
+def test_iterating_a_parsed_trace_matches_its_events_timeline():
+    """Iterating a parsed trace gives the (duration, rate, stage) of each entry
+    of ``trace_to_timeline`` over the reference parser's events, bit for bit."""
+    rng = random.Random(20261019)
+    checked = 0
+
+    def triples(segments):
+        return [(s.duration.hex(), s.rate.hex(), s.stage) for s in segments]
+
+    for i in range(200):
+        make_source = random_source(rng, random_event_lines(rng))
+        try:
+            events = reference_parse_trace(make_source())
+        except TraceParseError:
+            continue
+        assert triples(parse_trace(make_source())) == triples(trace_to_timeline(events)), i
+        checked += 1
+    assert checked >= 150
 
 
 def line(**fields):
