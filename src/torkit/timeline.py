@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from itertools import accumulate
+from itertools import accumulate, islice
 from operator import mul
 from typing import Iterable, TextIO
 
@@ -18,6 +18,10 @@ from .errors import UndefinedMetricError, ValidationError
 from .model import RateTimeline, Segment, StageKind
 
 CSV_HEADER = ["t_start", "t_end", "rate", "stage"]
+# The name the CSV and JSONL writers give each stage.
+_NAME = {stage: stage.value for stage in StageKind}
+# Lines a writer formats per write: bounds its own memory, whatever the length.
+_BATCH = 2048
 
 
 def _total(what: str, terms: Iterable[float]) -> float:
@@ -72,27 +76,48 @@ def concat(timelines: Iterable[RateTimeline]) -> RateTimeline:
 
 
 def write_csv(tl: RateTimeline, out: TextIO) -> None:
-    """Export as CSV with columns t_start,t_end,rate,stage (header included)."""
-    w = csv.writer(out)
-    w.writerow(CSV_HEADER)
-    edges = list(accumulate(tl.durations, initial=0.0))
-    w.writerows([repr(t0), repr(t1), repr(r), str(stage)]
-                for t0, t1, r, stage in zip(edges, edges[1:], tl.rates, tl.stages))
+    """Export as CSV with columns t_start,t_end,rate,stage (header included).
+
+    The rows are those ``csv.writer`` gives for ``repr`` of each time and rate
+    and the stage's name, each ending in ``\\r\\n``. They go to ``out`` in
+    batches of a fixed number, so the writer's own memory does not grow with
+    the timeline.
+    """
+    out.write(",".join(CSV_HEADER) + "\r\n")
+    edges = map(repr, accumulate(tl.durations, initial=0.0))
+    starts = [next(edges)]
+    for i in range(0, len(tl), _BATCH):
+        ends = list(islice(edges, _BATCH))
+        out.write("".join([
+            f"{t0},{t1},{rate!r},{_NAME[stage]}\r\n"
+            for t0, t1, rate, stage in zip(starts + ends, ends, tl.rates[i:i + _BATCH],
+                                           tl.stages[i:i + _BATCH])]))
+        starts = ends[-1:]
 
 
 def read_csv(inp: TextIO) -> RateTimeline:
-    """Parse a timeline written by :func:`write_csv`."""
+    """Parse a timeline written by :func:`write_csv`.
+
+    A row that does not have four fields, a time or rate that is not a
+    number, an unknown stage or a segment that fails its checks is a
+    ValidationError naming the row (the header is row 1).
+    """
     reader = csv.reader(inp)
     header = next(reader, None)
     if header != CSV_HEADER:
         raise ValidationError(f"bad timeline CSV header: {header!r}")
     segs = []
-    for row in reader:
+    for row_no, row in enumerate(reader, start=2):
         if not row:
             continue
-        t0, t1, rate, stage = row
-        segs.append(Segment(float(t1) - float(t0), float(rate), StageKind(stage)))
-    return RateTimeline(tuple(segs))
+        try:
+            if len(row) != len(CSV_HEADER):
+                raise ValidationError(f"expected {len(CSV_HEADER)} fields, got {len(row)}")
+            t0, t1, rate, stage = row
+            segs.append(Segment(float(t1) - float(t0), float(rate), stage))
+        except (ValueError, ValidationError) as e:
+            raise ValidationError(f"timeline CSV row {row_no}: {e}") from None
+    return RateTimeline(segs)
 
 
 def to_csv_string(tl: RateTimeline) -> str:

@@ -51,7 +51,8 @@ from .model import (
     _check_time,
 )
 from .periods import FAIL_SLOW, FAIL_STOP, StageTotals, period_records
-from .timeline import integrate_optimal_time, observed_time, stage_breakdown, tor_of_timeline
+from .timeline import (_BATCH, _NAME, integrate_optimal_time, observed_time, stage_breakdown,
+                       tor_of_timeline)
 
 SCHEMA_VERSION = 1
 
@@ -390,7 +391,21 @@ def timeline_to_events(tl: RateTimeline) -> Trace:
 
 
 def write_jsonl(tr: Trace, out: IO) -> None:
-    """Write a trace as JSON Lines, one event per line, each with its duration."""
-    for t0, t1, stage, rate, d in zip(tr.t_start, tr.t_end, tr.stages, tr.rates, tr.durations):
-        out.write(json.dumps({"t_start": t0, "t_end": t1, "stage": str(stage), "rate": rate,
-                              "duration": d}) + "\n")
+    """Write a trace as JSON Lines, one event per line, each with its duration.
+
+    A line is what ``json.dumps`` gives for the event's dict, in the key order
+    ``t_start, t_end, stage, rate, duration``. The lines go to ``out`` in
+    batches of a fixed number, so the writer's own memory does not grow with
+    the trace.
+    """
+    cols = (tr.t_start, tr.t_end, tr.stages, tr.rates, tr.durations)
+    for i in range(0, len(tr), _BATCH):
+        text = "".join([
+            f'{{"t_start": {t0!r}, "t_end": {t1!r}, "stage": "{_NAME[stage]}", '
+            f'"rate": {rate!r}, "duration": {d!r}}}\n'
+            for t0, t1, stage, rate, d in zip(*[col[i:i + _BATCH] for col in cols])])
+        # repr spells a time that overflowed "inf"; json.dumps spells it "Infinity".
+        # No other token of a line contains "inf".
+        if "inf" in text:
+            text = text.replace("inf", "Infinity")
+        out.write(text)
