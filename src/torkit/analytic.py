@@ -12,8 +12,7 @@ from .model import (
     RateTimeline,
     Segment,
     StageKind,
-    mtbf_fail_slow,
-    mtbf_fail_stop,
+    mtbf_of_period,
 )
 from .timeline import concat
 
@@ -50,36 +49,24 @@ def tor_of_period(p: Period) -> float:
 tor_fail_stop = tor_fail_slow = tor_of_period
 
 
-def _check_mtbf(mtbf: float, expected: float) -> None:
-    scale = max(abs(expected), 1.0)
-    if abs(mtbf - expected) > MTBF_MISMATCH_RTOL * scale:
+def tor_from_mtbf(mtbf: float, p: Period) -> float:
+    """:func:`tor_of_period` rewritten through the MTBF, to verify that identity;
+    a field the period's kind lacks reads as 0, so its term adds exactly 0."""
+    expected = mtbf_of_period(p)
+    if abs(mtbf - expected) > MTBF_MISMATCH_RTOL * max(abs(expected), 1.0):
         raise ValidationError(
             f"mtbf argument {mtbf!r} does not match the period's value {expected!r}"
         )
-
-
-def tor_from_mtbf_fail_stop(mtbf: float, p: FailStopPeriod) -> float:
-    """Fail-stop TOR rewritten in terms of MTBF; algebraically identical
-    to :func:`tor_fail_stop` and exposed to verify that identity."""
-    _check_mtbf(mtbf, mtbf_fail_stop(p))
-    denom = mtbf + p.t_r
-    if denom <= 0:
-        raise UndefinedMetricError("MTBF + repair time is zero")
-    num = math.fsum((mtbf, -p.t_sr * (1.0 - p.r_sr), -p.t_rb, -p.n_ckpt * p.t_ckpt))
-    return num / denom
-
-
-def tor_from_mtbf_fail_slow(mtbf: float, p: FailSlowPeriod) -> float:
-    """Fail-slow TOR rewritten in terms of MTBF (which excludes the degraded
-    interval); algebraically identical to :func:`tor_fail_slow`."""
-    _check_mtbf(mtbf, mtbf_fail_slow(p))
     denom = math.fsum((mtbf, p.t_fs, p.t_r))
     if denom <= 0:
-        raise UndefinedMetricError("fail-slow period has zero duration")
-    num = math.fsum(
-        (mtbf, -p.t_sr * (1.0 - p.r_sr), -p.n_ckpt * p.t_ckpt, p.t_fs * p.r_fs)
-    )
+        raise UndefinedMetricError("period has zero duration")
+    num = math.fsum((mtbf, -p.t_sr * (1.0 - p.r_sr), -p.t_rb, -p.n_ckpt * p.t_ckpt,
+                     p.t_fs * p.r_fs))
     return num / denom
+
+
+# The paper's names for the fail-stop and fail-slow MTBF forms.
+tor_from_mtbf_fail_stop = tor_from_mtbf_fail_slow = tor_from_mtbf
 
 
 def tor_mixture_weighted(m: FailureMixture) -> float:

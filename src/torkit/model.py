@@ -35,6 +35,15 @@ class StageKind(str, Enum):
 ZERO_RATE_STAGES = frozenset(
     {StageKind.CHECKPOINT_SAVE, StageKind.ROLLBACK_WASTE, StageKind.REPAIR}
 )
+# The rate every segment of a stage must carry, where the stage fixes one.
+FIXED_RATE = {**dict.fromkeys(ZERO_RATE_STAGES, 0.0), StageKind.HEALTHY_RUN: 1.0}
+
+
+def _check_fixed_rate(stage: StageKind, rate: float) -> None:
+    """Reject a ``rate`` other than the one :data:`FIXED_RATE` gives ``stage``."""
+    fixed = FIXED_RATE.get(stage, rate)
+    if fixed != rate:
+        raise ValidationError(f"stage {stage} must have rate {fixed:g}, got {rate!r}")
 
 
 def _check_number(name: str, value) -> float:
@@ -167,7 +176,7 @@ def _check_stage(name: str, value) -> StageKind:
 
 @dataclass(frozen=True, slots=True)
 class Segment:
-    """One piecewise-constant span of the rate timeline."""
+    """One piecewise-constant span of the rate timeline, at its stage's fixed rate if any."""
 
     duration: float
     rate: float
@@ -177,6 +186,7 @@ class Segment:
         object.__setattr__(self, "duration", _check_time("duration", self.duration))
         object.__setattr__(self, "rate", _check_ratio("rate", self.rate))
         object.__setattr__(self, "stage", _check_stage("stage", self.stage))
+        _check_fixed_rate(self.stage, self.rate)
 
 
 _new = object.__new__
@@ -189,7 +199,7 @@ def _segment(duration: float, rate: float, stage: StageKind) -> Segment:
     """Build a Segment without validation, for values the package produced.
 
     The caller guarantees a float ``duration > 0``, a float ``rate`` in
-    [0, 1] and a StageKind ``stage``.
+    [0, 1] and a StageKind ``stage``, with the stage's fixed rate if it has one.
     """
     s = _new(Segment)
     _set_duration(s, duration)
@@ -234,7 +244,8 @@ class RateTimeline:
         """Wrap columns the package produced, without a check or a copy.
 
         The caller guarantees equal lengths, float durations > 0, float rates
-        in [0, 1] and StageKind stages, and hands the lists over. ``more`` are
+        in [0, 1], StageKind stages and each stage's fixed rate where it has
+        one (:data:`FIXED_RATE`), and hands the lists over. ``more`` are
         a subclass's own columns, passed on to its ``_set``.
         """
         tl = _new(cls)
@@ -439,19 +450,10 @@ def mixture_from_dict(d: dict) -> FailureMixture:
     return FailureMixture(tuple(parsed))
 
 
-def mtbf_fail_stop(p: FailStopPeriod) -> float:
-    """Mean time between failures for a fail-stop cycle.
-
-    Sum of slow recovery, healthy run, checkpoint saving, and rolled-back
-    time; repair downtime is excluded.
-    """
+def mtbf_of_period(p: Period) -> float:
+    """Mean time between failures of one cycle of a period spec: ``p.totals().mtbf``."""
     return p.totals().mtbf
 
 
-def mtbf_fail_slow(p: FailSlowPeriod) -> float:
-    """Mean time between failures for a fail-slow cycle.
-
-    Sum of slow recovery, healthy run, and checkpoint saving. The degraded
-    interval itself is excluded by definition (see README), as is repair.
-    """
-    return p.totals().mtbf
+# The paper's names for the fail-stop and fail-slow MTBF.
+mtbf_fail_stop = mtbf_fail_slow = mtbf_of_period

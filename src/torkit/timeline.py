@@ -98,25 +98,32 @@ def write_csv(tl: RateTimeline, out: TextIO) -> None:
 def read_csv(inp: TextIO) -> RateTimeline:
     """Parse a timeline written by :func:`write_csv`.
 
-    A row that does not have four fields, a time or rate that is not a
-    number, an unknown stage or a segment that fails its checks is a
-    ValidationError naming the row (the header is row 1).
+    A row that cannot be read or does not have four fields, a time or rate
+    that is not a number, an unknown stage or a segment that fails its checks
+    is a ValidationError naming the row (the header is row 1).
+
+    Durations come back as ``t_end - t_start``, so TOR and observed time agree
+    with the written timeline's to about 1e-12 relative, not bit for bit; a
+    JSONL trace carries each ``duration`` and is exact.
     """
     reader = csv.reader(inp)
-    header = next(reader, None)
-    if header != CSV_HEADER:
-        raise ValidationError(f"bad timeline CSV header: {header!r}")
-    segs = []
-    for row_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        try:
-            if len(row) != len(CSV_HEADER):
-                raise ValidationError(f"expected {len(CSV_HEADER)} fields, got {len(row)}")
-            t0, t1, rate, stage = row
-            segs.append(Segment(float(t1) - float(t0), float(rate), stage))
-        except (ValueError, ValidationError) as e:
-            raise ValidationError(f"timeline CSV row {row_no}: {e}") from None
+    try:
+        header = next(reader, None)
+        if header != CSV_HEADER:
+            raise ValidationError(f"bad timeline CSV header: {header!r}")
+        segs = []
+        for row_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            try:
+                if len(row) != len(CSV_HEADER):
+                    raise ValidationError(f"expected {len(CSV_HEADER)} fields, got {len(row)}")
+                t0, t1, rate, stage = row
+                segs.append(Segment(float(t1) - float(t0), float(rate), stage))
+            except (ValueError, ValidationError) as e:
+                raise ValidationError(f"timeline CSV row {row_no}: {e}") from None
+    except csv.Error as e:  # a row the csv module cannot read (a field too large, say)
+        raise ValidationError(f"timeline CSV row {reader.line_num}: {e}") from None
     return RateTimeline(segs)
 
 

@@ -42,15 +42,16 @@ from typing import IO, Iterable
 
 from .errors import TraceParseError, UndefinedMetricError, ValidationError
 from .model import (
+    FIXED_RATE,
     RateTimeline,
+    Segment,
     StageKind,
-    ZERO_RATE_STAGES,
+    _check_fixed_rate,
     _check_number,
     _check_ratio,
-    _check_stage,
-    _check_time,
 )
 from .periods import FAIL_SLOW, FAIL_STOP, StageTotals, period_records
+# tor_of_timeline stays importable from here, where callers and span hooks name it.
 from .timeline import (_BATCH, _NAME, integrate_optimal_time, observed_time, stage_breakdown,
                        tor_of_timeline)
 
@@ -64,8 +65,8 @@ CONTIGUITY_TOL = 1e-9
 class TraceEvent:
     """One hand-built event: a span of the time axis in one stage at one rate.
 
-    Construction checks what a timeline segment needs: numeric timestamps, a
-    known stage, a rate in [0, 1] and a finite non-negative duration.
+    Construction checks numeric timestamps, then the event as the
+    :class:`Segment` it stands for: duration, rate, stage and fixed rate.
     """
 
     t_start: float
@@ -79,12 +80,12 @@ class TraceEvent:
     def __post_init__(self):
         object.__setattr__(self, "t_start", _check_number("t_start", self.t_start))
         object.__setattr__(self, "t_end", _check_number("t_end", self.t_end))
-        object.__setattr__(self, "stage", _check_stage("stage", self.stage))
-        object.__setattr__(self, "rate", _check_ratio("rate", self.rate))
         if self.exact_duration is not None:
             object.__setattr__(self, "exact_duration",
                                _check_number("duration", self.exact_duration))
-        _check_time("duration", self.duration)
+        seg = Segment(self.duration, self.rate, self.stage)
+        object.__setattr__(self, "stage", seg.stage)
+        object.__setattr__(self, "rate", seg.rate)
 
     @property
     def duration(self) -> float:
@@ -138,8 +139,6 @@ _scan = json.JSONDecoder().scan_once
 _BLANK = object()
 _INF = math.inf
 _STAGE = {str(s): s for s in StageKind}
-# The rate a stage's events must carry, where the stage fixes one.
-_FIXED_RATE = {**dict.fromkeys(ZERO_RATE_STAGES, 0.0), StageKind.HEALTHY_RUN: 1.0}
 
 
 def _decode(raw: str | bytes, line: int):
@@ -231,11 +230,11 @@ def parse_trace(source: IO | bytes | str | Iterable[str]) -> Trace:
         rate = obj.get("rate")
         if type(rate) is not float:
             rate = _number(obj, "rate", line_no)
-        if not 0.0 <= rate <= 1.0:
-            raise TraceParseError(f"rate must lie in [0, 1], got {rate!r}", line_no)
-        if _FIXED_RATE.get(stage, rate) != rate:
-            raise TraceParseError(
-                f"stage {stage} must have rate {_FIXED_RATE[stage]:g}, got {rate!r}", line_no)
+        if not 0.0 <= rate <= 1.0 or FIXED_RATE.get(stage, rate) != rate:
+            try:  # fails, with the message a Segment gives
+                _check_fixed_rate(stage, _check_ratio("rate", rate))
+            except ValidationError as e:
+                raise TraceParseError(str(e), line_no) from None
         exact = obj.get("duration")
         if exact is not None or "duration" in obj:
             if type(exact) is not float:
@@ -344,13 +343,14 @@ def report(tl: RateTimeline) -> dict:
     """Structured report of a timeline (a parsed :class:`Trace`, say): TOR,
     MTBF estimates, stage and period breakdown."""
     t_obs = observed_time(tl)  # first: it bounds every other sum
+    t_opt = integrate_optimal_time(tl)
     records = period_records(tl)
     fail_stop_mtbf, fail_slow_mtbf = _mtbf_by_kind(records)
     breakdown = stage_breakdown(tl)
     return {
         "schema_version": SCHEMA_VERSION,
-        "tor": tor_of_timeline(tl),
-        "t_opt": integrate_optimal_time(tl),
+        "tor": t_opt / t_obs,  # tor_of_timeline(tl), bit for bit
+        "t_opt": t_opt,
         "t_obs": t_obs,
         "fail_stop_mtbf": fail_stop_mtbf,
         "fail_slow_mtbf": fail_slow_mtbf,

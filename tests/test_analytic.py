@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -20,7 +23,41 @@ from torkit import (
     tor_mixture_weighted,
     tor_of_timeline,
 )
-from torkit.analytic import mixture_concat_timeline
+from torkit.analytic import mixture_concat_timeline, tor_from_mtbf, tor_of_period
+from torkit.model import mtbf_of_period
+
+
+def reference_tor_from_mtbf_fail_stop(mtbf, p):
+    """The fail-stop MTBF form as it was before the two kinds shared one body."""
+    denom = mtbf + p.t_r
+    if denom <= 0:
+        raise UndefinedMetricError("MTBF + repair time is zero")
+    num = math.fsum((mtbf, -p.t_sr * (1.0 - p.r_sr), -p.t_rb, -p.n_ckpt * p.t_ckpt))
+    return num / denom
+
+
+def reference_tor_from_mtbf_fail_slow(mtbf, p):
+    """The fail-slow MTBF form as it was before the two kinds shared one body."""
+    denom = math.fsum((mtbf, p.t_fs, p.t_r))
+    if denom <= 0:
+        raise UndefinedMetricError("fail-slow period has zero duration")
+    num = math.fsum(
+        (mtbf, -p.t_sr * (1.0 - p.r_sr), -p.n_ckpt * p.t_ckpt, p.t_fs * p.r_fs)
+    )
+    return num / denom
+
+
+def random_periods_with_zeros(rng, make, n):
+    """``n`` periods from ``make``, each field zeroed with probability 1/4."""
+    out = []
+    while len(out) < n:
+        p = make(rng)
+        zeroed = {f.name: 0 for f in dataclasses.fields(p) if rng.uniform() < 0.25}
+        try:
+            out.append(dataclasses.replace(p, **zeroed))
+        except ValidationError:  # every time zeroed: no duration
+            pass
+    return out
 
 
 class TestPeriodToTimeline:
@@ -112,6 +149,39 @@ class TestMtbfIdentity:
             assert abs(tor_from_mtbf_fail_stop(mtbf_fail_stop(p), p) - tor_fail_stop(p)) <= 1e-12
             q = random_fail_slow(rng)
             assert abs(tor_from_mtbf_fail_slow(mtbf_fail_slow(q), q) - tor_fail_slow(q)) <= 1e-12
+
+
+class TestOneMtbfForm:
+    """One body serves both kinds; the paper's names are aliases of it."""
+
+    def test_aliases(self):
+        assert tor_from_mtbf_fail_stop is tor_from_mtbf_fail_slow is tor_from_mtbf
+        assert mtbf_fail_stop is mtbf_fail_slow is mtbf_of_period
+
+    @pytest.mark.parametrize("make, reference, edge_cases", [
+        (random_fail_stop, reference_tor_from_mtbf_fail_stop,
+         [FailStopPeriod(t_r=7), FailStopPeriod(t_rb=5, t_r=5)]),
+        (random_fail_slow, reference_tor_from_mtbf_fail_slow,
+         [FailSlowPeriod(t_fs=1), FailSlowPeriod(t_r=1), FailSlowPeriod(t_fs=1, r_fs=1)]),
+    ], ids=["fail_stop", "fail_slow"])
+    def test_matches_the_kind_matched_form_bit_for_bit(self, make, reference, edge_cases):
+        rng = np.random.default_rng(113)
+        periods = random_periods_with_zeros(rng, make, 5000) + edge_cases
+        for i, p in enumerate(periods):
+            mtbf = mtbf_of_period(p) * (1 + 5e-10 * (i % 2))  # within the tolerance
+            assert tor_from_mtbf(mtbf, p).hex() == reference(mtbf, p).hex()
+
+    def test_wrong_kind_name_gives_the_closed_form(self, worked_fail_stop):
+        slow = FailSlowPeriod(t_sr=2, r_sr=0.5, t_h=90, n_ckpt=3, t_ckpt=1, t_fs=8, r_fs=0.5,
+                              t_r=10)
+        assert tor_from_mtbf_fail_stop(95.0, slow) == tor_of_period(slow)
+        assert tor_of_period(slow) == pytest.approx(95 / 113, abs=1e-15)
+        assert tor_from_mtbf_fail_slow(100.0, worked_fail_stop) == tor_of_period(worked_fail_stop)
+        rng = np.random.default_rng(127)
+        for _ in range(500):
+            p, q = random_fail_slow(rng), random_fail_stop(rng)
+            assert abs(tor_from_mtbf_fail_stop(mtbf_fail_slow(p), p) - tor_of_period(p)) <= 1e-12
+            assert abs(tor_from_mtbf_fail_slow(mtbf_fail_stop(q), q) - tor_of_period(q)) <= 1e-12
 
 
 class TestMonotonicity:

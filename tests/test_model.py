@@ -51,6 +51,17 @@ class TestValidation:
         with pytest.raises(ValidationError):
             Segment(-1.0, 0.5, StageKind.HEALTHY_RUN)
 
+    @pytest.mark.parametrize("stage, rate, fixed", [
+        (StageKind.REPAIR, 0.5, "0"), (StageKind.CHECKPOINT_SAVE, 1.0, "0"),
+        (StageKind.ROLLBACK_WASTE, 0.25, "0"), (StageKind.HEALTHY_RUN, 0.8, "1"),
+    ])
+    def test_fixed_stage_rate_enforced(self, stage, rate, fixed):
+        message = f"^stage {stage} must have rate {fixed}, got {rate!r}$"
+        with pytest.raises(ValidationError, match=message):
+            Segment(5.0, rate, stage)
+        with pytest.raises(ValidationError, match=message):
+            RateTimeline.build([(10.0, 1.0, "HealthyRun"), (5.0, rate, str(stage))])
+
     def test_segment_is_slotted(self):
         # A simulated timeline holds one Segment per event; no per-instance dict.
         assert not hasattr(Segment(1.0, 0.5, StageKind.SLOW_RECOVERY), "__dict__")

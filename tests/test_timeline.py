@@ -14,6 +14,8 @@ from torkit import (
     stage_breakdown,
     tor_of_timeline,
 )
+from torkit.model import FIXED_RATE
+from torkit.periods import mean_periods, period_records
 from torkit.timeline import read_csv, to_csv_string, write_csv
 
 FIVE_STAGE = RateTimeline.build([
@@ -151,6 +153,24 @@ class TestProperties:
             assert tor_of_timeline(concat([tl] * n)) == pytest.approx(
                 tor_of_timeline(tl), abs=1e-12
             )
+
+    def test_period_means_give_the_timeline_tor(self):
+        # Hand-built timelines of complete periods, each ending in a run of
+        # Repair segments; the TOR of the per-period means is the timeline's.
+        rng = np.random.default_rng(23)
+        before_repair = [s for s in StageKind if s is not StageKind.REPAIR]
+        for _ in range(300):
+            items = []
+            for _ in range(int(rng.integers(1, 8))):
+                for _ in range(int(rng.integers(0, 8))):
+                    stage = before_repair[rng.integers(0, len(before_repair))]
+                    rate = FIXED_RATE.get(stage, float(rng.uniform(0, 1)))
+                    items.append((float(rng.uniform(0.01, 50)), rate, stage))
+                for _ in range(int(rng.integers(1, 3))):
+                    items.append((float(rng.uniform(0.01, 50)), 0.0, StageKind.REPAIR))
+            tl = RateTimeline.build(items)
+            means = mean_periods(period_records(tl))
+            assert abs(means.tor - tor_of_timeline(tl)) <= 1e-12
 
     def test_optimal_below_observed(self):
         rng = np.random.default_rng(19)

@@ -194,6 +194,8 @@ class TestTraceToTimeline:
         ((0.0, math.inf, StageKind.HEALTHY_RUN, 1.0), "duration must be a finite non-negative"),
         ((0.0, 5.0, "Napping", 0.0), "unknown stage 'Napping'"),
         (("0", 5.0, StageKind.HEALTHY_RUN, 1.0), "t_start must be a number"),
+        ((10.0, 15.0, StageKind.REPAIR, 0.5), r"^stage Repair must have rate 0, got 0\.5$"),
+        ((0.0, 10.0, "HealthyRun", 0.8), r"^stage HealthyRun must have rate 1, got 0\.8$"),
     ])
     def test_hand_built_event_checked(self, args, message):
         with pytest.raises(ValidationError, match=message):
@@ -330,6 +332,24 @@ class TestReport:
         rep = report(events)
         assert len(calls) == 1
         assert (rep["fail_stop_mtbf"], rep["fail_slow_mtbf"]) == estimate_mtbf(events)
+
+    def test_each_sum_taken_once(self, worked_fail_stop, worked_fail_slow, monkeypatch):
+        import torkit.timeline
+
+        m = FailureMixture(((worked_fail_stop, 2.0), (worked_fail_slow, 1.0)))
+        events = roundtrip(mixture_concat_timeline(m))
+        expected = tor_of_timeline(events)
+        total = torkit.timeline._total
+        calls = []
+
+        def counted(what, terms):
+            calls.append(what)
+            return total(what, terms)
+
+        monkeypatch.setattr(torkit.timeline, "_total", counted)
+        rep = report(events)
+        assert sorted(calls) == ["observed time", "optimal time"]
+        assert rep["tor"].hex() == expected.hex()
 
     def test_report_is_json_serializable(self, worked_fail_slow):
         rep = report(roundtrip(period_to_timeline(worked_fail_slow)))

@@ -219,11 +219,18 @@ class TestReadCsvMalformedRows:
         ("2.0,92.0,full,HealthyRun", r"^timeline CSV row 3: could not convert .*'full'$"),
         ("2.0,92.0,1.0,Napping", r"^timeline CSV row 3: unknown stage 'Napping'$"),
         ("2.0,92.0,1.5,HealthyRun", r"^timeline CSV row 3: rate must lie in \[0, 1\]"),
+        ("2.0,7.0,0.5,Repair", r"^timeline CSV row 3: stage Repair must have rate 0, got 0\.5$"),
+        ("1" * 200_000 + ",92.0,1.0,HealthyRun",
+         r"^timeline CSV row 3: field larger than field limit \(131072\)$"),
     ], ids=["few-fields", "many-fields", "time-not-a-number", "rate-not-a-number",
-            "unknown-stage", "rate-out-of-range"])
+            "unknown-stage", "rate-out-of-range", "not-the-fixed-rate", "field-too-large"])
     def test_names_the_row(self, row, message):
         with pytest.raises(ValidationError, match=message):
             read_csv(io.StringIO(self.GOOD + row + "\r\n"))
+
+    def test_unreadable_header_is_row_1(self):
+        with pytest.raises(ValidationError, match=r"^timeline CSV row 1: field larger"):
+            read_csv(io.StringIO("t" * 200_000 + ",t_end,rate,stage\r\n"))
 
     def test_blank_rows_are_skipped_and_counted(self):
         with pytest.raises(ValidationError, match=r"^timeline CSV row 4: unknown stage"):
