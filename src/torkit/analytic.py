@@ -12,6 +12,7 @@ from .model import (
     RateTimeline,
     Segment,
     StageKind,
+    _check_time,
     mtbf_of_period,
 )
 from .timeline import concat
@@ -52,6 +53,7 @@ tor_fail_stop = tor_fail_slow = tor_of_period
 def tor_from_mtbf(mtbf: float, p: Period) -> float:
     """:func:`tor_of_period` rewritten through the MTBF, to verify that identity;
     a field the period's kind lacks reads as 0, so its term adds exactly 0."""
+    mtbf = _check_time("mtbf", mtbf)
     expected = mtbf_of_period(p)
     if abs(mtbf - expected) > MTBF_MISMATCH_RTOL * max(abs(expected), 1.0):
         raise ValidationError(

@@ -8,7 +8,6 @@ the breakdown and the CSV writer read the timeline's columns.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from itertools import accumulate, islice
 from operator import mul
@@ -125,9 +124,3 @@ def read_csv(inp: TextIO) -> RateTimeline:
     except csv.Error as e:  # a row the csv module cannot read (a field too large, say)
         raise ValidationError(f"timeline CSV row {reader.line_num}: {e}") from None
     return RateTimeline(segs)
-
-
-def to_csv_string(tl: RateTimeline) -> str:
-    buf = io.StringIO()
-    write_csv(tl, buf)
-    return buf.getvalue()

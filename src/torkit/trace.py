@@ -17,16 +17,19 @@ object (blank lines are skipped) and is checked in this order: a known
 ``stage``; a numeric ``rate`` in [0, 1], and the fixed rate of a stage that
 has one (1 for HealthyRun; 0 for CheckpointSave, RollbackWaste and Repair); an
 optional ``duration``, finite and positive; then finite ``t_start`` >= 0 and
-``t_end`` > ``t_start``, or parseable ``wall_start`` < ``wall_end`` of one kind
-(both timezone-aware or both naive); and a ``duration`` that agrees with the
-span to 1e-9 relative (absolute below 1 s). Numbers must be JSON numbers, not
-strings or booleans. The first failing check is reported with its line. Then
-the whole trace must use one timestamp format and one kind of wall clock, and
-be non-empty and contiguous. Input whose events tile the time axis exactly
+``t_end`` > ``t_start`` (or equal, if the event has a ``duration``), or
+parseable ``wall_start`` < ``wall_end`` of one kind (both timezone-aware or
+both naive); and a ``duration`` that agrees with the span to 1e-9 times
+``max(1, t_end)``, the contiguity check's scale, or for a wall-clock event
+times ``max(1, span)``. Numbers must be JSON numbers, not strings or
+booleans. The first failing check is reported with its line. Then the whole
+trace must use one timestamp format and one kind of wall clock, and be
+non-empty and contiguous. Input whose events tile the time axis exactly
 in line order is kept as is; other input is sorted stably by (t_start, t_end)
 before the contiguity check. The result is a :class:`Trace`, the checked
-columns as a ``RateTimeline`` that :func:`report` reads as it is; a
-hand-built :class:`TraceEvent` list goes through :func:`trace_to_timeline`.
+columns as a ``RateTimeline`` that :func:`report` reads as it is. A trace
+built by hand is a list of event dicts, which :func:`parse_trace` checks as
+the lines they stand for.
 """
 from __future__ import annotations
 
@@ -40,11 +43,10 @@ from itertools import accumulate
 from operator import sub
 from typing import IO, Iterable
 
-from .errors import TraceParseError, UndefinedMetricError, ValidationError
+from .errors import TraceParseError, ValidationError
 from .model import (
     FIXED_RATE,
     RateTimeline,
-    Segment,
     StageKind,
     _check_fixed_rate,
     _check_number,
@@ -59,39 +61,6 @@ SCHEMA_VERSION = 1
 
 # Gap/overlap slack for externally produced timestamps.
 CONTIGUITY_TOL = 1e-9
-
-
-@dataclass(frozen=True, slots=True)
-class TraceEvent:
-    """One hand-built event: a span of the time axis in one stage at one rate.
-
-    Construction checks numeric timestamps, then the event as the
-    :class:`Segment` it stands for: duration, rate, stage and fixed rate.
-    """
-
-    t_start: float
-    t_end: float
-    stage: StageKind
-    rate: float
-    # Optional exact duration; timestamps are cumulative sums, so t_end -
-    # t_start alone cannot reproduce a source timeline bit-for-bit.
-    exact_duration: float | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "t_start", _check_number("t_start", self.t_start))
-        object.__setattr__(self, "t_end", _check_number("t_end", self.t_end))
-        if self.exact_duration is not None:
-            object.__setattr__(self, "exact_duration",
-                               _check_number("duration", self.exact_duration))
-        seg = Segment(self.duration, self.rate, self.stage)
-        object.__setattr__(self, "stage", seg.stage)
-        object.__setattr__(self, "rate", seg.rate)
-
-    @property
-    def duration(self) -> float:
-        if self.exact_duration is not None:
-            return self.exact_duration
-        return self.t_end - self.t_start
 
 
 @dataclass(frozen=True, init=False)
@@ -141,12 +110,15 @@ _INF = math.inf
 _STAGE = {str(s): s for s in StageKind}
 
 
-def _decode(raw: str | bytes, line: int):
+def _decode(raw, line: int):
     """``json.loads`` of one line, or _BLANK for a blank line; raises its error.
 
     Runs for a line the fast scan in :func:`parse_trace` did not take, so the
-    message is the one ``json.loads`` gives.
+    message is the one ``json.loads`` gives. An item that is not ``str`` or
+    ``bytes`` is already decoded and is returned as it is.
     """
+    if not isinstance(raw, (str, bytes)):
+        return raw
     try:
         if isinstance(raw, bytes):
             raw = raw.decode("utf-8")
@@ -182,13 +154,16 @@ def _wall_times(obj: dict, line: int) -> tuple[dt.datetime, dt.datetime]:
     return w0, w1
 
 
-def parse_trace(source: IO | bytes | str | Iterable[str]) -> Trace:
+def parse_trace(source: IO | bytes | str | Iterable) -> Trace:
     """Parse and validate a JSONL trace into a :class:`Trace` sorted by t_start.
 
     The checks and their order are those of the module docstring. Each event
-    goes into the columns as its line is checked. An event's duration is its
-    ``duration`` where it has one, else ``t_end - t_start``; an event whose
-    duration is 0 (a wall-clock span that rounds to 0 s) is dropped last.
+    goes into the columns as its line is checked. An item of ``source`` that
+    is not ``str`` or ``bytes`` is taken as the decoded JSON value of its line,
+    so a hand-built list of event dicts is checked as its JSONL would be. An
+    event's duration is its ``duration`` where it has one, else ``t_end -
+    t_start``; an event whose duration is 0 (a wall-clock span that rounds to
+    0 s) is dropped last.
     """
     if isinstance(source, bytes):  # decoded line by line, as a binary file is
         lines: Iterable[str | bytes] = io.BytesIO(source)
@@ -212,8 +187,8 @@ def parse_trace(source: IO | bytes | str | Iterable[str]) -> Trace:
             obj, end = _scan(text, 0)
             if end != len(text):
                 raise ValueError("extra data")
-        except (StopIteration, ValueError, TypeError, RecursionError):
-            # blank, not JSON, nested too deeply, or not text
+        except (StopIteration, ValueError, TypeError, RecursionError, AttributeError):
+            # blank, not JSON, nested too deeply, or not text (a decoded item)
             obj = _decode(raw, line_no)
             if obj is _BLANK:
                 continue
@@ -252,8 +227,9 @@ def parse_trace(source: IO | bytes | str | Iterable[str]) -> Trace:
             if not 0.0 <= t0 < t1 < _INF:
                 if not (math.isfinite(t0) and math.isfinite(t1)) or t0 < 0:
                     raise TraceParseError(f"bad timestamps [{t0!r}, {t1!r})", line_no)
-                raise TraceParseError(
-                    f"t_end must exceed t_start, got [{t0!r}, {t1!r})", line_no)
+                if t1 < t0 or exact is None:  # an empty span needs its duration
+                    raise TraceParseError(
+                        f"t_end must exceed t_start, got [{t0!r}, {t1!r})", line_no)
             span = t1 - t0
             starts.append(t0)
             ends.append(t1)
@@ -265,7 +241,10 @@ def parse_trace(source: IO | bytes | str | Iterable[str]) -> Trace:
             wall_starts.append(w0)
             wall_ends.append(w1)
         if exact is not None:
-            tol = CONTIGUITY_TOL * span if span > 1.0 else CONTIGUITY_TOL
+            # Scaled as the contiguity check scales numeric stamps (t1); a
+            # wall-clock event (t1 is None) by its span.
+            scale = span if t1 is None else t1
+            tol = CONTIGUITY_TOL * scale if scale > 1.0 else CONTIGUITY_TOL
             if not -tol <= exact - span <= tol:
                 raise TraceParseError(
                     f"duration {exact!r} disagrees with the event's span {span!r}", line_no)
@@ -310,15 +289,8 @@ def parse_trace(source: IO | bytes | str | Iterable[str]) -> Trace:
     return Trace._of_columns(durations, rates, stages, starts, ends)
 
 
-def trace_to_timeline(events: list[TraceEvent]) -> RateTimeline:
-    """The rate timeline of hand-built contiguous events (durations in order).
-
-    A ``TraceEvent`` is a checked segment, so the events are read as the
-    timeline's segments, and one of zero duration is dropped.
-    """
-    if not events:
-        raise UndefinedMetricError("empty trace: TOR undefined")
-    return RateTimeline(events)
+# The hand-built route's old name, kept because the benchmark's span hooks name it.
+trace_to_timeline = parse_trace
 
 
 def estimate_mtbf(tl: RateTimeline) -> tuple[float | None, float | None]:

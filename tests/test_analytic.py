@@ -138,6 +138,13 @@ class TestMtbfIdentity:
         with pytest.raises(ValidationError):
             tor_from_mtbf_fail_stop(100.1, worked_fail_stop)
 
+    @pytest.mark.parametrize("t_r", [1.0, 1e-12])
+    def test_negative_mtbf_rejected(self, t_r):
+        # -1e-10 lies within the tolerance of the period's MTBF of 0.
+        with pytest.raises(ValidationError,
+                           match=r"^mtbf must be a finite non-negative number, got -1e-10$"):
+            tor_from_mtbf(-1e-10, FailStopPeriod(t_r=t_r))
+
     def test_fail_slow_worked(self, worked_fail_slow):
         tor = tor_from_mtbf_fail_slow(95.0, worked_fail_slow)
         assert tor == pytest.approx(95 / 110, abs=1e-15)

@@ -419,6 +419,23 @@ class TestTrace:
         rep = json.loads(capsys.readouterr().out)
         assert abs(rep["tor"] - sim_tor) <= 1e-12
 
+    @pytest.mark.parametrize("changes", [
+        # A slow recovery below the spacing of the floats near its start
+        # gives an event whose t_end equals its t_start.
+        {"total_work": 5000, "t_sr_dist": {"kind": "fixed", "value": 1e-13}},
+        # Far from 0, a 0.3 s event's span is 0.3 only to about 1e-8 s.
+        {"total_work": 3e7, "ckpt_interval": 1e5, "fail_stop_rate": 1e-5,
+         "t_sr_dist": {"kind": "fixed", "value": 0.3}},
+    ], ids=["sub-ulp-stage", "long-run"])
+    def test_emitted_trace_reads_back_exactly(self, tmp_path, capsys, changes):
+        sim_file = write_json(tmp_path / "sim.json", dict(SIM_CONFIG, **changes))
+        trace_path = tmp_path / "run.jsonl"
+        assert main(["simulate", sim_file, "--emit-trace", str(trace_path), "--json"]) == 0
+        sim = json.loads(capsys.readouterr().out)["first_result"]
+        assert main(["trace", str(trace_path), "--json"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert (rep["tor"].hex(), rep["t_obs"].hex()) == (sim["tor"].hex(), sim["t_obs"].hex())
+
     def test_gap_exit_code_and_interval(self, tmp_path, capsys):
         trace_path = tmp_path / "bad.jsonl"
         trace_path.write_text(

@@ -3,8 +3,9 @@
 Whatever a config or trace holds, torkit either accepts it or raises a
 ``TorkitError``, which the CLI turns into exit code 2 and one ``error:`` line.
 Any other exception escapes and fails the test. A trace also gives the same
-events, or the same error, as the reference parser in ``test_trace``. The
-examples are derandomized, so every run checks the same inputs.
+events, or the same error, as the reference parser in ``test_trace``, and as
+its lines' decoded values. The examples are derandomized, so every run checks
+the same inputs.
 """
 import contextlib
 import io
@@ -18,7 +19,7 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from torkit import SimConfig, StageKind, TorkitError, parse_trace, report  # noqa: E402
 from torkit.cli import main  # noqa: E402
-from test_trace import outcome, reference_parse_trace  # noqa: E402
+from test_trace import decoded_items, outcome, reference_parse_trace  # noqa: E402
 
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=50)
 
@@ -132,6 +133,10 @@ def test_trace_parse_and_report(lines):
     # The same events as the reference parser, or the same error.
     result = outcome(parse_trace, lambda: text)
     assert result == outcome(reference_parse_trace, lambda: text)
+    # Its lines' decoded values give the same, where every line decodes.
+    items = decoded_items(text)
+    if items is not None:
+        assert outcome(parse_trace, lambda: items) == result
     if result[0] == "events":
         try:
             report(parse_trace(text))

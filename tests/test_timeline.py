@@ -16,7 +16,7 @@ from torkit import (
 )
 from torkit.model import FIXED_RATE
 from torkit.periods import mean_periods, period_records
-from torkit.timeline import read_csv, to_csv_string, write_csv
+from torkit.timeline import read_csv, write_csv
 
 FIVE_STAGE = RateTimeline.build([
     (2, 0.5, StageKind.SLOW_RECOVERY),
@@ -182,9 +182,15 @@ class TestProperties:
                 assert opt == obs
 
 
+def csv_text(tl):
+    buf = io.StringIO()
+    write_csv(tl, buf)
+    return buf.getvalue()
+
+
 class TestCsv:
     def test_round_trip(self):
-        text = to_csv_string(FIVE_STAGE)
+        text = csv_text(FIVE_STAGE)
         assert text.splitlines()[0] == "t_start,t_end,rate,stage"
         back = read_csv(io.StringIO(text))
         assert [(s.rate, s.stage) for s in back] == [(s.rate, s.stage) for s in FIVE_STAGE]
@@ -192,10 +198,5 @@ class TestCsv:
         assert tor_of_timeline(back) == pytest.approx(91 / 110, abs=1e-12)
 
     def test_stage_names_are_exact(self):
-        text = to_csv_string(FIVE_STAGE)
+        text = csv_text(FIVE_STAGE)
         assert "SlowRecovery" in text and "RollbackWaste" in text
-
-    def test_write_matches_string(self):
-        buf = io.StringIO()
-        write_csv(FIVE_STAGE, buf)
-        assert buf.getvalue() == to_csv_string(FIVE_STAGE)

@@ -3,6 +3,8 @@ import io
 import json
 import math
 import random
+import re
+from dataclasses import dataclass
 from typing import IO, Iterable
 
 import pytest
@@ -13,7 +15,6 @@ from torkit import (
     Segment,
     StageKind,
     Trace,
-    TraceEvent,
     TraceParseError,
     ValidationError,
     estimate_mtbf,
@@ -155,7 +156,8 @@ class TestParse:
         tr = parse_trace(text)
         assert len(tr) == 1
         assert (tr.t_start, tr.t_end, tr.durations) == ([0.0], [31556995200.0], [31556995200.0])
-        assert report(tr) == report(trace_to_timeline(events))
+        assert report(tr) == report(RateTimeline.build((e.duration, e.rate, e.stage)
+                                                       for e in events))
 
     def test_mixing_time_conventions_rejected(self):
         with pytest.raises(TraceParseError, match="mixes"):
@@ -166,58 +168,108 @@ class TestParse:
             ))
 
 
+def event_dicts(tl):
+    """A timeline's events as a hand-built trace: one dict per event, laid out
+    from 0, each with its duration."""
+    tr = timeline_to_events(tl)
+    return [{"t_start": t0, "t_end": t1, "stage": str(stage), "rate": rate, "duration": d}
+            for t0, t1, stage, rate, d in zip(tr.t_start, tr.t_end, tr.stages, tr.rates,
+                                             tr.durations)]
+
+
 class TestTraceToTimeline:
+    """A trace built by hand is a list of event dicts. ``trace_to_timeline`` is
+    ``parse_trace``, which checks each dict as the JSON line it stands for."""
+
+    def test_is_the_parser(self):
+        assert trace_to_timeline is parse_trace
+
     def test_worked_period_round_trip(self, worked_fail_stop):
         tl = period_to_timeline(worked_fail_stop)
-        evs = roundtrip(tl)
-        back = trace_to_timeline(evs)
-        assert back.segments == tl.segments
+        back = trace_to_timeline(event_dicts(tl))
+        assert list(back) == list(tl)
+        assert back == timeline_to_events(tl) == roundtrip(tl)
         assert tor_of_timeline(back) == pytest.approx(91 / 110, abs=1e-15)
 
     def test_single_healthy_event(self):
-        evs = parse_trace(jsonl(healthy(0, 42)))
-        tl = trace_to_timeline(evs)
+        tl = trace_to_timeline([healthy(0, 42)])
+        assert type(tl) is Trace
         assert tor_of_timeline(tl) == 1.0
 
     def test_simulator_round_trip(self, worked_fail_stop):
         cfg = config_from_period(worked_fail_stop, periods=50, seed=13)
         res = simulate(cfg)
-        back = trace_to_timeline(roundtrip(res.timeline))
-        assert back.segments == res.timeline.segments
+        back = trace_to_timeline(event_dicts(res.timeline))
+        assert list(back) == list(res.timeline)
         assert abs(tor_of_timeline(back) - res.tor) <= 1e-12
 
     @pytest.mark.parametrize("args, message", [
         ((0.0, 5.0, StageKind.SLOW_RECOVERY, 2.0), "rate must lie in"),
         ((0.0, 5.0, StageKind.SLOW_RECOVERY, -0.5), "rate must lie in"),
-        ((5.0, 3.0, StageKind.HEALTHY_RUN, 1.0), "duration must be a finite non-negative"),
-        ((0.0, 5.0, StageKind.HEALTHY_RUN, 1.0, -5.0), "duration must be a finite non-negative"),
-        ((0.0, math.inf, StageKind.HEALTHY_RUN, 1.0), "duration must be a finite non-negative"),
+        ((5.0, 3.0, StageKind.HEALTHY_RUN, 1.0), "t_end must exceed t_start"),
+        ((0.0, 5.0, StageKind.HEALTHY_RUN, 1.0, -5.0), "duration must be positive"),
+        ((0.0, math.inf, StageKind.HEALTHY_RUN, 1.0), "bad timestamps"),
         ((0.0, 5.0, "Napping", 0.0), "unknown stage 'Napping'"),
         (("0", 5.0, StageKind.HEALTHY_RUN, 1.0), "t_start must be a number"),
         ((10.0, 15.0, StageKind.REPAIR, 0.5), r"^stage Repair must have rate 0, got 0\.5$"),
         ((0.0, 10.0, "HealthyRun", 0.8), r"^stage HealthyRun must have rate 1, got 0\.8$"),
     ])
     def test_hand_built_event_checked(self, args, message):
-        with pytest.raises(ValidationError, match=message):
-            TraceEvent(*args)
+        event = dict(zip(["t_start", "t_end", "stage", "rate", "duration"], args))
+        with pytest.raises(TraceParseError) as e:
+            trace_to_timeline([event])
+        assert e.value.line == 1
+        assert re.search(message, str(e.value).removeprefix("line 1: "))
+        # The error its JSON line gives.
+        with pytest.raises(TraceParseError, match=f"^{re.escape(str(e.value))}$"):
+            parse_trace(jsonl(event))
 
     def test_hand_built_events_match_parsed(self):
-        hand = [TraceEvent(0, 10, "HealthyRun", 1), TraceEvent(10, 10, "Repair", 0),
-                TraceEvent(10, 12, "Repair", 0)]
-        assert hand[0] == TraceEvent(0.0, 10.0, StageKind.HEALTHY_RUN, 1.0)
-        assert type(hand[0].t_start) is float and type(hand[0].rate) is float
+        hand = [{"t_start": 0, "t_end": 10, "stage": "HealthyRun", "rate": 1},
+                {"t_start": 10, "t_end": 12, "stage": StageKind.REPAIR, "rate": 0}]
+        tr = trace_to_timeline(hand)
+        assert type(tr.t_start[0]) is float and type(tr.rates[0]) is float
         parsed = parse_trace(jsonl(healthy(0, 10), {**healthy(10, 12), "stage": "Repair",
                                                     "rate": 0}))
-        assert list(zip(parsed.t_start, parsed.t_end, parsed.stages, parsed.rates,
-                        parsed.durations)) == [
-            (e.t_start, e.t_end, e.stage, e.rate, e.duration) for e in (hand[0], hand[2])]
-        # The zero-duration event is dropped, as a zero-duration segment is.
-        tl = trace_to_timeline(hand)
-        assert (tl.durations, tl.rates, tl.stages) == (
-            parsed.durations, parsed.rates, parsed.stages)
-        assert report(tl) == report(parsed)
-        assert tl == RateTimeline.build([(10.0, 1.0, StageKind.HEALTHY_RUN),
-                                         (2.0, 0.0, StageKind.REPAIR)])
+        assert tr == parsed
+        assert report(tr) == report(parsed)
+        assert (tr.durations, tr.rates, tr.stages) == (
+            [10.0, 2.0], [1.0, 0.0], [StageKind.HEALTHY_RUN, StageKind.REPAIR])
+        # An empty span needs its duration, which must agree with it.
+        empty = {"t_start": 10, "t_end": 10, "stage": "Repair", "rate": 0}
+        with pytest.raises(TraceParseError,
+                           match=r"^line 2: t_end must exceed t_start, got \[10\.0, 10\.0\)$"):
+            trace_to_timeline([hand[0], empty, hand[1]])
+        kept = trace_to_timeline([hand[0], {**empty, "duration": 1e-9}, hand[1]])
+        assert (kept.t_start, kept.t_end, kept.durations) == (
+            [0.0, 10.0, 10.0], [10.0, 10.0, 12.0], [10.0, 1e-9, 2.0])
+
+    def test_out_of_order_events_are_sorted(self):
+        tr = trace_to_timeline([healthy(10, 20), healthy(0, 10)])
+        assert (tr.t_start, tr.t_end) == ([0.0, 10.0], [10.0, 20.0])
+
+    @pytest.mark.parametrize("events, message", [
+        ([{**healthy(10, 5), "duration": 3}], r"line 1: t_end must exceed t_start"),
+        ([healthy(-5, 0), healthy(0, 10)], r"line 1: bad timestamps \[-5\.0, 0\.0\)"),
+        ([{**healthy(0, 10), "duration": 12}],
+         r"line 1: duration 12\.0 disagrees with the event's span 10\.0"),
+        ([healthy(0, 10), healthy(100, 110)], r"gap in trace: interval \[10\.0, 100\.0\)"),
+        ([healthy(0, 10), healthy(5, 15)], "overlapping events"),
+        ([healthy(0, 10), healthy(10, 10)], "line 2: t_end must exceed t_start"),
+        ([], "empty trace"),
+    ], ids=["backwards", "negative-start", "disagreeing-duration", "gap", "overlap",
+            "empty-span", "empty"])
+    def test_parser_rules_hold(self, events, message):
+        with pytest.raises(TraceParseError, match=f"^{message}"):
+            trace_to_timeline(events)
+
+    @pytest.mark.parametrize("item", [5, None, []], ids=["int", "None", "list"])
+    def test_non_object_item_rejected(self, item):
+        name = type(item).__name__
+        with pytest.raises(TraceParseError, match=f"^line 2: expected a JSON object, got {name}$"):
+            parse_trace([healthy(0, 10), item])
+        assert (outcome(parse_trace, lambda: [healthy(0, 10), item])
+                == outcome(parse_trace, lambda: jsonl(healthy(0, 10), item)))
 
 
 class TestResplitInvariance:
@@ -364,7 +416,27 @@ class TestReport:
 # ---------------------------------------------------------------------------
 # the parser against its reference
 
-# The parser as it was before its one-pass rewrite, with its helpers, kept verbatim.
+# The parser as it was before its one-pass rewrite, with its helpers, kept
+# verbatim but for one later rule: a numeric event may have t_end == t_start if
+# it has a duration, and its duration is checked to 1e-9 * max(1, t_end).
+@dataclass(frozen=True)
+class RefEvent:
+    """One event the reference parser gives. It checks nothing: the reference
+    checks each field itself."""
+
+    t_start: float
+    t_end: float
+    stage: StageKind
+    rate: float
+    exact_duration: float | None = None
+
+    @property
+    def duration(self) -> float:
+        if self.exact_duration is not None:
+            return self.exact_duration
+        return self.t_end - self.t_start
+
+
 def _parse_wall(value: str, line: int, field: str) -> dt.datetime:
     try:
         return dt.datetime.fromisoformat(value)
@@ -386,7 +458,7 @@ def _number(obj: dict, key: str, line: int) -> float:
         raise TraceParseError(str(e), line) from None
 
 
-def reference_event_from_obj(obj: dict, line: int) -> tuple[TraceEvent | None, tuple | None]:
+def reference_event_from_obj(obj: dict, line: int) -> tuple[RefEvent | None, tuple | None]:
     """Returns (event, None) for numeric timestamps or (None, wall-clock tuple)."""
     if not isinstance(obj, dict):
         raise TraceParseError(f"expected a JSON object, got {type(obj).__name__}", line)
@@ -413,10 +485,10 @@ def reference_event_from_obj(obj: dict, line: int) -> tuple[TraceEvent | None, t
         t0, t1 = _number(obj, "t_start", line), _number(obj, "t_end", line)
         if not (math.isfinite(t0) and math.isfinite(t1)) or t0 < 0:
             raise TraceParseError(f"bad timestamps [{t0!r}, {t1!r})", line)
-        if t1 <= t0:
+        if t1 < t0 or (t1 == t0 and exact is None):
             raise TraceParseError(f"t_end must exceed t_start, got [{t0!r}, {t1!r})", line)
-        span = t1 - t0
-        parsed = TraceEvent(t0, t1, stage, rate, exact), None
+        span, scale = t1 - t0, t1
+        parsed = RefEvent(t0, t1, stage, rate, exact), None
     elif "wall_start" in obj and "wall_end" in obj:
         w0 = _parse_wall(obj["wall_start"], line, "wall_start")
         w1 = _parse_wall(obj["wall_end"], line, "wall_end")
@@ -424,16 +496,16 @@ def reference_event_from_obj(obj: dict, line: int) -> tuple[TraceEvent | None, t
             raise TraceParseError("wall_start and wall_end mix timezone-aware and naive times", line)
         if w1 <= w0:
             raise TraceParseError("wall_end must be after wall_start", line)
-        span = (w1 - w0).total_seconds()
+        span = scale = (w1 - w0).total_seconds()
         parsed = None, (w0, w1, stage, rate)
     else:
         raise TraceParseError("event needs t_start/t_end or wall_start/wall_end", line)
-    if exact is not None and abs(exact - span) > CONTIGUITY_TOL * max(1.0, span):
+    if exact is not None and abs(exact - span) > CONTIGUITY_TOL * max(1.0, scale):
         raise TraceParseError(f"duration {exact!r} disagrees with the event's span {span!r}", line)
     return parsed
 
 
-def reference_parse_trace(source: IO | bytes | str | Iterable[str]) -> list[TraceEvent]:
+def reference_parse_trace(source: IO | bytes | str | Iterable[str]) -> list[RefEvent]:
     """Parse and validate a JSONL trace; returns events sorted by t_start."""
     if isinstance(source, bytes):
         lines: Iterable[str] = io.StringIO(source.decode("utf-8"))
@@ -442,7 +514,7 @@ def reference_parse_trace(source: IO | bytes | str | Iterable[str]) -> list[Trac
     else:
         lines = source
 
-    events: list[TraceEvent] = []
+    events: list[RefEvent] = []
     wall_events: list[tuple] = []
     for line_no, raw in enumerate(lines, start=1):
         try:
@@ -468,7 +540,7 @@ def reference_parse_trace(source: IO | bytes | str | Iterable[str]) -> list[Trac
             raise TraceParseError("trace mixes timezone-aware and naive wall-clock times")
         origin = min(w0 for w0, *_ in wall_events)
         events = [
-            TraceEvent((w0 - origin).total_seconds(), (w1 - origin).total_seconds(), st, r)
+            RefEvent((w0 - origin).total_seconds(), (w1 - origin).total_seconds(), st, r)
             for w0, w1, st, r in wall_events
         ]
     if not events:
@@ -495,8 +567,8 @@ def outcome(parse, make_source):
     float as its hex, or the error and its line.
 
     ``parse_trace`` gives a Trace, whose five columns are read. The
-    reference gives a list of TraceEvents; an event of zero duration is left
-    out, as ``trace_to_timeline`` leaves it out of the events' timeline.
+    reference gives a list of RefEvents; an event of zero duration is left
+    out, as ``parse_trace`` drops it last.
     """
     try:
         parsed = parse(make_source())
@@ -590,14 +662,44 @@ def test_parse_matches_reference_on_random_traces():
     assert parsed >= 300   # most traces are valid; the tied lines make overlaps
 
 
+def decoded_items(source):
+    """The ``json.loads`` value of each line of a source, or None if a line is
+    blank, undecodable or a JSON string (a ``str`` item is read as a line)."""
+    if isinstance(source, str):
+        source = io.StringIO(source)
+    elif isinstance(source, bytes):
+        source = io.BytesIO(source)
+    try:
+        items = [json.loads(line.decode() if isinstance(line, bytes) else line)
+                 for line in source]
+    except (ValueError, RecursionError):
+        return None
+    return None if any(isinstance(item, str) for item in items) else items
+
+
+def test_decoded_items_parse_as_their_lines():
+    """A source's decoded objects give the same events as its lines, or the
+    same error on the same line."""
+    rng = random.Random(20261018)  # the traces of the reference test above
+    checked = 0
+    for i in range(400):
+        make_source = random_source(rng, random_event_lines(rng))
+        items = decoded_items(make_source())
+        if items is None:
+            continue
+        assert outcome(parse_trace, lambda: items) == outcome(parse_trace, make_source), i
+        checked += 1
+    assert checked >= 150   # half the sources have no blank line
+
+
 def test_iterating_a_parsed_trace_matches_its_events_timeline():
-    """Iterating a parsed trace gives the (duration, rate, stage) of each entry
-    of ``trace_to_timeline`` over the reference parser's events, bit for bit."""
+    """Iterating a parsed trace gives the (duration, rate, stage) of each of the
+    reference parser's events that has a duration, bit for bit."""
     rng = random.Random(20261019)
     checked = 0
 
-    def triples(segments):
-        return [(s.duration.hex(), s.rate.hex(), s.stage) for s in segments]
+    def triples(events):
+        return [(e.duration.hex(), e.rate.hex(), e.stage) for e in events if e.duration]
 
     for i in range(200):
         make_source = random_source(rng, random_event_lines(rng))
@@ -605,7 +707,7 @@ def test_iterating_a_parsed_trace_matches_its_events_timeline():
             events = reference_parse_trace(make_source())
         except TraceParseError:
             continue
-        assert triples(parse_trace(make_source())) == triples(trace_to_timeline(events)), i
+        assert triples(parse_trace(make_source())) == triples(events), i
         checked += 1
     assert checked >= 150
 
@@ -665,6 +767,11 @@ MALFORMED = {
     "negative-start": line(t_start=-1),
     "end-before-start": line(t_start=10, t_end=5),
     "empty-span": line(t_start=10, t_end=10),
+    # An empty span is an event if it has a duration within the tolerance.
+    "empty-span-duration": line(t_start=10, t_end=10, duration=1e-8),
+    "empty-span-disagreeing-duration": line(t_start=10, t_end=10, duration=2e-8),
+    "wall-empty-span-duration": wall_line("2026-01-01T00:00:00", "2026-01-01T00:00:00",
+                                          duration=1e-9),
     "missing-end": without("t_end"),
     "missing-start": without("t_start"),
     "string-start": line(t_start="0"),
@@ -679,6 +786,13 @@ MALFORMED = {
     # Below 1 s the tolerance is absolute, 1e-9 s.
     "short-span-duration": line(t_end=0.5, duration=0.5 + 8e-10),
     "short-span-disagreeing-duration": line(t_end=0.5, duration=0.5 + 2e-9),
+    # Numeric stamps scale it by t_end, as the contiguity check does.
+    "far-span-duration": line(t_start=3e7, t_end=3e7 + 0.3, duration=0.3),
+    "far-span-disagreeing-duration": line(t_start=3e7, t_end=3e7 + 0.3, duration=0.4),
+    "wall-span-duration": wall_line("2026-01-01T00:00:00", "2026-01-01T00:00:00.5",
+                                    duration=0.5 + 8e-10),
+    "wall-span-disagreeing-duration": wall_line("2026-01-01T00:00:00",
+                                                "2026-01-01T00:00:00.5", duration=0.5 + 2e-9),
     "disagreeing-wall-duration": wall_line("2026-01-01T00:00:00", "2026-01-01T00:00:10",
                                            duration=5.0),
     "no-timestamps": without("t_start").replace('"t_end": 10.0, ', ""),
@@ -701,7 +815,8 @@ MALFORMED = {
     "blank-lines": "\n  \n\t\r\n",
     "unicode-blank-lines": "\u00a0\n\x0c\n\u2028\n",
 }
-VALID_EDGES = {"rollback-rate", "short-span-duration", "unicode-blank-lines"}
+VALID_EDGES = {"rollback-rate", "short-span-duration", "empty-span-duration",
+               "far-span-duration", "wall-span-duration", "unicode-blank-lines"}
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))
