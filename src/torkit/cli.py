@@ -145,9 +145,8 @@ def cmd_simulate(args) -> int:
 
     _check_writable(args.emit_trace, args.emit_csv)
     if args.emit_trace:
-        tr = trace_mod.timeline_to_events(first.timeline)
         with _open_output(args.emit_trace) as f:
-            trace_mod.write_jsonl(tr, f)
+            trace_mod.write_jsonl(first.timeline, f)
     if args.emit_csv:
         with _open_output(args.emit_csv) as f:
             write_csv(first.timeline, f)

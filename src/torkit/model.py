@@ -239,17 +239,16 @@ class RateTimeline:
 
     @classmethod
     def _of_columns(
-        cls, durations: list[float], rates: list[float], stages: list[StageKind], *more: list
+        cls, durations: list[float], rates: list[float], stages: list[StageKind]
     ) -> "RateTimeline":
         """Wrap columns the package produced, without a check or a copy.
 
         The caller guarantees equal lengths, float durations > 0, float rates
         in [0, 1], StageKind stages and each stage's fixed rate where it has
-        one (:data:`FIXED_RATE`), and hands the lists over. ``more`` are
-        a subclass's own columns, passed on to its ``_set``.
+        one (:data:`FIXED_RATE`), and hands the lists over.
         """
         tl = _new(cls)
-        tl._set(durations, rates, stages, *more)
+        tl._set(durations, rates, stages)
         return tl
 
     @classmethod

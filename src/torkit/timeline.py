@@ -11,7 +11,7 @@ import csv
 import math
 from itertools import accumulate, islice
 from operator import mul
-from typing import Iterable, TextIO
+from typing import Iterable, Iterator, TextIO
 
 from .errors import UndefinedMetricError, ValidationError
 from .model import RateTimeline, Segment, StageKind
@@ -74,6 +74,19 @@ def concat(timelines: Iterable[RateTimeline]) -> RateTimeline:
     return RateTimeline._of_columns(durations, rates, stages)
 
 
+def _batches(tl: RateTimeline) -> Iterator[zip]:
+    """Runs of ``_BATCH`` entries of ``tl``, each a zip of (start, end, rate,
+    stage, duration) rows whose start and end are the ``repr`` of running sums
+    of the durations from 0: the one time axis of the CSV and JSONL writers."""
+    edges = map(repr, accumulate(tl.durations, initial=0.0))
+    starts = [next(edges)]
+    for i in range(0, len(tl), _BATCH):
+        ends = list(islice(edges, _BATCH))
+        yield zip(starts + ends, ends, tl.rates[i:i + _BATCH], tl.stages[i:i + _BATCH],
+                  tl.durations[i:i + _BATCH])
+        starts = ends[-1:]
+
+
 def write_csv(tl: RateTimeline, out: TextIO) -> None:
     """Export as CSV with columns t_start,t_end,rate,stage (header included).
 
@@ -83,23 +96,19 @@ def write_csv(tl: RateTimeline, out: TextIO) -> None:
     the timeline.
     """
     out.write(",".join(CSV_HEADER) + "\r\n")
-    edges = map(repr, accumulate(tl.durations, initial=0.0))
-    starts = [next(edges)]
-    for i in range(0, len(tl), _BATCH):
-        ends = list(islice(edges, _BATCH))
-        out.write("".join([
-            f"{t0},{t1},{rate!r},{_NAME[stage]}\r\n"
-            for t0, t1, rate, stage in zip(starts + ends, ends, tl.rates[i:i + _BATCH],
-                                           tl.stages[i:i + _BATCH])]))
-        starts = ends[-1:]
+    for rows in _batches(tl):
+        out.write("".join([f"{t0},{t1},{rate!r},{_NAME[stage]}\r\n"
+                           for t0, t1, rate, stage, _ in rows]))
 
 
 def read_csv(inp: TextIO) -> RateTimeline:
     """Parse a timeline written by :func:`write_csv`.
 
     A row that cannot be read or does not have four fields, a time or rate
-    that is not a number, an unknown stage or a segment that fails its checks
-    is a ValidationError naming the row (the header is row 1).
+    that is not a number, an unknown stage, a segment that fails its checks
+    or a row that does not tile (a ``t_start`` other than the previous row's
+    ``t_end``, or than 0.0 for the first row) is a ValidationError naming the
+    row (the header is row 1). Blank rows are skipped.
 
     Durations come back as ``t_end - t_start``, so TOR and observed time agree
     with the written timeline's to about 1e-12 relative, not bit for bit; a
@@ -111,6 +120,7 @@ def read_csv(inp: TextIO) -> RateTimeline:
         if header != CSV_HEADER:
             raise ValidationError(f"bad timeline CSV header: {header!r}")
         segs = []
+        prev_end = 0.0
         for row_no, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -118,7 +128,12 @@ def read_csv(inp: TextIO) -> RateTimeline:
                 if len(row) != len(CSV_HEADER):
                     raise ValidationError(f"expected {len(CSV_HEADER)} fields, got {len(row)}")
                 t0, t1, rate, stage = row
-                segs.append(Segment(float(t1) - float(t0), float(rate), stage))
+                t0, t1 = float(t0), float(t1)
+                segs.append(Segment(t1 - t0, float(rate), stage))
+                if t0 != prev_end:
+                    raise ValidationError(
+                        f"t_start {t0!r} is not the previous row's t_end {prev_end!r}")
+                prev_end = t1
             except (ValueError, ValidationError) as e:
                 raise ValidationError(f"timeline CSV row {row_no}: {e}") from None
     except csv.Error as e:  # a row the csv module cannot read (a field too large, say)

@@ -26,10 +26,11 @@ booleans. The first failing check is reported with its line. Then the whole
 trace must use one timestamp format and one kind of wall clock, and be
 non-empty and contiguous. Input whose events tile the time axis exactly
 in line order is kept as is; other input is sorted stably by (t_start, t_end)
-before the contiguity check. The result is a :class:`Trace`, the checked
-columns as a ``RateTimeline`` that :func:`report` reads as it is. A trace
-built by hand is a list of event dicts, which :func:`parse_trace` checks as
-the lines they stand for.
+before the contiguity check. The result is the ``RateTimeline`` of the
+checked events, which :func:`report` reads as it is. It keeps their
+durations, not their timestamps: :func:`write_jsonl`, like the CSV writer,
+lays any timeline out from 0. A trace built by hand is a list of event
+dicts, which :func:`parse_trace` checks as the lines they stand for.
 """
 from __future__ import annotations
 
@@ -38,8 +39,6 @@ import io
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
-from itertools import accumulate
 from operator import sub
 from typing import IO, Iterable
 
@@ -54,35 +53,13 @@ from .model import (
 )
 from .periods import FAIL_SLOW, FAIL_STOP, StageTotals, period_records
 # tor_of_timeline stays importable from here, where callers and span hooks name it.
-from .timeline import (_BATCH, _NAME, integrate_optimal_time, observed_time, stage_breakdown,
+from .timeline import (_NAME, _batches, integrate_optimal_time, observed_time, stage_breakdown,
                        tor_of_timeline)
 
 SCHEMA_VERSION = 1
 
 # Gap/overlap slack for externally produced timestamps.
 CONTIGUITY_TOL = 1e-9
-
-
-@dataclass(frozen=True, init=False)
-class Trace(RateTimeline):
-    """A parsed trace: the timeline of its events, with their start and end times.
-
-    Event ``i`` spans ``[t_start[i], t_end[i])``, in seconds from the trace's
-    start, and lasts ``durations[i]``. One built from segments (``Trace(segments)``,
-    :meth:`build`, :func:`timeline_to_events`) lays its events out from 0.
-    """
-
-    t_start: list[float]
-    t_end: list[float]
-
-    def _set(self, durations: list[float], rates: list[float], stages: list[StageKind],
-             t_start: list[float] | None = None, t_end: list[float] | None = None) -> None:
-        if t_start is None:
-            edges = list(accumulate(durations, initial=0.0))
-            t_start, t_end = edges[:-1], edges[1:]
-        super()._set(durations, rates, stages)
-        object.__setattr__(self, "t_start", t_start)
-        object.__setattr__(self, "t_end", t_end)
 
 
 def _parse_wall(value: str, line: int, field: str) -> dt.datetime:
@@ -154,8 +131,9 @@ def _wall_times(obj: dict, line: int) -> tuple[dt.datetime, dt.datetime]:
     return w0, w1
 
 
-def parse_trace(source: IO | bytes | str | Iterable) -> Trace:
-    """Parse and validate a JSONL trace into a :class:`Trace` sorted by t_start.
+def parse_trace(source: IO | bytes | str | Iterable) -> RateTimeline:
+    """Parse and validate a JSONL trace into the ``RateTimeline`` of its
+    events, sorted by t_start.
 
     The checks and their order are those of the module docstring. Each event
     goes into the columns as its line is checked. An item of ``source`` that
@@ -284,9 +262,8 @@ def parse_trace(source: IO | bytes | str | Iterable) -> Trace:
                     f"[{cur!r}, {ends[i]!r})")
     if 0.0 in durations:
         kept = [i for i, d in enumerate(durations) if d]
-        starts, ends, durations, rates, stages = (
-            [col[i] for i in kept] for col in (starts, ends, durations, rates, stages))
-    return Trace._of_columns(durations, rates, stages, starts, ends)
+        durations, rates, stages = ([col[i] for i in kept] for col in (durations, rates, stages))
+    return RateTimeline._of_columns(durations, rates, stages)
 
 
 # The hand-built route's old name, kept because the benchmark's span hooks name it.
@@ -312,8 +289,8 @@ def _mtbf_by_kind(records: list[StageTotals]) -> tuple[float | None, float | Non
 
 
 def report(tl: RateTimeline) -> dict:
-    """Structured report of a timeline (a parsed :class:`Trace`, say): TOR,
-    MTBF estimates, stage and period breakdown."""
+    """Structured report of a timeline (a parsed trace, say): TOR, MTBF
+    estimates, stage and period breakdown."""
     t_obs = observed_time(tl)  # first: it bounds every other sum
     t_opt = integrate_optimal_time(tl)
     records = period_records(tl)
@@ -357,25 +334,25 @@ def render_report(rep: dict) -> str:
     return "\n".join(lines)
 
 
-def timeline_to_events(tl: RateTimeline) -> Trace:
-    """The timeline as a trace laid onto the time axis from 0."""
-    return Trace._of_columns(tl.durations, tl.rates, tl.stages)
+def timeline_to_events(tl: RateTimeline) -> RateTimeline:
+    """``tl`` itself, kept under this name because the benchmark's span hooks name it."""
+    return tl
 
 
-def write_jsonl(tr: Trace, out: IO) -> None:
-    """Write a trace as JSON Lines, one event per line, each with its duration.
+def write_jsonl(tl: RateTimeline, out: IO) -> None:
+    """Write a timeline as JSON Lines, one event per line, each with its duration.
 
     A line is what ``json.dumps`` gives for the event's dict, in the key order
-    ``t_start, t_end, stage, rate, duration``. The lines go to ``out`` in
+    ``t_start, t_end, stage, rate, duration``, with the edges ``write_csv``
+    writes: running sums of the durations from 0. The lines go to ``out`` in
     batches of a fixed number, so the writer's own memory does not grow with
-    the trace.
+    the timeline.
     """
-    cols = (tr.t_start, tr.t_end, tr.stages, tr.rates, tr.durations)
-    for i in range(0, len(tr), _BATCH):
+    for rows in _batches(tl):
         text = "".join([
-            f'{{"t_start": {t0!r}, "t_end": {t1!r}, "stage": "{_NAME[stage]}", '
+            f'{{"t_start": {t0}, "t_end": {t1}, "stage": "{_NAME[stage]}", '
             f'"rate": {rate!r}, "duration": {d!r}}}\n'
-            for t0, t1, stage, rate, d in zip(*[col[i:i + _BATCH] for col in cols])])
+            for t0, t1, rate, stage, d in rows])
         # repr spells a time that overflowed "inf"; json.dumps spells it "Infinity".
         # No other token of a line contains "inf".
         if "inf" in text:

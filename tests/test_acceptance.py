@@ -40,7 +40,7 @@ from torkit.simulator import (
     realized_period_tor_check,
 )
 from torkit.timeline import concat
-from torkit.trace import estimate_mtbf, timeline_to_events, write_jsonl
+from torkit.trace import estimate_mtbf, write_jsonl
 import io
 
 
@@ -167,7 +167,7 @@ def test_criterion_7_trace_round_trip(worked_fail_stop, worked_fail_slow):
     cfg = config_from_period(worked_fail_stop, periods=100, seed=71)
     res = simulate(cfg)
     buf = io.StringIO()
-    write_jsonl(timeline_to_events(res.timeline), buf)
+    write_jsonl(res.timeline, buf)
     rep = report(parse_trace(buf.getvalue()))
     tor_delta = abs(rep["tor"] - res.tor)
     assert tor_delta <= 1e-12
@@ -176,10 +176,10 @@ def test_criterion_7_trace_round_trip(worked_fail_stop, worked_fail_slow):
     stop_tl = concat([period_to_timeline(worked_fail_stop)] * 4)
     slow_tl = concat([period_to_timeline(worked_fail_slow)] * 4)
     buf = io.StringIO()
-    write_jsonl(timeline_to_events(stop_tl), buf)
+    write_jsonl(stop_tl, buf)
     stop_mtbf, _ = estimate_mtbf(parse_trace(buf.getvalue()))
     buf = io.StringIO()
-    write_jsonl(timeline_to_events(slow_tl), buf)
+    write_jsonl(slow_tl, buf)
     _, slow_mtbf = estimate_mtbf(parse_trace(buf.getvalue()))
     assert stop_mtbf == mtbf_fail_stop(worked_fail_stop)
     assert slow_mtbf == mtbf_fail_slow(worked_fail_slow)

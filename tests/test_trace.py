@@ -5,6 +5,7 @@ import math
 import random
 import re
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import IO, Iterable
 
 import pytest
@@ -14,7 +15,6 @@ from torkit import (
     RateTimeline,
     Segment,
     StageKind,
-    Trace,
     TraceParseError,
     ValidationError,
     estimate_mtbf,
@@ -29,7 +29,7 @@ from torkit.analytic import mixture_concat_timeline
 from torkit.model import ZERO_RATE_STAGES
 from torkit.periods import period_records
 from torkit.simulator import config_from_period
-from torkit.timeline import concat, observed_time
+from torkit.timeline import concat, observed_time, write_csv
 from torkit.model import _check_number
 from torkit.trace import (
     CONTIGUITY_TOL,
@@ -47,21 +47,25 @@ def healthy(t0, t1):
     return {"t_start": t0, "t_end": t1, "stage": "HealthyRun", "rate": 1.0}
 
 
-def events_for(tl):
-    return timeline_to_events(tl)
-
-
 def roundtrip(tl):
     buf = io.StringIO()
-    write_jsonl(events_for(tl), buf)
+    write_jsonl(tl, buf)
     return parse_trace(buf.getvalue())
+
+
+def csv_edges(tl) -> list[tuple[float, float]]:
+    """The (t_start, t_end) of each row ``write_csv`` writes for ``tl``."""
+    buf = io.StringIO()
+    write_csv(tl, buf)
+    return [tuple(map(float, row.split(",")[:2])) for row in buf.getvalue().splitlines()[1:]]
 
 
 class TestParse:
     def test_two_contiguous_events(self):
         tr = parse_trace(jsonl(healthy(0, 10), healthy(10, 20)))
         assert len(tr) == 2
-        assert tr.t_end[0] == tr.t_start[1] == 10.0
+        assert tr.durations == [10.0, 10.0]
+        assert csv_edges(tr) == [(0.0, 10.0), (10.0, 20.0)]
 
     def test_gap_error_names_interval(self):
         with pytest.raises(TraceParseError, match=r"\[10.0, 12.0\)"):
@@ -109,7 +113,7 @@ class TestParse:
     def test_wall_clock_duration_checked(self):
         event = {"wall_start": "2026-08-23T10:00:00", "wall_end": "2026-08-23T10:00:10",
                  "stage": "HealthyRun", "rate": 1.0}
-        assert parse_trace(jsonl(dict(event, duration=10.0))).t_end == [10.0]
+        assert parse_trace(jsonl(dict(event, duration=10.0))).durations == [10.0]
         with pytest.raises(TraceParseError, match="line 1: duration 5.0 disagrees"):
             parse_trace(jsonl(dict(event, duration=5.0)))
 
@@ -118,8 +122,8 @@ class TestParse:
             parse_trace("")
 
     def test_unsorted_input_is_sorted(self):
-        tr = parse_trace(jsonl(healthy(10, 20), healthy(0, 10)))
-        assert tr.t_start == [0.0, 10.0]
+        tr = parse_trace(jsonl(healthy(10, 25), healthy(0, 10)))
+        assert tr.durations == [10.0, 15.0]
 
     def test_bytes_input(self):
         evs = parse_trace(jsonl(healthy(0, 10)).encode())
@@ -140,8 +144,9 @@ class TestParse:
             {"wall_start": "2026-08-23T10:01:30", "wall_end": "2026-08-23T10:02:00",
              "stage": "Repair", "rate": 0.0},
         ))
-        assert tr.t_start == [0.0, 90.0]
-        assert tr.t_end == [90.0, 120.0]
+        assert tr.durations == [90.0, 30.0]
+        assert tr.stages == [StageKind.HEALTHY_RUN, StageKind.REPAIR]
+        assert csv_edges(tr) == [(0.0, 90.0), (90.0, 120.0)]
 
     def test_span_that_rounds_to_zero_is_dropped(self):
         # 1,000 years from the origin, a 1 us span rounds to 0 s.
@@ -155,7 +160,7 @@ class TestParse:
         assert [e.duration for e in events] == [31556995200.0, 0.0]
         tr = parse_trace(text)
         assert len(tr) == 1
-        assert (tr.t_start, tr.t_end, tr.durations) == ([0.0], [31556995200.0], [31556995200.0])
+        assert tr.durations == [31556995200.0] and tr.stages == [StageKind.HEALTHY_RUN]
         assert report(tr) == report(RateTimeline.build((e.duration, e.rate, e.stage)
                                                        for e in events))
 
@@ -171,10 +176,10 @@ class TestParse:
 def event_dicts(tl):
     """A timeline's events as a hand-built trace: one dict per event, laid out
     from 0, each with its duration."""
-    tr = timeline_to_events(tl)
+    edges = list(accumulate(tl.durations, initial=0.0))
     return [{"t_start": t0, "t_end": t1, "stage": str(stage), "rate": rate, "duration": d}
-            for t0, t1, stage, rate, d in zip(tr.t_start, tr.t_end, tr.stages, tr.rates,
-                                             tr.durations)]
+            for t0, t1, stage, rate, d in zip(edges, edges[1:], tl.stages, tl.rates,
+                                             tl.durations)]
 
 
 class TestTraceToTimeline:
@@ -188,12 +193,12 @@ class TestTraceToTimeline:
         tl = period_to_timeline(worked_fail_stop)
         back = trace_to_timeline(event_dicts(tl))
         assert list(back) == list(tl)
-        assert back == timeline_to_events(tl) == roundtrip(tl)
+        assert back == tl == roundtrip(tl)
         assert tor_of_timeline(back) == pytest.approx(91 / 110, abs=1e-15)
 
     def test_single_healthy_event(self):
         tl = trace_to_timeline([healthy(0, 42)])
-        assert type(tl) is Trace
+        assert type(tl) is RateTimeline
         assert tor_of_timeline(tl) == 1.0
 
     def test_simulator_round_trip(self, worked_fail_stop):
@@ -228,7 +233,7 @@ class TestTraceToTimeline:
         hand = [{"t_start": 0, "t_end": 10, "stage": "HealthyRun", "rate": 1},
                 {"t_start": 10, "t_end": 12, "stage": StageKind.REPAIR, "rate": 0}]
         tr = trace_to_timeline(hand)
-        assert type(tr.t_start[0]) is float and type(tr.rates[0]) is float
+        assert type(tr.durations[0]) is float and type(tr.rates[0]) is float
         parsed = parse_trace(jsonl(healthy(0, 10), {**healthy(10, 12), "stage": "Repair",
                                                     "rate": 0}))
         assert tr == parsed
@@ -241,12 +246,12 @@ class TestTraceToTimeline:
                            match=r"^line 2: t_end must exceed t_start, got \[10\.0, 10\.0\)$"):
             trace_to_timeline([hand[0], empty, hand[1]])
         kept = trace_to_timeline([hand[0], {**empty, "duration": 1e-9}, hand[1]])
-        assert (kept.t_start, kept.t_end, kept.durations) == (
-            [0.0, 10.0, 10.0], [10.0, 10.0, 12.0], [10.0, 1e-9, 2.0])
+        assert (kept.durations, kept.stages) == (
+            [10.0, 1e-9, 2.0], [StageKind.HEALTHY_RUN, StageKind.REPAIR, StageKind.REPAIR])
 
     def test_out_of_order_events_are_sorted(self):
-        tr = trace_to_timeline([healthy(10, 20), healthy(0, 10)])
-        assert (tr.t_start, tr.t_end) == ([0.0, 10.0], [10.0, 20.0])
+        tr = trace_to_timeline([healthy(10, 25), healthy(0, 10)])
+        assert tr.durations == [10.0, 15.0]
 
     @pytest.mark.parametrize("events, message", [
         ([{**healthy(10, 5), "duration": 3}], r"line 1: t_end must exceed t_start"),
@@ -275,14 +280,14 @@ class TestTraceToTimeline:
 class TestResplitInvariance:
     def test_tor_invariant_to_event_splits(self, worked_fail_slow):
         tl = period_to_timeline(worked_fail_slow)
-        tr = events_for(tl)
+        edges = list(accumulate(tl.durations, initial=0.0))
         split = []
-        for t0, t1, stage, rate in zip(tr.t_start, tr.t_end, tr.stages, tr.rates):
+        for t0, t1, stage, rate in zip(edges, edges[1:], tl.stages, tl.rates):
             mid = (t0 + t1) / 2
             split.append({"t_start": t0, "t_end": mid, "stage": str(stage), "rate": rate})
             split.append({"t_start": mid, "t_end": t1, "stage": str(stage), "rate": rate})
         resplit = parse_trace(jsonl(*split))
-        assert len(resplit) == 2 * len(tr)
+        assert len(resplit) == 2 * len(tl)
         assert tor_of_timeline(resplit) == pytest.approx(tor_of_timeline(tl), abs=1e-12)
 
 
@@ -305,13 +310,16 @@ class TestEstimateMtbf:
     def test_trailing_partial_period_excluded(self, worked_fail_stop):
         tl = concat([period_to_timeline(worked_fail_stop)] * 2)
         buf = io.StringIO()
-        write_jsonl(events_for(tl), buf)
+        write_jsonl(tl, buf)
         # partial next period: healthy run, then the trace just stops
         stop, _ = estimate_mtbf(parse_trace(buf.getvalue() + jsonl(healthy(220.0, 260.0))))
         assert stop == 100.0
 
 
 class TestTrace:
+    """A parsed trace is a plain ``RateTimeline``: its times are the running
+    sums of its durations from 0, as every other timeline's are."""
+
     # (duration, rate, stage); the zero-duration entry is dropped.
     ITEMS = [(2.0, 0.5, StageKind.SLOW_RECOVERY), (0.0, 1.0, StageKind.HEALTHY_RUN),
              (90.0, 1.0, StageKind.HEALTHY_RUN), (10.0, 0.0, StageKind.REPAIR)]
@@ -326,27 +334,31 @@ class TestTrace:
         return parse_trace(jsonl(*objs))
 
     @pytest.mark.parametrize("build", [
-        lambda items: Trace(Segment(*item) for item in items),
-        Trace.build,
+        lambda items: RateTimeline(Segment(*item) for item in items),
+        RateTimeline.build,
         lambda items: timeline_to_events(RateTimeline.build(items)),
         parsed,
     ], ids=["segments", "build", "timeline_to_events", "parse_trace"])
     def test_every_way_to_build_has_time_columns(self, build):
         tr = build(self.ITEMS)
-        assert type(tr) is Trace and len(tr) == 3
+        assert type(tr) is RateTimeline and len(tr) == 3
         assert tr.durations == [2.0, 90.0, 10.0]
-        assert tr.t_start == [0.0, 2.0, 92.0] and tr.t_end == [2.0, 92.0, 102.0]
-        assert tr == Trace(RateTimeline.build(self.ITEMS))
+        assert csv_edges(tr) == [(0.0, 2.0), (2.0, 92.0), (92.0, 102.0)]
+        assert tr == RateTimeline.build(self.ITEMS)
 
     def test_empty(self):
-        tr = Trace()
-        assert (tr.t_start, tr.t_end, tr.durations) == ([], [], []) and tr == Trace.build([])
+        tr = RateTimeline()
+        assert (tr.durations, csv_edges(tr)) == ([], []) and tr == RateTimeline.build([])
 
-    def test_equal_only_with_equal_times(self):
+    def test_equal_whatever_the_offset(self):
         tr = parse_trace(jsonl(healthy(0, 10)))
         moved = parse_trace(jsonl(healthy(5, 15)))
-        assert (tr.durations, tr.rates, tr.stages) == (moved.durations, moved.rates, moved.stages)
-        assert tr != moved and tr == timeline_to_events(moved)
+        assert tr == moved and not hasattr(moved, "t_start")
+        assert csv_edges(moved) == [(0.0, 10.0)]
+        buf, moved_buf = io.StringIO(), io.StringIO()
+        write_jsonl(tr, buf)
+        write_jsonl(moved, moved_buf)
+        assert moved_buf.getvalue() == buf.getvalue()
 
 
 class TestReport:
@@ -563,23 +575,22 @@ def reference_parse_trace(source: IO | bytes | str | Iterable[str]) -> list[RefE
 
 
 def outcome(parse, make_source):
-    """The events as (t_start, t_end, stage, rate, duration) rows, with every
+    """The events as (stage, rate, duration) rows in time order, with every
     float as its hex, or the error and its line.
 
-    ``parse_trace`` gives a Trace, whose five columns are read. The
-    reference gives a list of RefEvents; an event of zero duration is left
-    out, as ``parse_trace`` drops it last.
+    ``parse_trace`` gives a RateTimeline, whose three columns are read. The
+    reference gives a list of RefEvents, sorted by their own times; an event
+    of zero duration is left out, as ``parse_trace`` drops it last.
     """
     try:
         parsed = parse(make_source())
     except TraceParseError as e:
         return "error", str(e), e.line
-    if isinstance(parsed, Trace):
-        rows = zip(parsed.t_start, parsed.t_end, parsed.stages, parsed.rates, parsed.durations)
+    if isinstance(parsed, RateTimeline):
+        rows = zip(parsed.stages, parsed.rates, parsed.durations)
     else:
-        rows = ((e.t_start, e.t_end, e.stage, e.rate, e.duration) for e in parsed if e.duration)
-    return "events", [(t0.hex(), t1.hex(), stage.name, rate.hex(), d.hex())
-                      for t0, t1, stage, rate, d in rows]
+        rows = ((e.stage, e.rate, e.duration) for e in parsed if e.duration)
+    return "events", [(stage.name, rate.hex(), d.hex()) for stage, rate, d in rows]
 
 
 FREE_RATE_STAGES = [StageKind.SLOW_RECOVERY, StageKind.FAIL_SLOW_DEGRADED]

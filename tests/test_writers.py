@@ -1,8 +1,9 @@
 """The JSONL and CSV writers against frozen copies of the per-line writers they replaced.
 
 ``reference_write_jsonl`` makes one ``json.dumps`` per event and
-``reference_write_csv`` one ``csv.writer`` row of ``repr``/``str`` per segment.
-The batched writers must give the same bytes on every input.
+``reference_write_csv`` one ``csv.writer`` row of ``repr``/``str`` per segment,
+both with the running sums of the durations from 0 as their edges. The batched
+writers must give the same bytes on every input, parsed traces included.
 """
 import csv
 import datetime as dt
@@ -14,17 +15,19 @@ from itertools import accumulate
 
 import pytest
 
-from torkit import RateTimeline, StageKind, Trace, ValidationError, parse_trace, simulate
+from torkit import RateTimeline, StageKind, ValidationError, parse_trace, simulate
 from torkit.simulator import Exponential, Fixed, LogNormal, SimConfig
-from torkit.timeline import _BATCH, observed_time, read_csv, tor_of_timeline, write_csv
+from torkit.timeline import (CSV_HEADER, _BATCH, observed_time, read_csv, tor_of_timeline,
+                             write_csv)
 from torkit.trace import timeline_to_events, write_jsonl
 
 H, SR, CK, RB, FS, RP = (StageKind.HEALTHY_RUN, StageKind.SLOW_RECOVERY, StageKind.CHECKPOINT_SAVE,
                          StageKind.ROLLBACK_WASTE, StageKind.FAIL_SLOW_DEGRADED, StageKind.REPAIR)
 
 
-def reference_write_jsonl(tr: Trace, out) -> None:
-    for t0, t1, stage, rate, d in zip(tr.t_start, tr.t_end, tr.stages, tr.rates, tr.durations):
+def reference_write_jsonl(tl: RateTimeline, out) -> None:
+    edges = list(accumulate(tl.durations, initial=0.0))
+    for t0, t1, stage, rate, d in zip(edges, edges[1:], tl.stages, tl.rates, tl.durations):
         out.write(json.dumps({"t_start": t0, "t_end": t1, "stage": str(stage), "rate": rate,
                               "duration": d}) + "\n")
 
@@ -44,9 +47,8 @@ def written(writer, obj) -> str:
 
 
 def assert_same_bytes(tl: RateTimeline) -> None:
-    """Both writers match their oracles on ``tl`` (a Trace keeps its own times)."""
-    tr = tl if isinstance(tl, Trace) else timeline_to_events(tl)
-    assert written(write_jsonl, tr) == written(reference_write_jsonl, tr)
+    """Both writers match their oracles on ``tl``."""
+    assert written(write_jsonl, tl) == written(reference_write_jsonl, tl)
     assert written(write_csv, tl) == written(reference_write_csv, tl)
 
 
@@ -83,13 +85,15 @@ def wall_clock_trace(tl: RateTimeline) -> str:
         for w0, w1, stage, rate in zip(edges, edges[1:], tl.stages, tl.rates))
 
 
-def seconds_trace_with_own_times(tl: RateTimeline) -> str:
-    """``tl`` as a JSONL seconds trace whose starts differ from the previous
-    ends within the contiguity tolerance, with no ``duration`` key."""
-    edges = list(accumulate(tl.durations, initial=0.0))
+def seconds_trace_with_own_times(tl: RateTimeline, origin: float = 0.0,
+                                 nudged: bool = True) -> str:
+    """``tl`` as a JSONL seconds trace from ``origin``, with no ``duration``
+    key; if ``nudged``, its starts differ from the previous ends within the
+    contiguity tolerance."""
+    edges = list(accumulate(tl.durations, initial=origin))
     lines = []
     for i, (t0, t1, stage, rate) in enumerate(zip(edges, edges[1:], tl.stages, tl.rates)):
-        nudge = 1e-10 * max(1.0, t0) if i % 3 == 1 else 0.0
+        nudge = 1e-10 * max(1.0, t0) if nudged and i % 3 == 1 else 0.0
         lines.append(json.dumps({"t_start": t0 + nudge, "t_end": t1, "stage": str(stage),
                                  "rate": rate}))
     return "\n".join(lines) + "\n"
@@ -106,9 +110,13 @@ class TestSameBytesAsPerLineWriters:
     @pytest.mark.parametrize("dist", DISTS, ids=lambda d: d.kind)
     def test_parsed_seconds_trace(self, dist):
         tl = simulate(sim_config(dist, 4)).timeline
-        tr = parse_trace(seconds_trace_with_own_times(tl))
-        assert tr.t_start[1:] != tr.t_end[:-1]
-        assert tr.t_start != list(accumulate(tr.durations, initial=0.0))[:-1]
+        text = seconds_trace_with_own_times(tl)
+        events = [json.loads(line) for line in text.splitlines()]
+        starts, ends = [e["t_start"] for e in events], [e["t_end"] for e in events]
+        tr = parse_trace(text)
+        # The source's own times are not the running sums the writers give.
+        assert starts[1:] != ends[:-1]
+        assert starts != list(accumulate(tr.durations, initial=0.0))[:-1]
         assert_same_bytes(tr)
 
     @pytest.mark.parametrize("dist", DISTS, ids=lambda d: d.kind)
@@ -120,7 +128,7 @@ class TestSameBytesAsPerLineWriters:
 
     def test_trace_of_segments(self):
         tl = cycled(_BATCH + 3, ODD)
-        assert_same_bytes(Trace(tl.segments))
+        assert_same_bytes(RateTimeline(tl.segments))
 
     @pytest.mark.parametrize("n", [1, _BATCH - 1, _BATCH, _BATCH + 1, 2 * _BATCH + 1])
     def test_lengths_around_the_batch(self, n):
@@ -133,7 +141,7 @@ class TestSameBytesAsPerLineWriters:
         assert repr(value) in written(write_csv, tl)
 
     def test_empty(self):
-        tr = Trace()
+        tr = RateTimeline()
         assert written(write_jsonl, tr) == written(reference_write_jsonl, tr) == ""
         assert written(write_csv, tr) == written(reference_write_csv, tr) == (
             "t_start,t_end,rate,stage\r\n")
@@ -152,9 +160,8 @@ class TestOverflowingEdge:
     def test_spelled_as_before(self, n):
         # the edges overflow at the second 1e308, in the first batch or a later one
         tl = RateTimeline.build([(1.0, 1.0, H)] * (n - 2) + [(1e308, 1.0, H), (1e308, 0.0, RP)])
-        tr = timeline_to_events(tl)
-        assert tr.t_end[-1] == math.inf
-        text = written(write_jsonl, tr)
+        assert list(accumulate(tl.durations))[-1] == math.inf
+        text = written(write_jsonl, tl)
         assert text.count("Infinity") == 1
         assert text.splitlines()[-1] == (
             '{"t_start": 1e+308, "t_end": Infinity, "stage": "Repair", "rate": 0.0, '
@@ -165,14 +172,51 @@ class TestOverflowingEdge:
     def test_every_edge_after_overflow(self):
         tl = RateTimeline.build([(1e308, 1.0, H)] * 3 + [(5e-324, 1 / 3, SR)] * 4)
         assert_same_bytes(tl)
-        assert written(write_jsonl, timeline_to_events(tl)).count("Infinity") == 11
+        assert written(write_jsonl, tl).count("Infinity") == 11
+
+
+def written_edges(writer, tl: RateTimeline) -> list[tuple[str, str]]:
+    """The (t_start, t_end) of each row ``writer`` writes, as CSV spells them."""
+    text = written(writer, tl)
+    if writer is write_csv:
+        return [(row[0], row[1]) for row in list(csv.reader(io.StringIO(text)))[1:]]
+    return [(repr(e["t_start"]), repr(e["t_end"])) for e in map(json.loads, text.splitlines())]
+
+
+class TestOneTimeAxis:
+    """A parsed trace keeps no times of its own: both writers lay it out from 0."""
+
+    @pytest.mark.parametrize("source", [
+        lambda tl: seconds_trace_with_own_times(tl, origin=100.0, nudged=False),
+        seconds_trace_with_own_times,
+        wall_clock_trace,
+    ], ids=["starts-at-100", "nudged-starts", "wall-clock"])
+    def test_writers_give_the_same_edges(self, source):
+        tl = simulate(sim_config(DISTS[1], 8)).timeline
+        tr = parse_trace(source(tl))
+        rows = written_edges(write_jsonl, tr)
+        assert rows == written_edges(write_csv, tr)
+        assert len(rows) == len(tr) and rows[0][0] == "0.0"
+
+    @pytest.mark.parametrize("dist", DISTS, ids=lambda d: d.kind)
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_emitted_jsonl_rewrites_to_the_same_bytes(self, dist, seed):
+        tl = simulate(sim_config(dist, seed)).timeline
+        text = written(write_jsonl, tl)
+        back = parse_trace(text)
+        assert written(write_jsonl, back) == text
+        assert written(write_csv, back) == written(write_csv, tl)
+
+    def test_timeline_to_events_is_the_timeline(self):
+        tl = cycled(7, ODD)
+        assert timeline_to_events(tl) is tl
 
 
 class TestRoundTrip:
     @pytest.mark.parametrize("dist", DISTS, ids=lambda d: d.kind)
     def test_jsonl_gives_back_tor_and_t_obs(self, dist):
         tl = simulate(sim_config(dist, 6)).timeline
-        back = parse_trace(written(write_jsonl, timeline_to_events(tl)))
+        back = parse_trace(written(write_jsonl, tl))
         assert tor_of_timeline(back).hex() == tor_of_timeline(tl).hex()
         assert observed_time(back).hex() == observed_time(tl).hex()
 
@@ -198,11 +242,10 @@ class _Discard:
 def test_writer_memory_does_not_grow_with_length(writer):
     n = 200_000
     tl = RateTimeline._of_columns([0.1 + 0.2] * n, [1 / 3] * n, [SR] * n)
-    tr = timeline_to_events(tl)
-    write, arg = (write_jsonl, tr) if writer == "jsonl" else (write_csv, tl)
+    write = write_jsonl if writer == "jsonl" else write_csv
     tracemalloc.start()
     try:
-        write(arg, _Discard())
+        write(tl, _Discard())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -235,4 +278,21 @@ class TestReadCsvMalformedRows:
     def test_blank_rows_are_skipped_and_counted(self):
         with pytest.raises(ValidationError, match=r"^timeline CSV row 4: unknown stage"):
             read_csv(io.StringIO(self.GOOD + "\r\n2.0,92.0,1.0,Napping\r\n"))
+        with pytest.raises(ValidationError, match=r"^timeline CSV row 4: t_start 3\.0 is not"):
+            read_csv(io.StringIO(self.GOOD + "\r\n3.0,92.0,1.0,HealthyRun\r\n"))
         assert len(read_csv(io.StringIO(self.GOOD + "\r\n"))) == 1
+        assert len(read_csv(io.StringIO(self.GOOD + "\r\n2.0,92.0,1.0,HealthyRun\r\n"))) == 2
+
+    @pytest.mark.parametrize("rows, message", [
+        (["0.0,10.0,1.0,HealthyRun", "50.0,60.0,0.0,Repair"],
+         r"^timeline CSV row 3: t_start 50\.0 is not the previous row's t_end 10\.0$"),
+        (["0.0,10.0,1.0,HealthyRun", "5.0,15.0,0.0,Repair"],
+         r"^timeline CSV row 3: t_start 5\.0 is not the previous row's t_end 10\.0$"),
+        (["-100.0,-90.0,1.0,HealthyRun"],
+         r"^timeline CSV row 2: t_start -100\.0 is not the previous row's t_end 0\.0$"),
+        (["5.0,10.0,1.0,HealthyRun", "10.0,15.0,0.0,Repair"],
+         r"^timeline CSV row 2: t_start 5\.0 is not the previous row's t_end 0\.0$"),
+    ], ids=["gap", "overlap", "negative-start", "late-start"])
+    def test_rows_must_tile_from_0(self, rows, message):
+        with pytest.raises(ValidationError, match=message):
+            read_csv(io.StringIO("".join(row + "\r\n" for row in [",".join(CSV_HEADER), *rows])))
