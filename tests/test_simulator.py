@@ -1,6 +1,8 @@
 import math
 from collections import deque
 from dataclasses import astuple, fields
+from itertools import chain, count
+from typing import Iterator
 
 import numpy as np
 import pytest
@@ -41,7 +43,8 @@ from torkit.simulator import (
     Fixed,
     LogNormal,
     Run,
-    _Arrivals,
+    _BLOCK,
+    _duration,
     _result,
     _run,
     config_from_period,
@@ -89,8 +92,12 @@ class TestDistributions:
     def test_lognormal_median(self):
         rng = np.random.default_rng(5)
         d = LogNormal(7.0, 0.8)
-        samples = sorted(d.sample(rng) for _ in range(4001))
-        assert samples[2000] == pytest.approx(7.0, rel=0.1)
+        draw = _duration(d, rng, rng.standard_exponential)
+        samples = [draw() for _ in range(4001)]
+        assert sorted(samples)[2000] == pytest.approx(7.0, rel=0.1)
+        # the same draws as the scalar oracle's
+        oracle_rng = np.random.default_rng(5)
+        assert samples == [sample(d, oracle_rng) for _ in range(4001)]
 
 
 class TestConfigJson:
@@ -694,7 +701,47 @@ def test_spec_totals_match_their_timeline_record():
 # ---------------------------------------------------------------------------
 # the event loop against its reference
 
-# The event loop as it was before its healthy-run fast path, kept verbatim.
+def _finite(dist, x: float) -> float:
+    """A draw of ``dist``; one beyond the float range is rejected."""
+    if not math.isfinite(x):
+        raise ValidationError(f"{dist!r} drew a duration beyond the float range")
+    return x
+
+
+# The scalar draws of the event loop as it was before block draws, kept
+# verbatim: one NumPy call per draw.
+def sample(dist, rng: np.random.Generator) -> float:
+    if isinstance(dist, Fixed):
+        return dist.value
+    if isinstance(dist, Exponential):
+        return _finite(dist, float(rng.exponential(dist.mean)))
+    return _finite(dist, float(rng.lognormal(math.log(dist.median), dist.sigma)))
+
+
+class _Arrivals:
+    """Next-arrival supplier on the exposed-time axis."""
+
+    def __init__(self, rate: float, times: tuple[float, ...] | None, rng: np.random.Generator):
+        self._rate = rate
+        self._iter: Iterator[float] | None = iter(times) if times is not None else None
+        self._rng = rng
+
+    def next_after(self, exposure: float) -> float:
+        if self._iter is not None:
+            for t in self._iter:
+                if t > exposure:
+                    return t
+            return INF
+        return self._draw(exposure)
+
+    def _draw(self, exposure: float) -> float:
+        if self._rate <= 0:
+            return INF
+        return exposure + float(self._rng.exponential(1.0 / self._rate))
+
+
+# The event loop as it was before its healthy-run fast path and block draws,
+# kept verbatim.
 def reference_run(cfg: SimConfig, seedseq: np.random.SeedSequence) -> Run:
     """The event loop: the run's segments of positive duration, as the columns
     (durations, rates, stages).
@@ -787,15 +834,15 @@ def reference_run(cfg: SimConfig, seedseq: np.random.SeedSequence) -> Run:
             work = committed
             prog = 0.0
             queue.clear()
-            queue.append([REPAIR, cfg.t_r_dist.sample(rng), 0.0])
-            queue.append([SLOW_RECOVERY, cfg.t_sr_dist.sample(rng), cfg.r_sr])
+            queue.append([REPAIR, sample(cfg.t_r_dist, rng), 0.0])
+            queue.append([SLOW_RECOVERY, sample(cfg.t_sr_dist, rng), cfg.r_sr])
             on_failure_progress_check()
         elif event == 1:  # fail-slow
             next_slow = slows.next_after(exposure)
             queue.clear()
-            queue.append([FAIL_SLOW_DEGRADED, cfg.t_fs_dist.sample(rng), cfg.r_fs])
-            queue.append([REPAIR, cfg.t_r_dist.sample(rng), 0.0])
-            queue.append([SLOW_RECOVERY, cfg.t_sr_dist.sample(rng), cfg.r_sr])
+            queue.append([FAIL_SLOW_DEGRADED, sample(cfg.t_fs_dist, rng), cfg.r_fs])
+            queue.append([REPAIR, sample(cfg.t_r_dist, rng), 0.0])
+            queue.append([SLOW_RECOVERY, sample(cfg.t_sr_dist, rng), cfg.r_sr])
             on_failure_progress_check()
         elif event == 2:  # checkpoint trigger
             prog = 0.0
@@ -882,6 +929,53 @@ def test_run_matches_reference_on_ties(name):
                          **TIE_CONFIGS[name]})
     for k in range(4):
         assert run_record(_run, cfg, k) == run_record(reference_run, cfg, k)
+
+
+# A config without a LogNormal takes every draw from blocks of standard
+# exponentials; one with a LogNormal makes one scalar call per draw.
+EXPONENTIALS = dict(total_work=2000.0, fail_stop_rate=0.05, fail_slow_rate=0.02,
+                    t_r_dist=Exponential(2.0), t_sr_dist=Exponential(1.0),
+                    t_fs_dist=Exponential(3.0), r_sr=0.5, r_fs=0.5)
+DRAW_PATH_CONFIGS = {
+    "exponential_blocks": EXPONENTIALS,
+    "lognormal_t_fs_only": dict(EXPONENTIALS, t_fs_dist=LogNormal(3.0, 0.5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DRAW_PATH_CONFIGS))
+def test_run_matches_reference_on_both_draw_paths(name):
+    cfg = base_config(ckpt_interval=10.0, t_ckpt=1.0, **DRAW_PATH_CONFIGS[name])
+    for k in range(4):
+        record = run_record(_run, cfg, k)
+        assert record == run_record(reference_run, cfg, k)
+        stages = record[2]
+        # A failure draws its arrival and at least a repair and a slow
+        # recovery: more than three blocks, so the stream refills mid-run.
+        assert 2 + 3 * stages.count(REPAIR) > 3 * _BLOCK
+        assert FAIL_SLOW_DEGRADED in stages
+
+
+@pytest.mark.parametrize("k", range(3))
+def test_numpy_block_draws_equal_scalar_draws(k):
+    """The identity the draws rest on: on one replication's generator, scalar
+    ``exponential(s)`` calls equal ``s`` times standard exponentials drawn in
+    blocks of ``_BLOCK`` or one at a time, bit for bit."""
+    def generator():
+        return np.random.Generator(np.random.Philox(replication_seedseq(2**63 + 17, k)))
+
+    scalar, blocks, singles = generator(), generator(), generator()
+    stream = chain.from_iterable(blocks.standard_exponential(_BLOCK).tolist() for _ in count())
+    n = 16 * _BLOCK + 7  # the blocks straddle the scales
+    for s in (0.0, 5e-324, 1e-300, 1e-150, 1e-9, 1 / 3, 1.0, 2.5, 1e9, 1e150, 1e300, 1e308):
+        want = [scalar.exponential(s).hex() for _ in range(n)]
+        for way, got in (("blocks", [(s * next(stream)).hex() for _ in range(n)]),
+                         ("single", [(s * singles.standard_exponential()).hex()
+                                     for _ in range(n)])):
+            if got != want:
+                i = next(i for i, (a, b) in enumerate(zip(got, want)) if a != b)
+                pytest.fail(f"a NumPy change broke block-draw bit identity (NumPy "
+                            f"{np.__version__}): scale {s!r}, draw {i} in {way}: "
+                            f"{got[i]} != exponential's {want[i]}", pytrace=False)
 
 
 # Replication 0 of each draws a repair beyond the float range: about one

@@ -46,10 +46,21 @@ def written(writer, obj) -> str:
     return buf.getvalue()
 
 
+def assert_same_text(got: str, want: str) -> None:
+    """``got == want``; a failure names the first differing line and the line
+    counts, where pytest would diff two outputs of thousands of lines for minutes."""
+    if got != want:
+        a, b = got.splitlines(keepends=True), want.splitlines(keepends=True)
+        i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+        x, y = (lines[i] if i < len(lines) else "(end of output)" for lines in (a, b))
+        pytest.fail(f"line {i + 1} differs: {x!r} != {y!r} ({len(a)} lines against {len(b)})",
+                    pytrace=False)
+
+
 def assert_same_bytes(tl: RateTimeline) -> None:
     """Both writers match their oracles on ``tl``."""
-    assert written(write_jsonl, tl) == written(reference_write_jsonl, tl)
-    assert written(write_csv, tl) == written(reference_write_csv, tl)
+    assert_same_text(written(write_jsonl, tl), written(reference_write_jsonl, tl))
+    assert_same_text(written(write_csv, tl), written(reference_write_csv, tl))
 
 
 def sim_config(dist, seed: int) -> SimConfig:
@@ -142,9 +153,9 @@ class TestSameBytesAsPerLineWriters:
 
     def test_empty(self):
         tr = RateTimeline()
-        assert written(write_jsonl, tr) == written(reference_write_jsonl, tr) == ""
-        assert written(write_csv, tr) == written(reference_write_csv, tr) == (
-            "t_start,t_end,rate,stage\r\n")
+        assert_same_bytes(tr)
+        assert written(write_jsonl, tr) == ""
+        assert written(write_csv, tr) == "t_start,t_end,rate,stage\r\n"
 
     def test_csv_rows_end_in_crlf(self):
         text = written(write_csv, cycled(5, ODD))
@@ -204,8 +215,8 @@ class TestOneTimeAxis:
         tl = simulate(sim_config(dist, seed)).timeline
         text = written(write_jsonl, tl)
         back = parse_trace(text)
-        assert written(write_jsonl, back) == text
-        assert written(write_csv, back) == written(write_csv, tl)
+        assert_same_text(written(write_jsonl, back), text)
+        assert_same_text(written(write_csv, back), written(write_csv, tl))
 
     def test_timeline_to_events_is_the_timeline(self):
         tl = cycled(7, ODD)
