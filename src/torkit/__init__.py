@@ -32,7 +32,6 @@ from .analytic import (
     tor_mixture_weighted,
 )
 from .timeline import (
-    concat,
     integrate_optimal_time,
     observed_time,
     stage_breakdown,

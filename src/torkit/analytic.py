@@ -15,7 +15,6 @@ from .model import (
     _check_time,
     mtbf_of_period,
 )
-from .timeline import concat
 
 MTBF_MISMATCH_RTOL = 1e-9
 
@@ -91,14 +90,3 @@ def tor_mixture_time_composite(m: FailureMixture) -> float:
     if den <= 0:
         raise UndefinedMetricError("mixture has zero total duration")
     return num / den
-
-
-def mixture_concat_timeline(m: FailureMixture) -> RateTimeline:
-    """Concatenation of each component's timeline, replicated by its integer
-    weight. Only valid when all weights are integral."""
-    tls = []
-    for spec, w in m.components:
-        if not float(w).is_integer():
-            raise ValidationError("concat replication needs integer weights")
-        tls.extend([period_to_timeline(spec)] * int(w))
-    return concat(tls)

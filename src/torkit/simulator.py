@@ -9,10 +9,12 @@ failures degrade the rate for a while before repair.
 Randomness comes from a counter-based generator (numpy Philox) keyed by
 ``SeedSequence(seed)``; Monte-Carlo replication ``k`` uses
 ``SeedSequence(seed, spawn_key=(k,))``. Results are bit-reproducible for a
-given config on a given implementation. In a config without a ``LogNormal``
-every draw is a scale times the next of one stream of standard exponentials,
-drawn in private blocks; on NumPy 2.4 these equal the scalar draws bit for
-bit, whatever the block size. A config with one makes one scalar call per draw.
+given config on a given implementation. A run draws in private blocks: the
+Poisson gaps and ``Exponential`` durations are scales times the standard
+exponentials of the run's Philox stream, and each ``LogNormal`` duration
+(``t_r``, ``t_sr``, ``t_fs``) draws from that stream jumped by its purpose
+number 1, 2 or 3, a disjoint stream. On NumPy 2.4 a block equals the same
+scalar draws bit for bit, so no result depends on the block size.
 
 One event loop (``_run``) records every run, :func:`simulate`'s and each
 Monte-Carlo replication's, as three columns: durations, rates and stages.
@@ -48,7 +50,7 @@ import math
 import sys
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import chain, groupby, repeat
 from typing import Callable, ClassVar, Union
 
@@ -238,7 +240,17 @@ class SimResult:
 # ---------------------------------------------------------------------------
 # event loop
 
-_BLOCK = 64  # standard exponentials per refill; no result depends on it
+_BLOCK = 64  # values per refill of a stream; no result depends on it
+
+
+def _stream(seedseq: np.random.SeedSequence, purpose: int, draw: str,
+            *args: float) -> Callable[[], float]:
+    """The next value of ``draw(*args)`` on the run's stream ``purpose``, drawn
+    ``_BLOCK`` at a time. Stream ``j`` is stream 0, the run's own, jumped ``j``
+    times (counter word 2 is ``j``), so no two streams overlap."""
+    rng = np.random.Generator(np.random.Philox(seedseq, counter=[0, 0, purpose, 0]))
+    block = getattr(rng, draw)
+    return chain.from_iterable(iter(lambda: block(*args, size=_BLOCK).tolist(), None)).__next__
 
 
 def _arrivals(rate: float, times: tuple[float, ...] | None,
@@ -254,15 +266,16 @@ def _arrivals(rate: float, times: tuple[float, ...] | None,
     return lambda exposure: exposure + scale * exp()
 
 
-def _duration(dist: DurationDist, rng: np.random.Generator,
+def _duration(dist: DurationDist, seedseq: np.random.SeedSequence, purpose: int,
               exp: Callable[[], float]) -> Callable[[], float]:
     """A run's draw function for ``dist``; a draw beyond the float range is rejected."""
     if isinstance(dist, Fixed):
         return repeat(dist.value).__next__
     if isinstance(dist, Exponential):
         scale, base = dist.mean, exp
-    else:  # one scalar call per draw; 1.0 * x is x, bit for bit
-        scale, base = 1.0, partial(rng.lognormal, math.log(dist.median), dist.sigma)
+    else:  # 1.0 * x is x, bit for bit
+        scale, base = 1.0, _stream(seedseq, purpose, "lognormal",
+                                   math.log(dist.median), dist.sigma)
 
     def draw() -> float:
         d = scale * base()
@@ -282,14 +295,10 @@ def _run(cfg: SimConfig, seedseq: np.random.SeedSequence) -> Run:
     A fail-stop relabels the progress entries after the last completed
     checkpoint as rate-0 RollbackWaste, in place.
     """
-    rng = np.random.Generator(np.random.Philox(seedseq))
-    dists = (cfg.t_r_dist, cfg.t_sr_dist, cfg.t_fs_dist)
-    if any(isinstance(d, LogNormal) for d in dists):
-        exp = rng.standard_exponential  # normal and exponential draws share one bit stream
-    else:
-        exp = chain.from_iterable(
-            iter(lambda: rng.standard_exponential(_BLOCK).tolist(), None)).__next__
-    draw_r, draw_sr, draw_fs = (_duration(d, rng, exp) for d in dists)
+    exp = _stream(seedseq, 0, "standard_exponential")
+    draw_r, draw_sr, draw_fs = (
+        _duration(d, seedseq, purpose, exp)
+        for purpose, d in enumerate((cfg.t_r_dist, cfg.t_sr_dist, cfg.t_fs_dist), 1))
     stops = _arrivals(cfg.fail_stop_rate, cfg.fail_stop_times, exp)
     slows = _arrivals(cfg.fail_slow_rate, cfg.fail_slow_times, exp)
     next_stop = stops(0.0)

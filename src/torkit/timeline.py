@@ -62,18 +62,6 @@ def stage_breakdown(tl: RateTimeline) -> dict[StageKind, tuple[float, float]]:
     return {k: (math.fsum(times[k]), math.fsum(losses[k])) for k in times}
 
 
-def concat(timelines: Iterable[RateTimeline]) -> RateTimeline:
-    """Append timelines in order. Optimal and observed time are additive."""
-    durations: list[float] = []
-    rates: list[float] = []
-    stages: list[StageKind] = []
-    for tl in timelines:
-        durations += tl.durations
-        rates += tl.rates
-        stages += tl.stages
-    return RateTimeline._of_columns(durations, rates, stages)
-
-
 def _batches(tl: RateTimeline) -> Iterator[zip]:
     """Runs of ``_BATCH`` entries of ``tl``, each a zip of (start, end, rate,
     stage, duration) rows whose start and end are the ``repr`` of running sums

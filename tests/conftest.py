@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from torkit import FailSlowPeriod, FailStopPeriod
+from torkit import FailSlowPeriod, FailStopPeriod, FailureMixture, RateTimeline, ValidationError
+from torkit.analytic import period_to_timeline
 
 
 def random_fail_stop(rng: np.random.Generator, scale: float = 100.0) -> FailStopPeriod:
@@ -27,6 +28,28 @@ def random_fail_slow(rng: np.random.Generator, scale: float = 100.0) -> FailSlow
         r_fs=float(rng.uniform(0, 1)),
         t_r=float(rng.uniform(0, 0.3 * scale)),
     )
+
+
+def concat(timelines) -> RateTimeline:
+    """Append timelines in order. Optimal and observed time are additive."""
+    durations, rates, stages = [], [], []
+    for tl in timelines:
+        durations += tl.durations
+        rates += tl.rates
+        stages += tl.stages
+    return RateTimeline._of_columns(durations, rates, stages)
+
+
+def mixture_concat_timeline(m: FailureMixture) -> RateTimeline:
+    """Concatenation of each component's timeline, replicated by its integer
+    weight: the oracle of the time-composite mixture rule. Only valid when all
+    weights are integral."""
+    tls = []
+    for spec, w in m.components:
+        if not float(w).is_integer():
+            raise ValidationError("concat replication needs integer weights")
+        tls.extend([period_to_timeline(spec)] * int(w))
+    return concat(tls)
 
 
 @pytest.fixture

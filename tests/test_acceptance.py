@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import random_fail_slow, random_fail_stop
+from conftest import concat, mixture_concat_timeline, random_fail_slow, random_fail_stop
 from torkit import (
     FailStopPeriod,
     FailSlowPeriod,
@@ -31,7 +31,6 @@ from torkit import (
     tor_of_timeline,
     trace_to_timeline,
 )
-from torkit.analytic import mixture_concat_timeline
 from torkit.simulator import (
     Exponential,
     Fixed,
@@ -39,7 +38,6 @@ from torkit.simulator import (
     config_from_period,
     realized_period_tor_check,
 )
-from torkit.timeline import concat
 from torkit.trace import estimate_mtbf, write_jsonl
 import io
 

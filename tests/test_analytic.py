@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_fail_slow, random_fail_stop
+from conftest import mixture_concat_timeline, random_fail_slow, random_fail_stop
 from torkit import (
     FailSlowPeriod,
     FailStopPeriod,
@@ -23,7 +23,7 @@ from torkit import (
     tor_mixture_weighted,
     tor_of_timeline,
 )
-from torkit.analytic import mixture_concat_timeline, tor_from_mtbf, tor_of_period
+from torkit.analytic import tor_from_mtbf, tor_of_period
 from torkit.model import mtbf_of_period
 
 

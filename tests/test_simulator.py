@@ -1,6 +1,6 @@
 import math
 from collections import deque
-from dataclasses import astuple, fields
+from dataclasses import astuple, fields, replace
 from itertools import chain, count
 from typing import Iterator
 
@@ -90,13 +90,13 @@ class TestDistributions:
             dist_from_dict("d", {"kind": "fixed", "value": 5, "junk": 1})
 
     def test_lognormal_median(self):
-        rng = np.random.default_rng(5)
+        seedseq = np.random.SeedSequence(5)
         d = LogNormal(7.0, 0.8)
-        draw = _duration(d, rng, rng.standard_exponential)
+        draw = _duration(d, seedseq, 1, exp=None)  # a LogNormal draws on its own stream
         samples = [draw() for _ in range(4001)]
         assert sorted(samples)[2000] == pytest.approx(7.0, rel=0.1)
-        # the same draws as the scalar oracle's
-        oracle_rng = np.random.default_rng(5)
+        # the same draws as the scalar oracle's on purpose stream 1
+        oracle_rng = purpose_generator(seedseq, 1)
         assert samples == [sample(d, oracle_rng) for _ in range(4001)]
 
 
@@ -410,10 +410,12 @@ class TestMonteCarlo:
 
 # Replication 2 of ``monte_carlo(cfg, 3)``: (tor, t_obs, t_opt) as float.hex and the
 # complete-period count, recorded from the simulator before replications k >= 1
-# stopped building timelines.
+# stopped building timelines; those of the two configs with a LogNormal
+# (fail_stop, fail_slow) from ``reference_run`` once each LogNormal drew on its
+# own stream.
 GOLDEN_REPLICATION_2 = {
-    "fail_stop": ("0x1.5909ccf289f84p-1", "0x1.28c7565ef002cp+9", "0x1.8ffffffffffffp+8", 18),
-    "fail_slow": ("0x1.96be9af2d71e9p-1", "0x1.f7829787c9770p+8", "0x1.9000000000000p+8", 10),
+    "fail_stop": ("0x1.447723240c271p-1", "0x1.3b98984afcbefp+9", "0x1.9000000000002p+8", 20),
+    "fail_slow": ("0x1.8a0adc9710e64p-1", "0x1.03ded89b14eb7p+9", "0x1.8fffffffffffep+8", 13),
     "mixed": ("0x1.9baa920ffd21fp-1", "0x1.f17d8669f040ep+8", "0x1.9000000000000p+8", 16),
     "no_ckpt_cost": ("0x1.794fb53557e80p-1", "0x1.971741a3f8cafp+8", "0x1.2c00000000000p+8", 18),
     "zero_repair": ("0x1.46d023fc836aep-1", "0x1.d5fe544088f7dp+8", "0x1.2c00000000000p+8", 0),
@@ -740,16 +742,38 @@ class _Arrivals:
         return exposure + float(self._rng.exponential(1.0 / self._rate))
 
 
+def purpose_generator(seedseq: np.random.SeedSequence, purpose: int) -> np.random.Generator:
+    """The generator of a run's stream ``purpose``: its Philox stream jumped
+    ``purpose`` times."""
+    return np.random.Generator(np.random.Philox(seedseq).jumped(purpose))
+
+
+def purpose_generators(cfg: SimConfig, seedseq: np.random.SeedSequence):
+    """The run's generator, and those that ``t_r``, ``t_sr`` and ``t_fs`` draw
+    on: a LogNormal on the stream of its purpose (1, 2, 3), any other on the
+    run's own."""
+    rng = np.random.Generator(np.random.Philox(seedseq))
+    return rng, tuple(purpose_generator(seedseq, j) if isinstance(d, LogNormal) else rng
+                      for j, d in enumerate((cfg.t_r_dist, cfg.t_sr_dist, cfg.t_fs_dist), 1))
+
+
+def one_generator(cfg: SimConfig, seedseq: np.random.SeedSequence):
+    """Every draw on the run's one generator, as before the purpose streams."""
+    rng = np.random.Generator(np.random.Philox(seedseq))
+    return rng, (rng, rng, rng)
+
+
 # The event loop as it was before its healthy-run fast path and block draws,
-# kept verbatim.
-def reference_run(cfg: SimConfig, seedseq: np.random.SeedSequence) -> Run:
+# kept verbatim but for the generators its durations draw on.
+def reference_run(cfg: SimConfig, seedseq: np.random.SeedSequence,
+                  generators=purpose_generators) -> Run:
     """The event loop: the run's segments of positive duration, as the columns
     (durations, rates, stages).
 
     A fail-stop relabels the progress entries after the last completed
     checkpoint as rate-0 RollbackWaste, in place.
     """
-    rng = np.random.Generator(np.random.Philox(seedseq))
+    rng, (rng_r, rng_sr, rng_fs) = generators(cfg, seedseq)
     durations: list[float] = []
     rates: list[float] = []
     stages: list[StageKind] = []
@@ -834,15 +858,15 @@ def reference_run(cfg: SimConfig, seedseq: np.random.SeedSequence) -> Run:
             work = committed
             prog = 0.0
             queue.clear()
-            queue.append([REPAIR, sample(cfg.t_r_dist, rng), 0.0])
-            queue.append([SLOW_RECOVERY, sample(cfg.t_sr_dist, rng), cfg.r_sr])
+            queue.append([REPAIR, sample(cfg.t_r_dist, rng_r), 0.0])
+            queue.append([SLOW_RECOVERY, sample(cfg.t_sr_dist, rng_sr), cfg.r_sr])
             on_failure_progress_check()
         elif event == 1:  # fail-slow
             next_slow = slows.next_after(exposure)
             queue.clear()
-            queue.append([FAIL_SLOW_DEGRADED, sample(cfg.t_fs_dist, rng), cfg.r_fs])
-            queue.append([REPAIR, sample(cfg.t_r_dist, rng), 0.0])
-            queue.append([SLOW_RECOVERY, sample(cfg.t_sr_dist, rng), cfg.r_sr])
+            queue.append([FAIL_SLOW_DEGRADED, sample(cfg.t_fs_dist, rng_fs), cfg.r_fs])
+            queue.append([REPAIR, sample(cfg.t_r_dist, rng_r), 0.0])
+            queue.append([SLOW_RECOVERY, sample(cfg.t_sr_dist, rng_sr), cfg.r_sr])
             on_failure_progress_check()
         elif event == 2:  # checkpoint trigger
             prog = 0.0
@@ -931,28 +955,140 @@ def test_run_matches_reference_on_ties(name):
         assert run_record(_run, cfg, k) == run_record(reference_run, cfg, k)
 
 
-# A config without a LogNormal takes every draw from blocks of standard
-# exponentials; one with a LogNormal makes one scalar call per draw.
+# The Poisson gaps and Exponential durations are scales times the blocks of
+# standard exponentials on the run's stream; a LogNormal draws blocks of
+# lognormals on the stream of its purpose.
 EXPONENTIALS = dict(total_work=2000.0, fail_stop_rate=0.05, fail_slow_rate=0.02,
                     t_r_dist=Exponential(2.0), t_sr_dist=Exponential(1.0),
                     t_fs_dist=Exponential(3.0), r_sr=0.5, r_fs=0.5)
 DRAW_PATH_CONFIGS = {
     "exponential_blocks": EXPONENTIALS,
-    "lognormal_t_fs_only": dict(EXPONENTIALS, t_fs_dist=LogNormal(3.0, 0.5)),
+    "lognormal_t_fs_only": dict(EXPONENTIALS, fail_slow_rate=0.05,
+                                t_fs_dist=LogNormal(3.0, 0.5)),
 }
 
 
+def lognormal_calls(monkeypatch) -> list:
+    """The ``size`` of every ``lognormal`` call on a generator made from now on."""
+    calls = []
+
+    class Recording(np.random.Generator):
+        def lognormal(self, *args, size=None):
+            calls.append(size)
+            return super().lognormal(*args, size=size)
+
+    monkeypatch.setattr(np.random, "Generator", Recording)
+    return calls
+
+
 @pytest.mark.parametrize("name", sorted(DRAW_PATH_CONFIGS))
-def test_run_matches_reference_on_both_draw_paths(name):
+def test_run_matches_reference_on_both_draw_paths(name, monkeypatch):
     cfg = base_config(ckpt_interval=10.0, t_ckpt=1.0, **DRAW_PATH_CONFIGS[name])
     for k in range(4):
-        record = run_record(_run, cfg, k)
+        with monkeypatch.context() as m:
+            calls = lognormal_calls(m)
+            record = run_record(_run, cfg, k)
         assert record == run_record(reference_run, cfg, k)
         stages = record[2]
         # A failure draws its arrival and at least a repair and a slow
         # recovery: more than three blocks, so the stream refills mid-run.
         assert 2 + 3 * stages.count(REPAIR) > 3 * _BLOCK
         assert FAIL_SLOW_DEGRADED in stages
+        if isinstance(cfg.t_fs_dist, LogNormal):
+            # Blocks of t_fs draws, and the stream refills mid-run.
+            assert len(calls) > 1 and set(calls) == {_BLOCK}
+        else:
+            assert calls == []
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_no_result_depends_on_the_block_size(block, monkeypatch):
+    monkeypatch.setattr("torkit.simulator._BLOCK", block)
+    configs = [base_config(ckpt_interval=10.0, t_ckpt=1.0, **c)
+               for c in DRAW_PATH_CONFIGS.values()]
+    configs += [golden_config(name) for name in ("fail_stop", "fail_slow", "mixed")]
+    configs.append(base_config(ckpt_interval=10.0, t_ckpt=1.0, **dict(
+        EXPONENTIALS, t_r_dist=LogNormal(2.0, 1.0), t_sr_dist=LogNormal(1.0, 0.5),
+        t_fs_dist=LogNormal(3.0, 0.5))))
+    for cfg in configs:
+        for k in range(3):
+            assert run_record(_run, cfg, k) == run_record(reference_run, cfg, k)
+
+
+def test_equal_lognormal_purposes_draw_different_values():
+    seedseq = replication_seedseq(7, 0)
+    d = LogNormal(2.0, 0.5)
+    draws = [[draw() for _ in range(2 * _BLOCK + 1)]
+             for draw in (_duration(d, seedseq, purpose, exp=None) for purpose in (1, 2, 3))]
+    assert len(set(chain.from_iterable(draws))) == 3 * (2 * _BLOCK + 1)
+
+
+def fail_stop_instants(run: Run) -> list[float]:
+    """The exposed time at each fail-stop: the summed duration of every
+    non-Repair segment before each Repair."""
+    instants, exposure = [], 0.0
+    for d, stage in zip(run[0], run[2]):
+        if stage is REPAIR:
+            instants.append(exposure)
+        else:
+            exposure += d
+    return instants
+
+
+def test_a_lognormal_repair_leaves_the_arrivals_alone():
+    lognormal = base_config(total_work=2000.0, ckpt_interval=10.0, t_ckpt=1.0,
+                            fail_stop_rate=0.05, t_r_dist=LogNormal(3.0, 0.5),
+                            t_sr_dist=LogNormal(2.0, 0.5), r_sr=0.5, seed=19)
+    fixed = replace(lognormal, t_r_dist=Fixed(3.0))
+    for k in range(3):
+        seedseq = replication_seedseq(lognormal.seed, k)
+        instants = fail_stop_instants(_run(lognormal, seedseq))
+        assert len(instants) > _BLOCK
+        assert instants == fail_stop_instants(_run(fixed, seedseq))
+
+
+def test_purpose_streams_keep_the_mean_tor():
+    """400 replications drawn on the purpose streams against 400 drawn the old
+    way, every draw a scalar call on the run's one generator. The old way
+    runs on other seeds, so the two means are independent and their standard
+    errors add in quadrature."""
+    cfg = base_config(total_work=400.0, ckpt_interval=12.0, t_ckpt=1.0, fail_stop_rate=0.03,
+                      fail_slow_rate=0.02, t_r_dist=LogNormal(4.0, 1.0),
+                      t_sr_dist=LogNormal(2.0, 0.5), t_fs_dist=LogNormal(5.0, 0.8),
+                      r_sr=0.5, r_fs=0.3, seed=61)
+    n = 400
+    new = [o.tor for o in monte_carlo(cfg, n).outcomes]
+    old = [column_totals(k, reference_run(cfg, replication_seedseq(cfg.seed + 1, k),
+                                          one_generator))[1] for k in range(n)]
+    assert len(new) == n
+    (m_new, v_new), (m_old, v_old) = [(np.mean(x), np.var(x, ddof=1) / n) for x in (new, old)]
+    se = math.sqrt(v_new + v_old)
+    assert abs(m_new - m_old) <= 3 * se, (m_new, m_old, se)
+
+
+def test_numpy_stream_identities():
+    """The identities the purpose streams rest on: a block of lognormals equals
+    the same scalar calls, and Philox with counter word 2 set to ``j`` is the
+    stream jumped ``j`` times."""
+    def fail(what):
+        pytest.fail(f"a NumPy change broke the purpose streams (NumPy {np.__version__}): "
+                    f"{what}", pytrace=False)
+
+    for k in range(3):
+        seedseq = replication_seedseq(2**63 + 17, k)
+        for j in (1, 2, 3):
+            counter = np.random.Philox(seedseq, counter=[0, 0, j, 0])
+            jumped = np.random.Philox(seedseq).jumped(j)
+            if counter.random_raw(4 * _BLOCK).tolist() != jumped.random_raw(4 * _BLOCK).tolist():
+                fail(f"counter [0, 0, {j}, 0] is not jumped({j}), replication {k}")
+        for mean, sigma in ((0.0, 1.0), (math.log(7.0), 0.8), (math.log(1e300), 50.0)):
+            blocks, scalar = (np.random.Generator(np.random.Philox(seedseq)) for _ in range(2))
+            got = list(chain.from_iterable(blocks.lognormal(mean, sigma, _BLOCK).tolist()
+                                           for _ in range(3)))
+            want = [scalar.lognormal(mean, sigma) for _ in range(3 * _BLOCK)]
+            if [x.hex() for x in got] != [x.hex() for x in want]:
+                fail(f"lognormal({mean!r}, {sigma!r}) blocks differ from scalar calls, "
+                     f"replication {k}")
 
 
 @pytest.mark.parametrize("k", range(3))

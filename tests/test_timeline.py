@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from conftest import concat
 from torkit import (
     RateTimeline,
     StageKind,
     UndefinedMetricError,
-    concat,
     integrate_optimal_time,
     observed_time,
     stage_breakdown,

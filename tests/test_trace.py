@@ -10,6 +10,7 @@ from typing import IO, Iterable
 
 import pytest
 
+from conftest import concat, mixture_concat_timeline
 from torkit import (
     FailureMixture,
     RateTimeline,
@@ -25,11 +26,10 @@ from torkit import (
     trace_to_timeline,
     tor_of_timeline,
 )
-from torkit.analytic import mixture_concat_timeline
 from torkit.model import ZERO_RATE_STAGES
 from torkit.periods import period_records
 from torkit.simulator import config_from_period
-from torkit.timeline import concat, observed_time, write_csv
+from torkit.timeline import observed_time, write_csv
 from torkit.model import _check_number
 from torkit.trace import (
     CONTIGUITY_TOL,
