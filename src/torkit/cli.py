@@ -140,7 +140,7 @@ def cmd_simulate(args) -> int:
     if (args.emit_trace and args.emit_csv
             and os.path.realpath(args.emit_trace) == os.path.realpath(args.emit_csv)):
         raise ValidationError(f"--emit-trace and --emit-csv name the same file: {args.emit_csv}")
-    summary = monte_carlo(cfg, args.replications)
+    summary = monte_carlo(cfg, args.replications, record_first=True)
     first = summary.first_result
 
     _check_writable(args.emit_trace, args.emit_csv)
@@ -213,7 +213,7 @@ def cmd_compare(args) -> int:
         n_periods = len(steady)
         replications = {}
     else:
-        summary = monte_carlo(cfg, args.replications)
+        summary = monte_carlo(cfg, args.replications, record_first=True)
         simulated = summary.mean_tor
         std = summary.std_tor
         ci = summary.ci95

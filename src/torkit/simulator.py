@@ -16,14 +16,18 @@ exponentials of the run's Philox stream, and each ``LogNormal`` duration
 number 1, 2 or 3, a disjoint stream. On NumPy 2.4 a block equals the same
 scalar draws bit for bit, so no result depends on the block size.
 
-One event loop (``_run``) records every run, :func:`simulate`'s and each
-Monte-Carlo replication's, as three columns: durations, rates and stages.
-``_result`` is the one reader of a run: it wraps those columns, unchecked and
-uncopied, as the run's :class:`RateTimeline` and sums its totals into a
-:class:`SimResult`, whose analysis (stage counts, periods, period means) is
-computed only when read. :func:`monte_carlo` keeps each replication's totals
-as a :class:`ReplicationOutcome` and the first finished replication's result
-whole (``first_result``). No ``Segment`` is built on either path.
+One event loop (``_run``) runs :func:`simulate` and every Monte-Carlo
+replication. Recorded, a run is three columns: durations, rates and stages.
+``_result`` is the one reader of a recorded run: it wraps those columns,
+unchecked and uncopied, as the run's :class:`RateTimeline` and sums its totals
+into a :class:`SimResult`, whose analysis (stage counts, periods, period
+means) is computed only when read. Unrecorded, a run keeps only what its
+totals need, its durations and the work-rate products of its progress, and
+gives the same totals bit for bit. :func:`monte_carlo` runs its replications
+unrecorded and keeps each one's totals as a :class:`ReplicationOutcome`; its
+``first_result`` gets a timeline by recording the first finished replication,
+either as it runs (``record_first=True``) or again when the timeline is
+first read. No ``Segment`` is built on any path.
 
 While the queue is empty (a healthy run), ``_run`` takes a fast path that
 emits (HealthyRun block, CheckpointSave) pairs in a tight loop, with the
@@ -32,10 +36,9 @@ bit-identical to stepping event by event. A pair is emitted only when the
 general loop would do the same: the checkpoint trigger is strictly before
 both failure arrivals (a failure wins a tie) and no later than completion (a
 trigger due at completion still fires), and, for ``t_ckpt > 0``, the save
-ends strictly before both arrivals. A run that completes strictly before the
-trigger and both arrivals ends there. Otherwise the fast path leaves its
-state to the general loop, with an arrival-interrupted save queued as the
-trigger branch queues it.
+ends strictly before both arrivals. In every other case, a run that completes
+before the trigger included, the fast path leaves its state to the general
+loop, with an arrival-interrupted save queued as the trigger branch queues it.
 
 Two recovery stages at the head of the queue end without the general loop's
 candidate scan, with its float operations in the same order. A Repair ends
@@ -50,7 +53,7 @@ import math
 import sys
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain, groupby, repeat
 from typing import Callable, ClassVar, Union
 
@@ -71,7 +74,7 @@ from .model import (
     _from_dict,
 )
 from .periods import MIXED, mean_periods, period_records
-from .timeline import integrate_optimal_time, observed_time
+from .timeline import _observed, _total, integrate_optimal_time, observed_time
 
 INF = math.inf
 # Module names for the members the event loop uses: an attribute lookup on
@@ -192,12 +195,33 @@ class SimResult:
     failure-repair periods) and ``period_means`` are computed from the
     timeline when first read, and kept. ``==`` and ``repr`` cover ``t_obs``,
     ``t_opt``, ``tor`` and the timeline.
+
+    The first result of :func:`monte_carlo` may come from an unrecorded run:
+    it then has its totals only, and the first read of ``timeline`` (through
+    ``counts``, ``periods``, ``period_means``, ``to_dict``, ``==`` or
+    ``repr`` too) runs its replication again, recorded, and keeps the timeline.
     """
 
     t_obs: float
     t_opt: float
     tor: float
     timeline: RateTimeline
+
+    @classmethod
+    def _unrecorded(cls, t_obs: float, t_opt: float, tor: float,
+                    rerun: Callable[[], Run]) -> "SimResult":
+        """A result whose timeline is the columns ``rerun()`` records, when first read."""
+        res = object.__new__(cls)
+        res.__dict__.update(t_obs=t_obs, t_opt=t_opt, tor=tor, _rerun=rerun)
+        return res
+
+    def __getattr__(self, name: str):
+        # Reached only for a name not set: the timeline of an unrecorded run.
+        if name != "timeline" or "_rerun" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        timeline = self.__dict__["timeline"] = RateTimeline._of_columns(*self._rerun())
+        del self.__dict__["_rerun"]
+        return timeline
 
     @cached_property
     def counts(self) -> dict[StageKind, int]:
@@ -286,14 +310,18 @@ def _duration(dist: DurationDist, seedseq: np.random.SeedSequence, purpose: int,
 
 
 Run = tuple[list[float], list[float], list[StageKind]]
+Totals = tuple[float, float, float]
 
 
-def _run(cfg: SimConfig, seedseq: np.random.SeedSequence) -> Run:
-    """The event loop: the run's segments of positive duration, as the columns
-    (durations, rates, stages).
+def _run(cfg: SimConfig, seedseq: np.random.SeedSequence, record: bool = True) -> Run | Totals:
+    """The event loop. Recorded, the run's segments of positive duration, as
+    the columns (durations, rates, stages); unrecorded, its totals (t_obs,
+    t_opt, tor), equal bit for bit to those ``_result`` sums from the columns.
 
     A fail-stop relabels the progress entries after the last completed
-    checkpoint as rate-0 RollbackWaste, in place.
+    checkpoint as rate-0 RollbackWaste, in place; unrecorded, it drops their
+    products ``d * r`` instead. ``fsum`` is correctly rounded in any order and
+    the recorded run's other products are +0.0, so the sums are equal.
     """
     exp = _stream(seedseq, 0, "standard_exponential")
     draw_r, draw_sr, draw_fs = (
@@ -307,7 +335,9 @@ def _run(cfg: SimConfig, seedseq: np.random.SeedSequence) -> Run:
     durations: list[float] = []
     rates: list[float] = []
     stages: list[StageKind] = []
-    saved = 0                      # entries before this index are checkpoint-protected
+    products: list[float] = []     # d * r of each positive-rate entry, unrecorded
+    edited = rates if record else products  # the list a fail-stop rolls back
+    saved = 0                      # entries of ``edited`` before this are checkpoint-protected
 
     total, w_opt, ckpt_interval, t_ckpt = cfg.total_work, cfg.w_opt, cfg.ckpt_interval, cfg.t_ckpt
     queue: deque[list] = deque()   # [stage, remaining, rate]; empty queue = healthy run
@@ -342,17 +372,15 @@ def _run(cfg: SimConfig, seedseq: np.random.SeedSequence) -> Run:
                 dt = ckpt_interval - prog
                 if not (dt < next_stop - exposure and dt < next_slow - exposure):
                     break
-                dt_work = (total - work) / w_opt
-                if dt_work < dt:  # a trigger due at completion still fires
-                    if dt_work > 0:
-                        durations.append(dt_work)
-                        rates.append(1.0)
-                        stages.append(HEALTHY_RUN)
-                    return durations, rates, stages
+                if (total - work) / w_opt < dt:  # a trigger due at completion still fires
+                    break  # the general loop completes the run
                 if dt > 0:  # also false for a negative dt, which the general loop clamps to 0
                     durations.append(dt)
-                    rates.append(1.0)
-                    stages.append(HEALTHY_RUN)
+                    if record:
+                        rates.append(1.0)
+                        stages.append(HEALTHY_RUN)
+                    else:
+                        products.append(dt)  # dt * 1.0 is dt, bit for bit
                     work += dt * w_opt
                     exposure += dt
                 prog = 0.0
@@ -361,11 +389,12 @@ def _run(cfg: SimConfig, seedseq: np.random.SeedSequence) -> Run:
                         queue.append([CHECKPOINT_SAVE, t_ckpt, 0.0])  # an arrival interrupts it
                         break
                     durations.append(t_ckpt)
-                    rates.append(0.0)
-                    stages.append(CHECKPOINT_SAVE)
+                    if record:
+                        rates.append(0.0)
+                        stages.append(CHECKPOINT_SAVE)
                     exposure += t_ckpt
                 committed = work
-                saved = len(rates)
+                saved = len(edited)
         if queue:
             stage, rem, rate = queue[0]
             # Recovery stages whose end is decided; the rules are in the
@@ -373,8 +402,9 @@ def _run(cfg: SimConfig, seedseq: np.random.SeedSequence) -> Run:
             if stage is REPAIR:
                 if rem > 0:
                     durations.append(rem)
-                    rates.append(rate)
-                    stages.append(REPAIR)
+                    if record:
+                        rates.append(rate)
+                        stages.append(REPAIR)
                 queue.popleft()
                 continue
             wrate = rate * w_opt
@@ -382,8 +412,11 @@ def _run(cfg: SimConfig, seedseq: np.random.SeedSequence) -> Run:
                     and rem < ckpt_interval - prog and rem < (total - work) / wrate):
                 if rem > 0:
                     durations.append(rem)
-                    rates.append(rate)
-                    stages.append(stage)
+                    if record:
+                        rates.append(rate)
+                        stages.append(stage)
+                    else:
+                        products.append(rem * rate)
                     work += rem * wrate
                     prog += rem
                     exposure += rem
@@ -411,9 +444,12 @@ def _run(cfg: SimConfig, seedseq: np.random.SeedSequence) -> Run:
 
         if dt > 0:
             durations.append(dt)
-            rates.append(rate)
-            stages.append(stage)
+            if record:
+                rates.append(rate)
+                stages.append(stage)
             if rate > 0:
+                if not record:
+                    products.append(dt * rate)
                 work += dt * wrate
                 prog += dt
             exposure += dt
@@ -421,15 +457,18 @@ def _run(cfg: SimConfig, seedseq: np.random.SeedSequence) -> Run:
                 queue[0][1] -= dt
 
         if event == 3:  # work complete
-            return durations, rates, stages
+            break
 
         if event == 0:  # fail-stop
             next_stop = stops(exposure)
-            for i in range(saved, len(rates)):
-                if rates[i] > 0:
-                    rates[i] = 0.0
-                    stages[i] = ROLLBACK_WASTE
-            saved = len(rates)
+            if record:
+                for i in range(saved, len(rates)):
+                    if rates[i] > 0:
+                        rates[i] = 0.0
+                        stages[i] = ROLLBACK_WASTE
+            else:
+                del products[saved:]
+            saved = len(edited)
             work = committed
             prog = 0.0
             queue.clear()
@@ -450,12 +489,16 @@ def _run(cfg: SimConfig, seedseq: np.random.SeedSequence) -> Run:
                 queue.appendleft([CHECKPOINT_SAVE, t_ckpt, 0.0])
             else:
                 committed = work
-                saved = len(rates)
+                saved = len(edited)
         else:  # stage end
             done = queue.popleft()
             if done[0] is CHECKPOINT_SAVE:
                 committed = work
-                saved = len(rates)
+                saved = len(edited)
+    if record:
+        return durations, rates, stages
+    t_obs, t_opt = _observed(durations), _total("optimal time", products)
+    return t_obs, t_opt, t_opt / t_obs
 
 
 def _result(run: Run) -> SimResult:
@@ -589,6 +632,13 @@ class ReplicationOutcome:
 
 @dataclass(frozen=True)
 class MonteCarloSummary:
+    """The statistics of a Monte-Carlo run and each finished replication's totals.
+
+    ``first_result`` is the first finished replication's :class:`SimResult`;
+    unless :func:`monte_carlo` recorded it, reading its timeline, and so
+    ``==`` on two summaries, runs that replication again.
+    """
+
     replications: int
     completed: int
     diverged: int
@@ -614,11 +664,15 @@ def replication_seedseq(seed: int, k: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=seed, spawn_key=(k,))
 
 
-def monte_carlo(cfg: SimConfig, replications: int) -> MonteCarloSummary:
+def monte_carlo(cfg: SimConfig, replications: int, *,
+                record_first: bool = False) -> MonteCarloSummary:
     """Run ``replications`` simulations with per-replication derived seeds.
 
-    Only the first replication that finishes is kept whole, as
-    ``first_result``; the others keep only their totals.
+    Each replication keeps only its totals. With ``record_first``, the
+    replications are recorded until one finishes, and ``first_result`` holds
+    its timeline; otherwise ``first_result`` has the first finished
+    replication's totals, and the first read of its timeline runs that
+    replication again, recorded. Either way its totals are the outcome's.
     Diverged replications are excluded from the statistics and counted.
     The 95% CI is the normal approximation mean +/- 1.96 * s / sqrt(n).
     """
@@ -628,15 +682,19 @@ def monte_carlo(cfg: SimConfig, replications: int) -> MonteCarloSummary:
     first_result: SimResult | None = None
     diverged = 0
     for k in range(replications):
+        seedseq = replication_seedseq(cfg.seed, k)
         try:
-            res = _result(_run(cfg, replication_seedseq(cfg.seed, k)))
+            if record_first and first_result is None:
+                first_result = _result(_run(cfg, seedseq))
+                t_obs, t_opt, tor = first_result.t_obs, first_result.t_opt, first_result.tor
+            else:
+                t_obs, t_opt, tor = _run(cfg, seedseq, record=False)
         except DivergedError:
             diverged += 1
             continue
-        outcomes.append(ReplicationOutcome(k, res.tor, res.t_obs, res.t_opt))
+        outcomes.append(ReplicationOutcome(k, tor, t_obs, t_opt))
         if first_result is None:
-            first_result = res
-        del res  # free this run's columns before the next one runs
+            first_result = SimResult._unrecorded(t_obs, t_opt, tor, partial(_run, cfg, seedseq))
     if not outcomes:
         raise DivergedError(
             f"all {replications} replications diverged", stalled_cycles=cfg.watchdog_cycles

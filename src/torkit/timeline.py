@@ -38,9 +38,14 @@ def integrate_optimal_time(tl: RateTimeline) -> float:
 
 def observed_time(tl: RateTimeline) -> float:
     """Wall-clock length of the timeline. Empty timelines are rejected."""
-    if len(tl) == 0:
+    return _observed(tl.durations)
+
+
+def _observed(durations: list[float]) -> float:
+    """The summed ``durations`` of a timeline; none is an UndefinedMetricError."""
+    if not durations:
         raise UndefinedMetricError("empty timeline: observed time is zero, TOR undefined")
-    return _total("observed time", tl.durations)
+    return _total("observed time", durations)
 
 
 def tor_of_timeline(tl: RateTimeline) -> float:

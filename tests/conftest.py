@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import torkit.simulator
 from torkit import FailSlowPeriod, FailStopPeriod, FailureMixture, RateTimeline, ValidationError
 from torkit.analytic import period_to_timeline
 
@@ -28,6 +29,19 @@ def random_fail_slow(rng: np.random.Generator, scale: float = 100.0) -> FailSlow
         r_fs=float(rng.uniform(0, 1)),
         t_r=float(rng.uniform(0, 0.3 * scale)),
     )
+
+
+def counted_runs(monkeypatch) -> list:
+    """The (replication index, record) of every simulator run made from now on."""
+    calls = []
+    run = torkit.simulator._run
+
+    def counting_run(cfg, seedseq, record=True):
+        calls.append((seedseq.spawn_key[0] if seedseq.spawn_key else None, record))
+        return run(cfg, seedseq, record)
+
+    monkeypatch.setattr(torkit.simulator, "_run", counting_run)
+    return calls
 
 
 def concat(timelines) -> RateTimeline:

@@ -7,6 +7,7 @@ import threading
 
 import pytest
 
+from conftest import counted_runs
 import torkit.cli
 from torkit.cli import main
 from torkit.model import period_from_dict
@@ -349,6 +350,24 @@ class TestSimulate:
             "replication 2"
         ]
 
+    @pytest.mark.parametrize("outputs", [["--json"], []])
+    def test_each_replication_runs_once(self, tmp_path, capsys, monkeypatch, outputs):
+        # The first replication to finish is recorded as it runs, and the
+        # emitted files, JSON and text read it without a re-run. Replications
+        # 0, 1 and 3 of the diverging config diverge.
+        diverging = dict(SIM_CONFIG, total_work=60.0, ckpt_interval=5.0, t_ckpt=1.0,
+                         fail_stop_rate=0.3, t_r_dist={"kind": "fixed", "value": 0.5},
+                         t_sr_dist={"kind": "fixed", "value": 0}, r_sr=0.0, seed=35,
+                         watchdog_cycles=5)
+        runs = counted_runs(monkeypatch)
+        for cfg, first in ((SIM_CONFIG, 0), (diverging, 2)):
+            runs.clear()
+            assert main(["simulate", write_json(tmp_path / "sim.json", cfg), "--replications", "4",
+                         "--emit-trace", str(tmp_path / "t.jsonl"),
+                         "--emit-csv", str(tmp_path / "t.csv"), *outputs]) == 0
+            assert runs == [(k, k <= first) for k in range(4)]
+        capsys.readouterr()
+
     def test_emitted_files_golden(self, sim_file, tmp_path, capsys):
         # sha256 of the files the README sim config emits, pinned before the
         # timeline became columnar; the trace's CSV equals the simulation's.
@@ -511,6 +530,14 @@ class TestCompare:
         assert main(["compare", period_file, "--periods", "20", "--replications", "7"]) == 0
         assert (f"replications:                 {data['completed']} completed, "
                 f"{data['diverged']} diverged") in capsys.readouterr().out
+
+    @pytest.mark.parametrize("outputs", [["--json"], []])
+    def test_each_replication_runs_once(self, period_file, capsys, monkeypatch, outputs):
+        runs = counted_runs(monkeypatch)
+        assert main(["compare", period_file, "--periods", "20", "--replications", "5",
+                     *outputs]) == 0
+        assert runs == [(k, k == 0) for k in range(5)]
+        capsys.readouterr()
 
     def test_no_checkpoints_with_huge_stage_times(self, tmp_path, capsys):
         # Without checkpoints the run must not schedule any, however long it is.

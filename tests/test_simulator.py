@@ -7,7 +7,7 @@ from typing import Iterator
 import numpy as np
 import pytest
 
-from conftest import random_fail_slow, random_fail_stop
+from conftest import counted_runs, random_fail_slow, random_fail_stop
 from torkit import (
     DivergedError,
     FailSlowPeriod,
@@ -555,6 +555,61 @@ class TestReplicationOutcome:
         assert astuple(summary.outcomes[0]) == result_totals(2, first)
 
 
+def first_result_config(name: str) -> SimConfig:
+    """The golden "mixed" config, or the "diverging" one, whose replications 0,
+    1 and 3 diverge (as in test_first_result_is_the_first_replication_to_finish)."""
+    if name == "mixed":
+        return golden_config("mixed")
+    return base_config(total_work=60.0, ckpt_interval=5.0, t_ckpt=1.0, fail_stop_rate=0.3,
+                       t_r_dist=Fixed(0.5), seed=35, watchdog_cycles=5)
+
+
+FIRST_RESULT_READS = {
+    "timeline": lambda res: res.timeline,
+    "counts": lambda res: res.counts,
+    "periods": lambda res: res.periods,
+    "period_means": lambda res: res.period_means,
+    "to_dict": lambda res: res.to_dict(),
+    "repr": repr,
+    "eq": lambda res: res == res,
+}
+
+
+@pytest.mark.parametrize("read", list(FIRST_RESULT_READS))
+@pytest.mark.parametrize("name", ["diverging", "mixed"])
+def test_unrecorded_first_result_runs_again_once_when_read(name, read, monkeypatch):
+    cfg = first_result_config(name)
+    calls = counted_runs(monkeypatch)
+    summary = monte_carlo(cfg, 4)
+    assert calls == [(k, False) for k in range(4)]
+    first, outcome = summary.first_result, summary.outcomes[0]
+    assert result_totals(outcome.index, first) == astuple(outcome)
+    assert len(calls) == 4
+    FIRST_RESULT_READS[read](first)
+    assert calls[4:] == [(outcome.index, True)]
+    for again in FIRST_RESULT_READS.values():
+        again(first)
+    assert len(calls) == 5
+    recorded = _result(_run(cfg, replication_seedseq(cfg.seed, outcome.index)))
+    assert first == recorded and first.to_dict() == recorded.to_dict()
+    assert repr(first) == repr(recorded)
+
+
+@pytest.mark.parametrize("name", ["diverging", "mixed"])
+def test_record_first_records_until_one_finishes(name, monkeypatch):
+    cfg = first_result_config(name)
+    unrecorded = monte_carlo(cfg, 4)
+    calls = counted_runs(monkeypatch)
+    summary = monte_carlo(cfg, 4, record_first=True)
+    first = summary.outcomes[0].index
+    assert calls == [(k, k <= first) for k in range(4)]
+    for read in FIRST_RESULT_READS.values():
+        read(summary.first_result)
+    assert len(calls) == 4
+    assert summary.outcomes == unrecorded.outcomes
+    assert summary.first_result == unrecorded.first_result
+
+
 def test_analysis_is_computed_once_when_first_read(monkeypatch):
     calls = []
 
@@ -892,6 +947,22 @@ def run_record(run, cfg: SimConfig, k: int) -> tuple:
     return ([d.hex() for d in durations], [r.hex() for r in rates], stages)
 
 
+def totals_record(cfg: SimConfig, k: int, record: bool) -> tuple:
+    """Replication ``k``'s (t_obs, t_opt, tor) as float.hex, summed by
+    ``_result`` from the recorded run or kept by the unrecorded one, or its
+    divergence."""
+    seedseq = replication_seedseq(cfg.seed, k)
+    try:
+        if record:
+            res = _result(_run(cfg, seedseq))
+            totals = res.t_obs, res.t_opt, res.tor
+        else:
+            totals = _run(cfg, seedseq, record=False)
+    except DivergedError as e:
+        return ("diverged", e.stalled_cycles, str(e))
+    return tuple(x.hex() for x in totals)
+
+
 # Uninterrupted, ckpt_interval 10 and t_ckpt 1 put the triggers at exposure
 # 10, 21, 32, ... and the save ends at 11, 22, 33, ...
 RECOVERY = dict(t_sr_dist=Fixed(2.0), r_sr=0.5)
@@ -953,6 +1024,7 @@ def test_run_matches_reference_on_ties(name):
                          **TIE_CONFIGS[name]})
     for k in range(4):
         assert run_record(_run, cfg, k) == run_record(reference_run, cfg, k)
+        assert totals_record(cfg, k, record=False) == totals_record(cfg, k, record=True)
 
 
 # The Poisson gaps and Exponential durations are scales times the blocks of
@@ -1187,5 +1259,7 @@ def test_run_matches_reference_on_random_configs():
         for k in range(2):
             record = run_record(_run, cfg, k)
             assert record == run_record(reference_run, cfg, k), (i, k, cfg)
+            assert totals_record(cfg, k, record=False) == totals_record(cfg, k, record=True), \
+                (i, k, cfg)
             diverged += record[0] == "diverged"
     assert diverged > 50
