@@ -32,20 +32,19 @@ first read. No ``Segment`` is built on any path.
 While the queue is empty (a healthy run), ``_run`` takes a fast path that
 emits (HealthyRun block, CheckpointSave) pairs in a tight loop, with the
 general loop's float operations in the same order, so its columns are
-bit-identical to stepping event by event. A pair is emitted only when the
-general loop would do the same: the checkpoint trigger is strictly before
-both failure arrivals (a failure wins a tie) and no later than completion (a
-trigger due at completion still fires), and, for ``t_ckpt > 0``, the save
-ends strictly before both arrivals. In every other case, a run that completes
-before the trigger included, the fast path leaves its state to the general
-loop, with an arrival-interrupted save queued as the trigger branch queues it.
+bit-identical to stepping event by event. It keeps the general loop's
+priorities: a fail-stop wins a tie with a fail-slow, a failure wins a tie
+with the trigger, completion or the save's end, a trigger due at completion
+still fires, and a negative gap counts as 0. A failure or completion ends the
+fast path by itself: it appends the interrupted HealthyRun or CheckpointSave
+and goes straight to the event handlers, with no candidate scan.
 
-Two recovery stages at the head of the queue end without the general loop's
-candidate scan, with its float operations in the same order. A Repair ends
-at once, since no arrival, trigger or completion can come during a repair.
-A stage with a positive work rate (SlowRecovery, FailSlowDegraded) ends at
-once when its end is strictly before both arrivals, the trigger and
-completion. A tie, a rate of 0 and every other stage go to the general loop.
+A fail-stop appends its Repair at once, since no arrival, trigger or
+completion can come during a repair; a fail-slow queues its Repair behind
+FailSlowDegraded, to end at once at the head of the queue. So does a
+SlowRecovery or FailSlowDegraded stage with a positive work rate that ends
+strictly before both arrivals, the trigger and completion. A tie, a rate of 0
+and every other stage go to the general loop's scan.
 """
 from __future__ import annotations
 
@@ -141,7 +140,8 @@ def _check_times(name: str, times) -> tuple[float, ...] | None:
         return None
     if not isinstance(times, (list, tuple)):
         raise ValidationError(f"{name} must be a list of times, got {times!r}")
-    return tuple(sorted(_check_time(f"{name} entry", t) for t in times))
+    label = f"{name} entry"
+    return tuple(sorted([_check_time(label, t) for t in times]))
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +283,13 @@ def _arrivals(rate: float, times: tuple[float, ...] | None,
     injected time after ``exposure``, or ``exposure`` plus a Poisson gap."""
     if times is not None:
         it = iter(times)
-        return lambda exposure: next((t for t in it if t > exposure), INF)
+
+        def next_after(exposure: float) -> float:
+            for t in it:
+                if t > exposure:
+                    return t
+            return INF
+        return next_after
     if rate <= 0:
         return lambda exposure: INF
     scale = 1.0 / rate
@@ -324,9 +330,9 @@ def _run(cfg: SimConfig, seedseq: np.random.SeedSequence, record: bool = True) -
     the recorded run's other products are +0.0, so the sums are equal.
     """
     exp = _stream(seedseq, 0, "standard_exponential")
-    draw_r, draw_sr, draw_fs = (
-        _duration(d, seedseq, purpose, exp)
-        for purpose, d in enumerate((cfg.t_r_dist, cfg.t_sr_dist, cfg.t_fs_dist), 1))
+    draw_r = _duration(cfg.t_r_dist, seedseq, 1, exp)
+    draw_sr = _duration(cfg.t_sr_dist, seedseq, 2, exp)
+    draw_fs = _duration(cfg.t_fs_dist, seedseq, 3, exp)
     stops = _arrivals(cfg.fail_stop_rate, cfg.fail_stop_times, exp)
     slows = _arrivals(cfg.fail_slow_rate, cfg.fail_slow_times, exp)
     next_stop = stops(0.0)
@@ -340,40 +346,36 @@ def _run(cfg: SimConfig, seedseq: np.random.SeedSequence, record: bool = True) -
     saved = 0                      # entries of ``edited`` before this are checkpoint-protected
 
     total, w_opt, ckpt_interval, t_ckpt = cfg.total_work, cfg.w_opt, cfg.ckpt_interval, cfg.t_ckpt
+    r_sr, r_fs, watchdog_cycles = cfg.r_sr, cfg.r_fs, cfg.watchdog_cycles
     queue: deque[list] = deque()   # [stage, remaining, rate]; empty queue = healthy run
 
     exposure = 0.0                 # non-repair wall time
     prog = 0.0                     # progress-accruing time since last checkpoint start
     work = 0.0                     # contributed work (committed + at-risk)
     committed = 0.0                # checkpoint-protected work
-    stalled = 0
-    work_at_last_failure: float | None = None
-
-    def on_failure_progress_check():
-        nonlocal stalled, work_at_last_failure
-        if work_at_last_failure is not None and work <= work_at_last_failure:
-            stalled += 1
-            if stalled >= cfg.watchdog_cycles:
-                raise DivergedError(
-                    f"no contributed work across {stalled} consecutive failure cycles; "
-                    "the configuration cannot finish (e.g. checkpoints never complete "
-                    "between failures)",
-                    stalled_cycles=stalled,
-                )
-        else:
-            stalled = 0
-        work_at_last_failure = work
+    stalled = 0                    # consecutive failures that found no new work
+    work_at_last_failure = -INF
 
     while True:
         if not queue:
-            # Fast path of (HealthyRun block, CheckpointSave) pairs; its tie
-            # rules are the general loop's (see the module docstring).
+            # Fast path of (HealthyRun block, CheckpointSave) pairs until a
+            # failure or completion; its tie rules are the general loop's (see
+            # the module docstring).
+            stage, rate, wrate = HEALTHY_RUN, 1.0, w_opt  # 1.0 * w_opt is w_opt
             while True:
                 dt = ckpt_interval - prog
-                if not (dt < next_stop - exposure and dt < next_slow - exposure):
+                dt_stop = next_stop - exposure
+                dt_slow = next_slow - exposure
+                dt_work = (total - work) / w_opt
+                if not (dt < dt_stop and dt < dt_slow and dt <= dt_work):
+                    # A fail-stop wins a tie with a fail-slow, either with completion.
+                    if dt_stop <= dt_slow and dt_stop <= dt_work:
+                        event, dt = 0, dt_stop
+                    elif dt_slow <= dt_work:
+                        event, dt = 1, dt_slow
+                    else:
+                        event, dt = 3, dt_work
                     break
-                if (total - work) / w_opt < dt:  # a trigger due at completion still fires
-                    break  # the general loop completes the run
                 if dt > 0:  # also false for a negative dt, which the general loop clamps to 0
                     durations.append(dt)
                     if record:
@@ -385,8 +387,12 @@ def _run(cfg: SimConfig, seedseq: np.random.SeedSequence, record: bool = True) -
                     exposure += dt
                 prog = 0.0
                 if t_ckpt > 0:
-                    if not (t_ckpt < next_stop - exposure and t_ckpt < next_slow - exposure):
-                        queue.append([CHECKPOINT_SAVE, t_ckpt, 0.0])  # an arrival interrupts it
+                    dt_stop = next_stop - exposure
+                    dt_slow = next_slow - exposure
+                    if not (t_ckpt < dt_stop and t_ckpt < dt_slow):
+                        # A failure interrupts the save, which it then discards.
+                        event, dt = (0, dt_stop) if dt_stop <= dt_slow else (1, dt_slow)
+                        stage, rate = CHECKPOINT_SAVE, 0.0
                         break
                     durations.append(t_ckpt)
                     if record:
@@ -395,7 +401,7 @@ def _run(cfg: SimConfig, seedseq: np.random.SeedSequence, record: bool = True) -
                     exposure += t_ckpt
                 committed = work
                 saved = len(edited)
-        if queue:
+        else:
             stage, rem, rate = queue[0]
             # Recovery stages whose end is decided; the rules are in the
             # module docstring.
@@ -422,23 +428,19 @@ def _run(cfg: SimConfig, seedseq: np.random.SeedSequence, record: bool = True) -
                     exposure += rem
                 queue.popleft()
                 continue
-        else:
-            stage, rem, rate = HEALTHY_RUN, INF, 1.0
-        wrate = rate * w_opt
 
-        dt_work = (total - work) / wrate if wrate > 0 else INF
-        dt_stop = next_stop - exposure
-        dt_slow = next_slow - exposure
-        dt_ckpt = (ckpt_interval - prog) if rate > 0 else INF
-        dt_end = rem
+            dt_work = (total - work) / wrate if wrate > 0 else INF
+            dt_stop = next_stop - exposure
+            dt_slow = next_slow - exposure
+            dt_ckpt = (ckpt_interval - prog) if rate > 0 else INF
 
-        # Priority on ties: fail-stop, fail-slow, checkpoint trigger, work
-        # completion, stage end (index() picks the first minimum). A
-        # checkpoint due exactly at completion still fires: the run ends at
-        # the first progress instant after the total work is contributed.
-        candidates = (dt_stop, dt_slow, dt_ckpt, dt_work, dt_end)
-        dt = min(candidates)
-        event = candidates.index(dt)
+            # Priority on ties: fail-stop, fail-slow, checkpoint trigger, work
+            # completion, stage end (index() picks the first minimum). A
+            # checkpoint due exactly at completion still fires: the run ends at
+            # the first progress instant after the total work is contributed.
+            candidates = (dt_stop, dt_slow, dt_ckpt, dt_work, rem)
+            dt = min(candidates)
+            event = candidates.index(dt)
         if dt < 0:  # float slack from clock bookkeeping; fire immediately
             dt = 0.0
 
@@ -456,32 +458,48 @@ def _run(cfg: SimConfig, seedseq: np.random.SeedSequence, record: bool = True) -
             if queue:
                 queue[0][1] -= dt
 
-        if event == 3:  # work complete
-            break
-
-        if event == 0:  # fail-stop
-            next_stop = stops(exposure)
-            if record:
-                for i in range(saved, len(rates)):
-                    if rates[i] > 0:
-                        rates[i] = 0.0
-                        stages[i] = ROLLBACK_WASTE
+        if event <= 1:
+            if event == 0:  # fail-stop
+                next_stop = stops(exposure)
+                if record:
+                    for i in range(saved, len(rates)):
+                        if rates[i] > 0:
+                            rates[i] = 0.0
+                            stages[i] = ROLLBACK_WASTE
+                else:
+                    del products[saved:]
+                saved = len(edited)
+                work = committed
+                prog = 0.0
+                queue.clear()
+                # The Repair ends at once: nothing strikes during a repair.
+                t_r = draw_r()
+                if t_r > 0:
+                    durations.append(t_r)
+                    if record:
+                        rates.append(0.0)
+                        stages.append(REPAIR)
+                queue.append([SLOW_RECOVERY, draw_sr(), r_sr])
+            else:  # fail-slow
+                next_slow = slows(exposure)
+                queue.clear()
+                queue.append([FAIL_SLOW_DEGRADED, draw_fs(), r_fs])
+                queue.append([REPAIR, draw_r(), 0.0])
+                queue.append([SLOW_RECOVERY, draw_sr(), r_sr])
+            # The watchdog: a run that contributes no work across
+            # ``watchdog_cycles`` consecutive failures cannot finish.
+            if work <= work_at_last_failure:
+                stalled += 1
+                if stalled >= watchdog_cycles:
+                    raise DivergedError(
+                        f"no contributed work across {stalled} consecutive failure cycles; "
+                        "the configuration cannot finish (e.g. checkpoints never complete "
+                        "between failures)",
+                        stalled_cycles=stalled,
+                    )
             else:
-                del products[saved:]
-            saved = len(edited)
-            work = committed
-            prog = 0.0
-            queue.clear()
-            queue.append([REPAIR, draw_r(), 0.0])
-            queue.append([SLOW_RECOVERY, draw_sr(), cfg.r_sr])
-            on_failure_progress_check()
-        elif event == 1:  # fail-slow
-            next_slow = slows(exposure)
-            queue.clear()
-            queue.append([FAIL_SLOW_DEGRADED, draw_fs(), cfg.r_fs])
-            queue.append([REPAIR, draw_r(), 0.0])
-            queue.append([SLOW_RECOVERY, draw_sr(), cfg.r_sr])
-            on_failure_progress_check()
+                stalled = 0
+            work_at_last_failure = work
         elif event == 2:  # checkpoint trigger
             prog = 0.0
             if t_ckpt > 0:
@@ -490,6 +508,8 @@ def _run(cfg: SimConfig, seedseq: np.random.SeedSequence, record: bool = True) -
             else:
                 committed = work
                 saved = len(edited)
+        elif event == 3:  # work complete
+            break
         else:  # stage end
             done = queue.popleft()
             if done[0] is CHECKPOINT_SAVE:

@@ -44,6 +44,7 @@ from torkit.simulator import (
     LogNormal,
     Run,
     _BLOCK,
+    _arrivals,
     _duration,
     _result,
     _run,
@@ -150,6 +151,20 @@ class TestConfigJson:
         assert list(d) == list(golden)
         assert d == golden
         assert SimConfig.from_dict(d) == cfg
+
+    @pytest.mark.parametrize("times, message", [
+        ((1.0, -2.0), r"^fail_stop_times entry must be a finite non-negative number, got -2\.0$"),
+        ((1.0, "x"), r"^fail_stop_times entry must be a number, got 'x'$"),
+    ], ids=["negative", "not-a-number"])
+    def test_injected_time_checked(self, times, message):
+        with pytest.raises(ValidationError, match=message):
+            base_config(fail_stop_times=times)
+
+
+def test_injected_arrivals_come_after_the_exposure():
+    next_after = _arrivals(0.0, (1.0, 2.0, 2.0, 5.0), exp=None)
+    assert [next_after(0.0), next_after(1.0), next_after(2.0), next_after(5.0)] == [
+        1.0, 2.0, 5.0, INF]
 
 
 class TestFailureFree:
@@ -1015,6 +1030,19 @@ TIE_CONFIGS = {
     "fixed_zero_repair_and_recovery": dict(fail_stop_rate=0.03, fail_slow_rate=0.03,
                                            t_r_dist=Fixed(0.0), t_sr_dist=Fixed(0.0),
                                            t_fs_dist=Fixed(0.0), r_sr=0.5, r_fs=0.5),
+    # A failure or completion that ends a healthy run inside the block from
+    # 11 to 21, or inside the save from 21 to 22: the fail-stop wins a tie
+    # with the fail-slow, whose arrival is then due at once (dt = 0), and
+    # either failure wins a tie with completion (work 14 at exposure 15); the
+    # fail-slow's rate-0 degraded interval and repair show that it struck.
+    "stop_and_slow_mid_block": dict(fail_stop_times=(15.0,), fail_slow_times=(15.0,),
+                                    **DEGRADED),
+    "stop_and_slow_inside_save": dict(fail_stop_times=(21.5,), fail_slow_times=(21.5,),
+                                      **DEGRADED),
+    "completion_at_stop": dict(total_work=14.0, fail_stop_times=(15.0,)),
+    "completion_at_slow": dict(total_work=14.0, fail_slow_times=(15.0,), t_fs_dist=Fixed(3.0)),
+    "completion_one_ulp_before_stop": dict(total_work=math.nextafter(14.0, 0),
+                                           fail_stop_times=(15.0,)),
 }
 
 

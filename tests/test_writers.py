@@ -57,6 +57,20 @@ def assert_same_text(got: str, want: str) -> None:
                     pytrace=False)
 
 
+@pytest.mark.parametrize("change, message", [
+    (lambda text: text.replace("5000\n", "5001\n", 1),
+     r"^line 5001 differs: '5001\\n' != '5000\\n' \(100000 lines against 100000\)$"),
+    (lambda text: text + "extra\n",
+     r"^line 100001 differs: 'extra\\n' != '\(end of output\)' "
+     r"\(100001 lines against 100000\)$"),
+], ids=["changed-line", "extra-line"])
+def test_a_difference_names_its_first_line(change, message):
+    want = "".join(f"{i}\n" for i in range(100_000))
+    with pytest.raises(pytest.fail.Exception, match=message):
+        assert_same_text(change(want), want)
+    assert_same_text(want, want)
+
+
 def assert_same_bytes(tl: RateTimeline) -> None:
     """Both writers match their oracles on ``tl``."""
     assert_same_text(written(write_jsonl, tl), written(reference_write_jsonl, tl))
