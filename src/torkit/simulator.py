@@ -8,13 +8,15 @@ failures degrade the rate for a while before repair.
 
 Randomness comes from a counter-based generator (numpy Philox) keyed by
 ``SeedSequence(seed)``; Monte-Carlo replication ``k`` uses
-``SeedSequence(seed, spawn_key=(k,))``. Results are bit-reproducible for a
-given config on a given implementation. A run draws in private blocks: the
-Poisson gaps and ``Exponential`` durations are scales times the standard
-exponentials of the run's Philox stream, and each ``LogNormal`` duration
-(``t_r``, ``t_sr``, ``t_fs``) draws from that stream jumped by its purpose
-number 1, 2 or 3, a disjoint stream. On NumPy 2.4 a block equals the same
-scalar draws bit for bit, so no result depends on the block size.
+``SeedSequence(seed, spawn_key=(k,))``. NumPy is imported when the first seed
+sequence or stream is built, so ``import torkit`` does not load it. Results
+are bit-reproducible for a given config on a given implementation. A run
+draws in private blocks: the Poisson gaps and ``Exponential`` durations are
+scales times the standard exponentials of the run's Philox stream, and each
+``LogNormal`` duration (``t_r``, ``t_sr``, ``t_fs``) draws from that stream
+jumped by its purpose number 1, 2 or 3, a disjoint stream. On NumPy 2.4 a
+block equals the same scalar draws bit for bit, so no result depends on the
+block size.
 
 One event loop (``_run``) runs :func:`simulate` and every Monte-Carlo
 replication. Recorded, a run is three columns: durations, rates and stages.
@@ -42,9 +44,10 @@ and goes straight to the event handlers, with no candidate scan.
 A fail-stop appends its Repair at once, since no arrival, trigger or
 completion can come during a repair; a fail-slow queues its Repair behind
 FailSlowDegraded, to end at once at the head of the queue. So does a
-SlowRecovery or FailSlowDegraded stage with a positive work rate that ends
-strictly before both arrivals, the trigger and completion. A tie, a rate of 0
-and every other stage go to the general loop's scan.
+CheckpointSave that a trigger queued and that ends strictly before both
+arrivals, and a SlowRecovery or FailSlowDegraded stage with a positive work
+rate that ends strictly before both arrivals, the trigger and completion. A
+tie, a rate of 0 and every other stage go to the general loop's scan.
 """
 from __future__ import annotations
 
@@ -55,8 +58,6 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import chain, groupby, repeat
 from typing import Callable, ClassVar, Union
-
-import numpy as np
 
 from .errors import DivergedError, ValidationError
 from .model import (
@@ -264,6 +265,18 @@ class SimResult:
 # ---------------------------------------------------------------------------
 # event loop
 
+np = None  # NumPy, bound by _numpy() when the first seed sequence or stream is built
+
+
+def _numpy():
+    """NumPy, imported on the first call only (see the module docstring)."""
+    global np
+    if np is None:
+        import numpy
+        np = numpy
+    return np
+
+
 _BLOCK = 64  # values per refill of a stream; no result depends on it
 
 
@@ -272,7 +285,8 @@ def _stream(seedseq: np.random.SeedSequence, purpose: int, draw: str,
     """The next value of ``draw(*args)`` on the run's stream ``purpose``, drawn
     ``_BLOCK`` at a time. Stream ``j`` is stream 0, the run's own, jumped ``j``
     times (counter word 2 is ``j``), so no two streams overlap."""
-    rng = np.random.Generator(np.random.Philox(seedseq, counter=[0, 0, purpose, 0]))
+    random = _numpy().random
+    rng = random.Generator(random.Philox(seedseq, counter=[0, 0, purpose, 0]))
     block = getattr(rng, draw)
     return chain.from_iterable(iter(lambda: block(*args, size=_BLOCK).tolist(), None)).__next__
 
@@ -403,14 +417,26 @@ def _run(cfg: SimConfig, seedseq: np.random.SeedSequence, record: bool = True) -
                 saved = len(edited)
         else:
             stage, rem, rate = queue[0]
-            # Recovery stages whose end is decided; the rules are in the
-            # module docstring.
+            # Queued stages whose end is decided; the rules are in the module
+            # docstring.
             if stage is REPAIR:
                 if rem > 0:
                     durations.append(rem)
                     if record:
                         rates.append(rate)
                         stages.append(REPAIR)
+                queue.popleft()
+                continue
+            if (stage is CHECKPOINT_SAVE
+                    and rem < next_stop - exposure and rem < next_slow - exposure):
+                if rem > 0:
+                    durations.append(rem)
+                    if record:
+                        rates.append(0.0)
+                        stages.append(CHECKPOINT_SAVE)
+                    exposure += rem
+                committed = work
+                saved = len(edited)
                 queue.popleft()
                 continue
             wrate = rate * w_opt
@@ -532,7 +558,7 @@ def _result(run: Run) -> SimResult:
 
 def simulate(cfg: SimConfig) -> SimResult:
     """Run one training job to completion; deterministic in (cfg, seed)."""
-    return _result(_run(cfg, np.random.SeedSequence(cfg.seed)))
+    return _result(_run(cfg, _numpy().random.SeedSequence(cfg.seed)))
 
 
 def realized_period_tor_check(res: SimResult) -> float:
@@ -681,7 +707,7 @@ class MonteCarloSummary:
 
 
 def replication_seedseq(seed: int, k: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(entropy=seed, spawn_key=(k,))
+    return _numpy().random.SeedSequence(entropy=seed, spawn_key=(k,))
 
 
 def monte_carlo(cfg: SimConfig, replications: int, *,
@@ -693,7 +719,8 @@ def monte_carlo(cfg: SimConfig, replications: int, *,
     its timeline; otherwise ``first_result`` has the first finished
     replication's totals, and the first read of its timeline runs that
     replication again, recorded. Either way its totals are the outcome's.
-    Diverged replications are excluded from the statistics and counted.
+    Diverged replications are excluded from the statistics and counted; if
+    every one diverges, the error carries the last one's cause.
     The 95% CI is the normal approximation mean +/- 1.96 * s / sqrt(n).
     """
     if replications < 1:
@@ -709,16 +736,17 @@ def monte_carlo(cfg: SimConfig, replications: int, *,
                 t_obs, t_opt, tor = first_result.t_obs, first_result.t_opt, first_result.tor
             else:
                 t_obs, t_opt, tor = _run(cfg, seedseq, record=False)
-        except DivergedError:
+        except DivergedError as e:
             diverged += 1
+            last_error = e
             continue
         outcomes.append(ReplicationOutcome(k, tor, t_obs, t_opt))
         if first_result is None:
             first_result = SimResult._unrecorded(t_obs, t_opt, tor, partial(_run, cfg, seedseq))
     if not outcomes:
-        raise DivergedError(
-            f"all {replications} replications diverged", stalled_cycles=cfg.watchdog_cycles
-        )
+        plural = "s" if replications != 1 else ""
+        raise DivergedError(f"all {replications} replication{plural} diverged: {last_error}",
+                            stalled_cycles=last_error.stalled_cycles)
     tors = [o.tor for o in outcomes]
     n = len(tors)
     mean = math.fsum(tors) / n

@@ -391,6 +391,27 @@ class TestSimulate:
         assert main(["simulate", path]) == 3
         assert "diverged" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("replications, head", [
+        ("1", "all 1 replication diverged"),
+        ("3", "all 3 replications diverged"),
+    ])
+    def test_all_diverged_message_keeps_its_cause(self, tmp_path, capsys, replications, head):
+        # The diverging config of the installed entry point's check: one
+        # stderr line that names the watchdog's reason.
+        cfg = dict(SIM_CONFIG, total_work=1000, ckpt_interval=5, fail_stop_rate=10,
+                   t_r_dist={"kind": "fixed", "value": 0.5},
+                   t_sr_dist={"kind": "fixed", "value": 0}, r_sr=0.0, seed=3,
+                   watchdog_cycles=50)
+        path = write_json(tmp_path / "sim.json", cfg)
+        assert main(["simulate", path, "--replications", replications]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"error: simulation diverged: {head}: no contributed work across 50 consecutive "
+            "failure cycles; the configuration cannot finish (e.g. checkpoints never "
+            "complete between failures)\n"
+        )
+
     @pytest.mark.parametrize("period, means", [
         (WORKED_FAIL_STOP, {
             "kind": "fail_stop", "n_periods": 20, "t_sr": 1.9, "r_sr": 0.5, "t_h": 90.1,

@@ -398,8 +398,11 @@ class TestMonteCarlo:
             watchdog_cycles=20,
             seed=3,
         )
-        with pytest.raises(DivergedError):
+        with pytest.raises(DivergedError) as info:
             monte_carlo(cfg, 3)
+        assert str(info.value).startswith(
+            "all 3 replications diverged: no contributed work across 20 consecutive")
+        assert info.value.stalled_cycles == 20
 
     def test_replications_validated(self):
         with pytest.raises(ValidationError):
@@ -1043,6 +1046,14 @@ TIE_CONFIGS = {
     "completion_at_slow": dict(total_work=14.0, fail_slow_times=(15.0,), t_fs_dist=Fixed(3.0)),
     "completion_one_ulp_before_stop": dict(total_work=math.nextafter(14.0, 0),
                                            fail_stop_times=(15.0,)),
+    # The trigger at progress 10 strikes during the slow recovery after the
+    # fail-stop at 5 and queues a save from exposure 15 to 16: a fail-stop at
+    # its end wins the tie and discards it; one ulp later the save commits
+    # and the fail-stop rolls back only a sliver of the resumed recovery.
+    "stop_at_queued_save_end": dict(fail_stop_times=(5.0, 16.0), t_sr_dist=Fixed(12.0),
+                                    r_sr=0.5),
+    "stop_one_ulp_after_queued_save_end": dict(fail_stop_times=(5.0, math.nextafter(16.0, INF)),
+                                               t_sr_dist=Fixed(12.0), r_sr=0.5),
 }
 
 
