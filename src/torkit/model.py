@@ -27,8 +27,8 @@ class StageKind(str, Enum):
     FAIL_SLOW_DEGRADED = "FailSlowDegraded"
     REPAIR = "Repair"
 
-    def __str__(self) -> str:  # CSV/JSON use the CamelCase name
-        return self.value
+    # CSV/JSON use the CamelCase name; str's own method skips Enum's ``value`` lookup.
+    __str__ = str.__str__
 
 
 # Stages whose rate is pinned by convention.

@@ -15,6 +15,7 @@ from typing import Iterable, Iterator, TextIO
 
 from .errors import UndefinedMetricError, ValidationError
 from .model import RateTimeline, Segment, StageKind
+from .periods import period_records
 
 CSV_HEADER = ["t_start", "t_end", "rate", "stage"]
 # The name the CSV and JSONL writers give each stage.
@@ -54,17 +55,14 @@ def tor_of_timeline(tl: RateTimeline) -> float:
 
 
 def stage_breakdown(tl: RateTimeline) -> dict[StageKind, tuple[float, float]]:
-    """Per-stage totals: (time spent, time lost).
+    """Per-stage (time spent, time lost) in first-appearance order, from the period pass.
 
     Lost time for a segment is duration * (1 - rate); summed over all stages
     it equals observed_time - integrate_optimal_time exactly.
     """
-    times: dict[StageKind, list[float]] = {}
-    losses: dict[StageKind, list[float]] = {}
-    for d, r, stage in zip(tl.durations, tl.rates, tl.stages):
-        times.setdefault(stage, []).append(d)
-        losses.setdefault(stage, []).append(d * (1.0 - r))
-    return {k: (math.fsum(times[k]), math.fsum(losses[k])) for k in times}
+    breakdown: dict[StageKind, tuple[float, float]] = {}
+    period_records(tl, _breakdown=breakdown)
+    return breakdown
 
 
 def _batches(tl: RateTimeline) -> Iterator[zip]:

@@ -27,10 +27,10 @@ trace must use one timestamp format and one kind of wall clock, and be
 non-empty and contiguous. Input whose events tile the time axis exactly
 in line order is kept as is; other input is sorted stably by (t_start, t_end)
 before the contiguity check. The result is the ``RateTimeline`` of the
-checked events, which :func:`report` reads as it is. It keeps their
-durations, not their timestamps: :func:`write_jsonl`, like the CSV writer,
-lays any timeline out from 0. A trace built by hand is a list of event
-dicts, which :func:`parse_trace` checks as the lines they stand for.
+checked events; one period pass of :func:`report` gives both its period
+records and its stage breakdown. It keeps durations, not timestamps:
+:func:`write_jsonl`, like the CSV writer, lays any timeline out from 0. A trace
+built by hand is a list of event dicts, checked as the lines they stand for.
 """
 from __future__ import annotations
 
@@ -52,7 +52,7 @@ from .model import (
     _check_ratio,
 )
 from .periods import FAIL_SLOW, FAIL_STOP, StageTotals, period_records
-# tor_of_timeline stays importable from here, where callers and span hooks name it.
+# tor_of_timeline and stage_breakdown stay importable here, where callers and span hooks name them.
 from .timeline import (_NAME, _batches, integrate_optimal_time, observed_time, stage_breakdown,
                        tor_of_timeline)
 
@@ -110,13 +110,14 @@ def _decode(raw, line: int):
         raise TraceParseError("JSON nested too deeply", line) from None
 
 
-def _wall_times(obj: dict, line: int) -> tuple[dt.datetime, dt.datetime]:
+def _wall_times(obj: dict, line: int, w0=None) -> tuple[dt.datetime, dt.datetime]:
     """The checked (wall_start, wall_end) of an event without t_start/t_end.
 
-    A ``fromisoformat`` datetime is timezone-aware exactly when it has a tzinfo.
+    ``w0`` is wall_start if parsed already; a datetime is aware iff it has a tzinfo.
     """
     try:
-        w0 = _fromisoformat(obj["wall_start"])
+        if w0 is None:
+            w0 = _fromisoformat(obj["wall_start"])
         w1 = _fromisoformat(obj["wall_end"])
     except (KeyError, TypeError, ValueError):  # find the first check that fails
         if "wall_start" not in obj or "wall_end" not in obj:
@@ -157,6 +158,8 @@ def parse_trace(source: IO | bytes | str | Iterable) -> RateTimeline:
     durations: list[float] = []
     wall_starts: list[dt.datetime] = []
     wall_ends: list[dt.datetime] = []
+    parsed: list[int] = []  # the events whose wall_start was parsed, not reused
+    last_end = _BLANK  # the last wall_end as its line spells it
     stages: list[StageKind] = []
     rates: list[float] = []
     for line_no, raw in enumerate(lines, start=1):
@@ -213,11 +216,16 @@ def parse_trace(source: IO | bytes | str | Iterable) -> RateTimeline:
             ends.append(t1)
             durations.append(span if exact is None else exact)
         else:
-            w0, w1 = _wall_times(obj, line_no)
+            if obj.get("wall_start") == last_end:  # parsed already, as w1
+                w0, w1 = _wall_times(obj, line_no, w1)
+            else:
+                w0, w1 = _wall_times(obj, line_no)
+                parsed.append(len(wall_ends))
+                wall_starts.append(w0)
             if exact is not None:
                 span = (w1 - w0).total_seconds()
-            wall_starts.append(w0)
             wall_ends.append(w1)
+            last_end = obj["wall_end"]
         if exact is not None:
             # Scaled as the contiguity check scales numeric stamps (t1); a
             # wall-clock event (t1 is None) by its span.
@@ -232,11 +240,15 @@ def parse_trace(source: IO | bytes | str | Iterable) -> RateTimeline:
     if starts and wall_starts:
         raise TraceParseError("trace mixes numeric and wall-clock timestamps")
     if wall_starts:
+        # Every start not in wall_starts is an earlier event's end, so it is
+        # later than some parsed start and of the same kind of clock.
         if len({w0.tzinfo is None for w0 in wall_starts}) > 1:
             raise TraceParseError("trace mixes timezone-aware and naive wall-clock times")
         origin = min(wall_starts)
-        starts = [(w0 - origin).total_seconds() for w0 in wall_starts]
         ends = [(w1 - origin).total_seconds() for w1 in wall_ends]
+        starts = [0.0, *ends[:-1]]  # a reused start has the seconds of the end before it
+        for i, w0 in zip(parsed, wall_starts):
+            starts[i] = (w0 - origin).total_seconds()
         durations = list(map(sub, ends, starts))
     if not starts:
         raise TraceParseError("empty trace: TOR undefined")
@@ -293,9 +305,9 @@ def report(tl: RateTimeline) -> dict:
     estimates, stage and period breakdown."""
     t_obs = observed_time(tl)  # first: it bounds every other sum
     t_opt = integrate_optimal_time(tl)
-    records = period_records(tl)
+    breakdown: dict[StageKind, tuple[float, float]] = {}  # stage_breakdown(tl), same pass
+    records = period_records(tl, _breakdown=breakdown)
     fail_stop_mtbf, fail_slow_mtbf = _mtbf_by_kind(records)
-    breakdown = stage_breakdown(tl)
     return {
         "schema_version": SCHEMA_VERSION,
         "tor": t_opt / t_obs,  # tor_of_timeline(tl), bit for bit

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -97,6 +98,18 @@ class TestValidation:
         p = FailStopPeriod(t_h=1)
         with pytest.raises(dataclasses.FrozenInstanceError):
             p.t_h = 2
+
+
+@pytest.mark.parametrize("stage", list(StageKind))
+def test_stage_text_is_its_value(stage):
+    """Every way a stage becomes text gives its CamelCase value, as a plain str."""
+    value = stage.value
+    assert str(stage) == value and type(str(stage)) is str
+    assert format(stage, "<18") == format(value, "<18")
+    assert f"{stage}|{stage!s}|{stage:>20}" == f"{value}|{value}|{value:>20}"
+    assert repr(stage) == f"<StageKind.{stage.name}: {value!r}>"
+    assert json.dumps(stage) == json.dumps(value)
+    assert json.dumps({stage: 1}) == json.dumps({value: 1})
 
 
 class TestRateTimeline:

@@ -4,6 +4,7 @@ import json
 import math
 import random
 import re
+from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import IO, Iterable
@@ -12,9 +13,13 @@ import pytest
 
 from conftest import concat, mixture_concat_timeline
 from torkit import (
+    Exponential,
     FailureMixture,
+    Fixed,
+    LogNormal,
     RateTimeline,
     Segment,
+    SimConfig,
     StageKind,
     TraceParseError,
     ValidationError,
@@ -27,10 +32,11 @@ from torkit import (
     tor_of_timeline,
 )
 from torkit.model import ZERO_RATE_STAGES
-from torkit.periods import period_records
+from torkit.periods import FAIL_SLOW, FAIL_STOP, period_records
 from torkit.simulator import config_from_period
-from torkit.timeline import observed_time, write_csv
+from torkit.timeline import integrate_optimal_time, observed_time, stage_breakdown, write_csv
 from torkit.model import _check_number
+import torkit.trace
 from torkit.trace import (
     CONTIGUITY_TOL,
     render_report,
@@ -388,9 +394,9 @@ class TestReport:
         events = roundtrip(mixture_concat_timeline(m))
         calls = []
 
-        def counted(tl):
+        def counted(tl, **kwargs):
             calls.append(len(tl))
-            return period_records(tl)
+            return period_records(tl, **kwargs)
 
         monkeypatch.setattr(torkit.trace, "period_records", counted)
         rep = report(events)
@@ -739,6 +745,18 @@ def without(key, **fields):
     return json.dumps(obj) + "\n"
 
 
+def tiled_wall_trace(n: int, tz: str = "") -> list[str]:
+    """``n`` contiguous wall-clock events, each start spelled as the previous end."""
+    stamps = [(dt.datetime(2026, 1, 1, 6) + dt.timedelta(seconds=7.25 * i, microseconds=i))
+              .isoformat() + tz for i in range(n + 1)]
+    stages = ["HealthyRun", "CheckpointSave", "SlowRecovery", "FailSlowDegraded", "Repair"]
+    rates = {"HealthyRun": 1.0, "SlowRecovery": 0.5, "FailSlowDegraded": 0.25}
+    return [wall_line(stamps[i], stamps[i + 1], stage=stages[i % 5],
+                      rate=rates.get(stages[i % 5], 0.0)) for i in range(n)]
+
+
+# Wall-clock stamps for the cases where a start is spelled as the previous end.
+W0, W1, W2, W3 = (f"2026-01-01T00:00:{s}" for s in ("00", "10", "25", "40"))
 # One case for each check of the parser, and the inputs around them.
 MALFORMED = {
     "bad-json": line() + "{not json}\n",
@@ -825,9 +843,38 @@ MALFORMED = {
     "empty": "",
     "blank-lines": "\n  \n\t\r\n",
     "unicode-blank-lines": "\u00a0\n\x0c\n\u2028\n",
+    # A wall_start spelled as the previous line's wall_end is not parsed again.
+    "reuse-end-only-first": json.dumps({"wall_end": W1, "stage": "Repair", "rate": 0}) + "\n"
+    + wall_line(W1, W2),
+    "reuse-end-only-after": wall_line(W0, W1)
+    + json.dumps({"wall_end": W2, "stage": "Repair", "rate": 0}) + "\n",
+    "reuse-missing-end": wall_line(W0, W1)
+    + json.dumps({"wall_start": W1, "stage": "Repair", "rate": 0}) + "\n",
+    "reuse-bad-end": wall_line(W0, W1) + wall_line(W1, "yesterday"),
+    "reuse-number-end": wall_line(W0, W1) + wall_line(W1, 25),
+    "reuse-empty-span": wall_line(W0, W1) + wall_line(W1, W1),
+    "reuse-end-first": wall_line(W0, W1) + wall_line(W1, W0),
+    "reuse-aware-end": wall_line(W0, W1) + wall_line(W1, W2 + "+00:00"),
+    "reuse-naive-end": wall_line(W0 + "Z", W1 + "Z") + wall_line(W1 + "Z", W2),
+    "reuse-then-mixed-tz": wall_line(W0 + "+00:00", W1 + "+00:00")
+    + wall_line(W1 + "+00:00", W2 + "+00:00") + wall_line(W2, W3),
+    "reuse-duration": wall_line(W0, W1) + wall_line(W1, W2, duration=15.0),
+    "reuse-disagreeing-duration": wall_line(W0, W1) + wall_line(W1, W2, duration=14.0),
+    "reuse-across-blank-and-numeric-lines": wall_line(W0, W1) + "\n" + line() + wall_line(W1, W2),
+    "reuse-same-instant-other-offset": wall_line(W0 + "+00:00", W1 + "+00:00")
+    + wall_line("2026-01-01T05:30:10+05:30", W2 + "+00:00"),
+    "reuse-same-instant-other-spelling": wall_line(W0, W1) + wall_line(W1 + ".000000", W2)
+    + wall_line("2026-01-01 00:00:25", W3),
+    "reuse-after-gap": wall_line(W0, W1) + wall_line(W2, W3) + wall_line(W3, "2026-01-01T00:00:50"),
+    "reuse-tiled": "".join(tiled_wall_trace(40, "+05:30")),
+    "reuse-tiled-shuffled": "".join(random.Random(21).sample(tiled_wall_trace(40), 40)),
+    "reuse-tiled-reversed": "".join(reversed(tiled_wall_trace(40, "Z"))),
 }
 VALID_EDGES = {"rollback-rate", "short-span-duration", "empty-span-duration",
-               "far-span-duration", "wall-span-duration", "unicode-blank-lines"}
+               "far-span-duration", "wall-span-duration", "unicode-blank-lines",
+               "reuse-duration", "reuse-same-instant-other-offset",
+               "reuse-same-instant-other-spelling", "reuse-tiled", "reuse-tiled-shuffled",
+               "reuse-tiled-reversed"}
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))
@@ -837,3 +884,140 @@ def test_parse_matches_reference_on_malformed_input(name):
     assert result == outcome(reference_parse_trace, lambda: data)
     if name not in VALID_EDGES:
         assert result[0] == "error"
+
+
+# ---------------------------------------------------------------------------
+# wall-clock stamps: a start spelled as the previous end is parsed once
+
+def test_tiled_wall_trace_parses_each_instant_once(monkeypatch):
+    """n tiled events spell n + 1 instants, and only those are parsed. Shuffled,
+    a start is parsed too unless the line before ends where it starts."""
+    parsed = []
+
+    def counting(value):
+        parsed.append(value)
+        return dt.datetime.fromisoformat(value)
+
+    monkeypatch.setattr(torkit.trace, "_fromisoformat", counting)
+    lines = tiled_wall_trace(50)
+    tl = parse_trace(lines)
+    assert len(parsed) == 51 and len(set(parsed)) == 51
+    parsed.clear()
+    shuffled = random.Random(5).sample(lines, len(lines))
+    assert parse_trace(shuffled) == tl
+    reused = sum(json.loads(a)["wall_end"] == json.loads(b)["wall_start"]
+                 for a, b in zip(shuffled, shuffled[1:]))
+    assert len(parsed) == 2 * len(lines) - reused
+
+
+# ---------------------------------------------------------------------------
+# the report against its reference
+
+def reference_stage_breakdown(tl: RateTimeline) -> dict:
+    """The stage breakdown as its own loop over the entries, before it came
+    from the period pass."""
+    times: dict = {}
+    losses: dict = {}
+    for d, r, stage in zip(tl.durations, tl.rates, tl.stages):
+        times.setdefault(stage, []).append(d)
+        losses.setdefault(stage, []).append(d * (1.0 - r))
+    return {k: (math.fsum(times[k]), math.fsum(losses[k])) for k in times}
+
+
+def reference_report(tl: RateTimeline) -> dict:
+    """``report`` as it was composed before its stage breakdown came from the
+    period pass: each sum and the breakdown taken on their own."""
+    t_obs = observed_time(tl)
+    t_opt = integrate_optimal_time(tl)
+    records = period_records(tl)
+    mtbf = []
+    for kind in (FAIL_STOP, FAIL_SLOW):
+        vals = [r.mtbf for r in records if r.kind == kind]
+        mtbf.append(math.fsum(vals) / len(vals) if vals else None)
+    return {
+        "schema_version": 1,
+        "tor": t_opt / t_obs,
+        "t_opt": t_opt,
+        "t_obs": t_obs,
+        "fail_stop_mtbf": mtbf[0],
+        "fail_slow_mtbf": mtbf[1],
+        "complete_periods": dict(Counter(r.kind for r in records)),
+        "stage_breakdown": {
+            str(stage): {"time": time, "lost_time": lost}
+            for stage, (time, lost) in reference_stage_breakdown(tl).items()
+        },
+    }
+
+
+def exact(value):
+    """``value`` with every float as its hex and every dict as its list of items,
+    so that equal results have equal bits and equal key order."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return [(k, exact(v)) for k, v in value.items()]
+    return value
+
+
+def assert_report_matches_reference(tl: RateTimeline):
+    assert exact(report(tl)) == exact(reference_report(tl))
+    breakdown: dict = {}
+    assert period_records(tl, _breakdown=breakdown) == period_records(tl)
+    assert exact(breakdown) == exact(reference_stage_breakdown(tl))
+    assert exact(stage_breakdown(tl)) == exact(breakdown)
+
+
+def simulated_timelines():
+    for i, dist in enumerate((Fixed, Exponential, LogNormal)):
+        t_r, t_sr, t_fs = (dist(3.0), dist(1.5), dist(4.0)) if dist is not LogNormal else (
+            LogNormal(3.0, 0.5), LogNormal(1.5, 0.4), LogNormal(4.0, 0.6))
+        for seed, r_sr, r_fs in ((1, 0.5, 0.25), (2, 0.0, 1.0), (3, 1.0, 0.0)):
+            cfg = SimConfig(w_opt=1.0, total_work=600.0, ckpt_interval=15.0, t_ckpt=0.5 * i,
+                            fail_stop_rate=0.02, fail_slow_rate=0.02, t_r_dist=t_r,
+                            t_sr_dist=t_sr, t_fs_dist=t_fs, r_sr=r_sr, r_fs=r_fs, seed=seed)
+            yield simulate(cfg).timeline
+
+
+def test_report_matches_reference_on_simulated_timelines():
+    kinds = Counter()
+    for tl in simulated_timelines():
+        assert_report_matches_reference(tl)
+        kinds.update(report(tl)["complete_periods"])
+    assert kinds["fail_stop"] and kinds["fail_slow"]
+
+
+def test_report_matches_reference_on_random_traces():
+    rng = random.Random(20261018)  # the traces of the parser's reference test
+    checked = 0
+    for _ in range(400):
+        make_source = random_source(rng, random_event_lines(rng))
+        try:
+            tl = parse_trace(make_source())
+        except TraceParseError:
+            continue
+        assert_report_matches_reference(tl)
+        checked += 1
+    assert checked >= 300
+
+
+def edge_timelines():
+    rates = {StageKind.SLOW_RECOVERY: 0.5, StageKind.FAIL_SLOW_DEGRADED: 0.25,
+             StageKind.HEALTHY_RUN: 1.0}
+
+    def build(*stages):
+        return RateTimeline.build((1.0 + i / 8, rates.get(s, 0.0), s) for i, s in enumerate(stages))
+
+    repair = StageKind.REPAIR
+    yield build(StageKind.HEALTHY_RUN, StageKind.CHECKPOINT_SAVE, StageKind.SLOW_RECOVERY)
+    yield build(repair, repair, StageKind.HEALTHY_RUN, repair, StageKind.ROLLBACK_WASTE)
+    for stage in StageKind:
+        yield build(stage)
+        yield build(stage, repair)
+        yield build(repair, stage)
+        yield build(stage, repair, stage)
+        yield build(stage, stage, repair, repair, stage)
+
+
+def test_report_matches_reference_on_edge_timelines():
+    for tl in edge_timelines():
+        assert_report_matches_reference(tl)
