@@ -37,17 +37,17 @@ general loop's float operations in the same order, so its columns are
 bit-identical to stepping event by event. It keeps the general loop's
 priorities: a fail-stop wins a tie with a fail-slow, a failure wins a tie
 with the trigger, completion or the save's end, a trigger due at completion
-still fires, and a negative gap counts as 0. A failure or completion ends the
-fast path by itself: it appends the interrupted HealthyRun or CheckpointSave
-and goes straight to the event handlers, with no candidate scan.
+still fires, and a negative gap appends nothing. A failure or completion
+ends the fast path by itself: it appends the interrupted HealthyRun or
+CheckpointSave and goes straight to the event handlers, with no scan.
 
-A fail-stop appends its Repair at once, since no arrival, trigger or
-completion can come during a repair; a fail-slow queues its Repair behind
-FailSlowDegraded, to end at once at the head of the queue. So does a
-CheckpointSave that a trigger queued and that ends strictly before both
-arrivals, and a SlowRecovery or FailSlowDegraded stage with a positive work
-rate that ends strictly before both arrivals, the trigger and completion. A
-tie, a rate of 0 and every other stage go to the general loop's scan.
+One rule ends a queued stage whose end is decided: it leaves the queue at
+once, with no scan. A Repair's end is always decided, as nothing strikes
+during a repair, so a fail-stop appends its Repair at once. Any other stage's
+end is decided when it comes strictly before both arrivals and, if its rate
+is positive, before the trigger and completion, with a work rate that does
+not underflow to 0; a CheckpointSave that ends so commits. A tie goes to the
+scan, where the other event wins, so the scan never ends a save.
 """
 from __future__ import annotations
 
@@ -337,6 +337,8 @@ def _run(cfg: SimConfig, seedseq: np.random.SeedSequence, record: bool = True) -
     """The event loop. Recorded, the run's segments of positive duration, as
     the columns (durations, rates, stages); unrecorded, its totals (t_obs,
     t_opt, tor), equal bit for bit to those ``_result`` sums from the columns.
+    Steps whose next event is known take no scan: the healthy fast path, and
+    a queued stage whose end is decided (the module docstring has the rules).
 
     A fail-stop relabels the progress entries after the last completed
     checkpoint as rate-0 RollbackWaste, in place; unrecorded, it drops their
@@ -372,9 +374,8 @@ def _run(cfg: SimConfig, seedseq: np.random.SeedSequence, record: bool = True) -
 
     while True:
         if not queue:
-            # Fast path of (HealthyRun block, CheckpointSave) pairs until a
-            # failure or completion; its tie rules are the general loop's (see
-            # the module docstring).
+            # Fast path of (HealthyRun block, CheckpointSave) pairs until a failure
+            # or completion, with the general loop's tie rules (module docstring).
             stage, rate, wrate = HEALTHY_RUN, 1.0, w_opt  # 1.0 * w_opt is w_opt
             while True:
                 dt = ckpt_interval - prog
@@ -390,7 +391,7 @@ def _run(cfg: SimConfig, seedseq: np.random.SeedSequence, record: bool = True) -
                     else:
                         event, dt = 3, dt_work
                     break
-                if dt > 0:  # also false for a negative dt, which the general loop clamps to 0
+                if dt > 0:  # a negative dt appends nothing, as in the general loop
                     durations.append(dt)
                     if record:
                         rates.append(1.0)
@@ -417,8 +418,7 @@ def _run(cfg: SimConfig, seedseq: np.random.SeedSequence, record: bool = True) -
                 saved = len(edited)
         else:
             stage, rem, rate = queue[0]
-            # Queued stages whose end is decided; the rules are in the module
-            # docstring.
+            # A queued stage whose end is decided leaves at once (module docstring).
             if stage is REPAIR:
                 if rem > 0:
                     durations.append(rem)
@@ -427,31 +427,24 @@ def _run(cfg: SimConfig, seedseq: np.random.SeedSequence, record: bool = True) -
                         stages.append(REPAIR)
                 queue.popleft()
                 continue
-            if (stage is CHECKPOINT_SAVE
-                    and rem < next_stop - exposure and rem < next_slow - exposure):
-                if rem > 0:
-                    durations.append(rem)
-                    if record:
-                        rates.append(0.0)
-                        stages.append(CHECKPOINT_SAVE)
-                    exposure += rem
-                committed = work
-                saved = len(edited)
-                queue.popleft()
-                continue
             wrate = rate * w_opt
-            if (wrate > 0 and rem < next_stop - exposure and rem < next_slow - exposure
-                    and rem < ckpt_interval - prog and rem < (total - work) / wrate):
+            if (rem < next_stop - exposure and rem < next_slow - exposure
+                    and ((rem < ckpt_interval - prog and rem < (total - work) / wrate)
+                         if wrate > 0 else rate == 0)):
                 if rem > 0:
                     durations.append(rem)
                     if record:
                         rates.append(rate)
                         stages.append(stage)
-                    else:
-                        products.append(rem * rate)
-                    work += rem * wrate
-                    prog += rem
+                    if rate > 0:
+                        if not record:
+                            products.append(rem * rate)
+                        work += rem * wrate
+                        prog += rem
                     exposure += rem
+                if stage is CHECKPOINT_SAVE:
+                    committed = work
+                    saved = len(edited)
                 queue.popleft()
                 continue
 
@@ -467,10 +460,8 @@ def _run(cfg: SimConfig, seedseq: np.random.SeedSequence, record: bool = True) -
             candidates = (dt_stop, dt_slow, dt_ckpt, dt_work, rem)
             dt = min(candidates)
             event = candidates.index(dt)
-        if dt < 0:  # float slack from clock bookkeeping; fire immediately
-            dt = 0.0
 
-        if dt > 0:
+        if dt > 0:  # a negative gap (float slack) appends nothing and fires at once
             durations.append(dt)
             if record:
                 rates.append(rate)
@@ -536,11 +527,8 @@ def _run(cfg: SimConfig, seedseq: np.random.SeedSequence, record: bool = True) -
                 saved = len(edited)
         elif event == 3:  # work complete
             break
-        else:  # stage end
-            done = queue.popleft()
-            if done[0] is CHECKPOINT_SAVE:
-                committed = work
-                saved = len(edited)
+        else:  # stage end; a save never ends here (see the module docstring)
+            queue.popleft()
     if record:
         return durations, rates, stages
     t_obs, t_opt = _observed(durations), _total("optimal time", products)

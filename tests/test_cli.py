@@ -61,7 +61,7 @@ def test_non_object_config_exit_code(tmp_path, capsys, argv, config):
     assert len(err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("command, config, message", [
+@pytest.mark.parametrize("argv, config, message", [
     ("analytic", {"kind": "fail_stop", "t_h": 1e308, "t_r": 1e308},
      "period: fail-stop period duration exceeds the float range"),
     ("analytic", {"mixture": [{"weight": 1e308, "period": WORKED_FAIL_STOP}] * 2},
@@ -89,15 +89,32 @@ def test_non_object_config_exit_code(tmp_path, capsys, argv, config):
     # Two finite repairs whose sum is beyond the float range.
     ("simulate", dict(SIM_CONFIG, t_r_dist={"kind": "fixed", "value": 1e308}),
      "observed time exceeds the float range, TOR undefined"),
+    ("simulate", dict(SIM_CONFIG, watchdog_cycles=0),
+     "sim config: watchdog_cycles must be at least 1"),
+    ("compare --periods 0", WORKED_FAIL_STOP, "periods must be at least 1"),
+    # One period is all warm-up.
+    ("compare --deterministic --periods 1", WORKED_FAIL_STOP,
+     "deterministic run produced no steady-state periods"),
+    ("compare", {"kind": "fail_stop", "t_r": 5, "n_ckpt": 1, "t_ckpt": 1},
+     "period accumulates no useful work; nothing to simulate"),
+    ("compare", dict(WORKED_FAIL_STOP, n_ckpt=1, t_ckpt=0),
+     "n_ckpt >= 1 requires t_ckpt > 0 in the simulator mapping"),
+    # The implied checkpoint interval is (t_sr + t_h) / n_ckpt.
+    ("compare", dict(WORKED_FAIL_STOP, t_rb=40),
+     f"t_rb must be smaller than the implied checkpoint interval ({92 / 3!r} s); "
+     "a checkpoint would fire inside the rolled-back span"),
 ], ids=[
     "duration-overflow", "weight-overflow", "weighted-duration-overflow",
     "mixture-unknown-key", "component-unknown-key", "component-period-unknown-key",
     "distribution-unknown-key", "distribution-missing-field", "empty-run",
     "exponential-draw-overflow", "lognormal-draw-overflow", "summed-overflow",
+    "zero-watchdog-cycles", "zero-periods", "no-steady-state-periods", "no-useful-work",
+    "free-checkpoints", "rollback-past-interval",
 ])
-def test_rejected_config_exit_code(tmp_path, capsys, command, config, message):
+def test_rejected_config_exit_code(tmp_path, capsys, argv, config, message):
+    command, *options = argv.split()
     path = write_json(tmp_path / "c.json", config)
-    assert main([command, path]) == 2
+    assert main([command, path, *options]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
@@ -140,11 +157,13 @@ def test_periods_beyond_float_range_exit_code(period_file, capsys):
     ("trace", b"[" * 100_000 + b"\n", "line 1: JSON nested too deeply"),
     ("trace", b'{"t_start": 0, "t_end": 1, "stage": "Repair", "rate": 0}\n' + b'{"a": ' * 100_000,
      "line 2: JSON nested too deeply"),
+    ("trace", None, "cannot read trace"),
 ], ids=["config-not-utf8", "config-long-integer", "trace-not-utf8", "trace-long-integer",
-        "config-too-deep", "trace-too-deep", "trace-too-deep-object"])
+        "config-too-deep", "trace-too-deep", "trace-too-deep-object", "trace-missing"])
 def test_undecodable_file_exit_code(tmp_path, capsys, command, data, message):
     path = tmp_path / "input"
-    path.write_bytes(data)
+    if data is not None:  # None: no file
+        path.write_bytes(data)
     assert main([command, str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and len(err.splitlines()) == 1
@@ -325,6 +344,14 @@ class TestSimulate:
         first = capsys.readouterr().out
         assert main(["simulate", sim_file, "--replications", "4", "--json"]) == 0
         assert capsys.readouterr().out == first
+
+    def test_seed_option_is_the_config_seed(self, tmp_path, capsys):
+        seeded = write_json(tmp_path / "seeded.json", dict(SIM_CONFIG, seed=7))
+        assert main(["simulate", seeded, "--json"]) == 0
+        expected = capsys.readouterr().out
+        assert main(["simulate", write_json(tmp_path / "sim.json", SIM_CONFIG),
+                     "--seed", "7", "--json"]) == 0
+        assert capsys.readouterr().out == expected
 
     def test_emit_trace_and_csv(self, sim_file, tmp_path, capsys):
         trace_path = tmp_path / "run.jsonl"

@@ -1025,7 +1025,13 @@ TIE_CONFIGS = {
     "degraded_end_at_trigger": dict(fail_slow_times=(5.0,), **{**DEGRADED,
                                                                "t_fs_dist": Fixed(5.0)}),
     "degraded_end_at_completion": dict(total_work=6.5, fail_slow_times=(5.0,), **DEGRADED),
-    # Rate-0 recovery and degraded stages stay with the general loop.
+    # A recovery whose work rate 0.5 * 5e-324 underflows to 0 still accrues
+    # progress, so the trigger at progress 10 cuts it short.
+    "recovery_work_rate_underflows": dict(w_opt=5e-324, total_work=100 * 5e-324,
+                                          fail_stop_times=(5.0,), t_sr_dist=Fixed(12.0),
+                                          r_sr=0.5),
+    # Rate-0 recovery and degraded stages end by the save's rule: strictly
+    # before both arrivals.
     "r_sr_zero": dict(fail_stop_rate=0.05, fail_slow_rate=0.03, t_sr_dist=Fixed(2.0),
                       t_fs_dist=Fixed(3.0), r_fs=0.5),
     "r_fs_zero": dict(fail_stop_rate=0.05, fail_slow_rate=0.03, t_sr_dist=Fixed(2.0),
@@ -1054,6 +1060,15 @@ TIE_CONFIGS = {
                                     r_sr=0.5),
     "stop_one_ulp_after_queued_save_end": dict(fail_stop_times=(5.0, math.nextafter(16.0, INF)),
                                                t_sr_dist=Fixed(12.0), r_sr=0.5),
+    # The same save with a fail-slow at its end or one ulp after it; the
+    # fail-stop at 20, before the next trigger, shows whether the save committed.
+    "slow_at_queued_save_end": dict(fail_stop_times=(5.0, 20.0), fail_slow_times=(16.0,),
+                                    t_sr_dist=Fixed(12.0), r_sr=0.5, t_fs_dist=Fixed(3.0),
+                                    r_fs=0.5),
+    "slow_one_ulp_after_queued_save_end": dict(fail_stop_times=(5.0, 20.0),
+                                               fail_slow_times=(math.nextafter(16.0, INF),),
+                                               t_sr_dist=Fixed(12.0), r_sr=0.5,
+                                               t_fs_dist=Fixed(3.0), r_fs=0.5),
 }
 
 

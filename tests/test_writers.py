@@ -296,6 +296,11 @@ class TestReadCsvMalformedRows:
         with pytest.raises(ValidationError, match=message):
             read_csv(io.StringIO(self.GOOD + row + "\r\n"))
 
+    def test_bad_header_is_named(self):
+        with pytest.raises(ValidationError, match=r"^bad timeline CSV header: \['t_start', "
+                                                  r"'t_end', 'rate', 'phase'\]$"):
+            read_csv(io.StringIO(self.GOOD.replace("stage", "phase")))
+
     def test_unreadable_header_is_row_1(self):
         with pytest.raises(ValidationError, match=r"^timeline CSV row 1: field larger"):
             read_csv(io.StringIO("t" * 200_000 + ",t_end,rate,stage\r\n"))
