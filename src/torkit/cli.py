@@ -7,6 +7,7 @@ Text output rounds to 6 decimals; ``--json`` emits full precision.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -48,12 +49,13 @@ def _open_output(path: str):
         raise ValidationError(f"cannot write {path}: {e}") from None
 
 
-def _check_writable(*paths: str | None) -> None:
+def _check_writable(*paths: str | None) -> list[str]:
     """Check that every given output path can be opened for writing, before
     any is written, so that a failed command leaves no partial set of outputs.
 
-    The check writes nothing; a file it creates is removed again when a later
-    path fails. A path that exists and is not a regular file (a FIFO, a
+    The check writes nothing and returns the files it created, for the caller
+    to remove if the command then fails; when a later path fails, they are
+    removed here. A path that exists and is not a regular file (a FIFO, a
     device) is not probed: closing a probe would end a FIFO reader's input.
     """
     created = []
@@ -69,6 +71,7 @@ def _check_writable(*paths: str | None) -> None:
             raise ValidationError(f"cannot write {path}: {e}") from None
         if new:
             created.append(path)
+    return created
 
 
 def _emit_json(obj: dict) -> None:
@@ -140,10 +143,18 @@ def cmd_simulate(args) -> int:
     if (args.emit_trace and args.emit_csv
             and os.path.realpath(args.emit_trace) == os.path.realpath(args.emit_csv)):
         raise ValidationError(f"--emit-trace and --emit-csv name the same file: {args.emit_csv}")
-    summary = monte_carlo(cfg, args.replications, record_first=True)
+    # Probed before the run, so that an unwritable path costs no simulation.
+    created = _check_writable(args.emit_trace, args.emit_csv)
+    try:
+        summary = monte_carlo(cfg, args.replications, record_first=True)
+    except BaseException:  # a failed run leaves no output behind
+        for path in created:
+            # A probed file moved away during the run must not mask the run's error.
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
     first = summary.first_result
 
-    _check_writable(args.emit_trace, args.emit_csv)
     if args.emit_trace:
         with _open_output(args.emit_trace) as f:
             trace_mod.write_jsonl(first.timeline, f)

@@ -169,17 +169,22 @@ def test_undecodable_file_exit_code(tmp_path, capsys, command, data, message):
     assert err.startswith("error: ") and message in err and len(err.splitlines()) == 1
 
 
+def not_run(*args, **kwargs):
+    raise AssertionError("simulated before the output paths were checked")
+
+
 @pytest.mark.parametrize("command, option", [
     ("simulate", "--emit-trace"),
     ("simulate", "--emit-csv"),
     ("trace", "--csv"),
 ])
-def test_unwritable_output_exit_code(sim_file, tmp_path, capsys, command, option):
+def test_unwritable_output_exit_code(sim_file, tmp_path, capsys, monkeypatch, command, option):
     source = sim_file
     if command == "trace":
         source = str(tmp_path / "run.jsonl")
         assert main(["simulate", sim_file, "--quiet", "--emit-trace", source]) == 0
         capsys.readouterr()
+    monkeypatch.setattr("torkit.cli.monte_carlo", not_run)
     target = str(tmp_path / "missing" / "out")
     assert main([command, source, option, target]) == 2
     err = capsys.readouterr().err
@@ -200,10 +205,46 @@ def test_unwritable_output_leaves_no_other_output(sim_file, tmp_path, capsys):
     assert trace_path.read_text() == "kept\n"
 
 
-def test_one_file_for_both_outputs(sim_file, tmp_path, capsys, monkeypatch):
-    def not_run(*args):
-        raise AssertionError("simulated before the output paths were checked")
+# The diverging config of the installed entry point's check.
+DIVERGING = dict(SIM_CONFIG, total_work=1000, ckpt_interval=5, fail_stop_rate=10,
+                 t_r_dist={"kind": "fixed", "value": 0.5},
+                 t_sr_dist={"kind": "fixed", "value": 0}, r_sr=0.0, seed=3,
+                 watchdog_cycles=50)
 
+
+def test_diverged_run_leaves_no_output(tmp_path, capsys):
+    path = write_json(tmp_path / "diverge.json", DIVERGING)
+    trace_path, csv_path = tmp_path / "new.jsonl", tmp_path / "new.csv"
+    assert main(["simulate", path, "--emit-trace", str(trace_path)]) == 3
+    assert main(["simulate", path, "--emit-trace", str(trace_path),
+                 "--emit-csv", str(csv_path)]) == 3
+    assert not trace_path.exists() and not csv_path.exists()
+    # An output file that was there before is left byte for byte.
+    trace_path.write_bytes(b"kept\r\n")
+    assert main(["simulate", path, "--emit-trace", str(trace_path),
+                 "--emit-csv", str(csv_path)]) == 3
+    assert trace_path.read_bytes() == b"kept\r\n" and not csv_path.exists()
+    assert capsys.readouterr().err.count("error: simulation diverged: ") == 3
+
+
+def test_diverged_run_whose_probed_file_went_away(tmp_path, capsys, monkeypatch):
+    # A probed file removed during the run does not mask the run's own error.
+    path = write_json(tmp_path / "diverge.json", DIVERGING)
+    trace_path = tmp_path / "new.jsonl"
+    run = torkit.cli.monte_carlo
+
+    def remove_then_run(*args, **kwargs):
+        trace_path.unlink()
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr("torkit.cli.monte_carlo", remove_then_run)
+    assert main(["simulate", path, "--emit-trace", str(trace_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: simulation diverged: ") and len(err.splitlines()) == 1
+    assert not trace_path.exists()
+
+
+def test_one_file_for_both_outputs(sim_file, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("torkit.cli.monte_carlo", not_run)
     (tmp_path / "sub").mkdir()
     out = tmp_path / "out"
@@ -423,13 +464,8 @@ class TestSimulate:
         ("3", "all 3 replications diverged"),
     ])
     def test_all_diverged_message_keeps_its_cause(self, tmp_path, capsys, replications, head):
-        # The diverging config of the installed entry point's check: one
-        # stderr line that names the watchdog's reason.
-        cfg = dict(SIM_CONFIG, total_work=1000, ckpt_interval=5, fail_stop_rate=10,
-                   t_r_dist={"kind": "fixed", "value": 0.5},
-                   t_sr_dist={"kind": "fixed", "value": 0}, r_sr=0.0, seed=3,
-                   watchdog_cycles=50)
-        path = write_json(tmp_path / "sim.json", cfg)
+        # One stderr line that names the watchdog's reason.
+        path = write_json(tmp_path / "sim.json", DIVERGING)
         assert main(["simulate", path, "--replications", replications]) == 3
         out, err = capsys.readouterr()
         assert out == ""

@@ -1,4 +1,5 @@
-"""Only the simulator loads NumPy: each case runs in a fresh interpreter."""
+"""``import torkit`` loads a layer only when one of its names is first read,
+and only the simulator loads NumPy: each case runs in a fresh interpreter."""
 import ast
 import json
 import os
@@ -68,6 +69,105 @@ def files(tmp_path):
     assert main(["simulate", str(tmp_path / "sim.json"), "--quiet",
                  "--emit-trace", str(tmp_path / "t.jsonl")]) == 0
     return tmp_path
+
+
+# The public names of torkit 0.1.0, by the submodule that defines each.
+PUBLIC = {
+    "errors": ["DivergedError", "TorkitError", "TraceParseError", "UndefinedMetricError",
+               "ValidationError"],
+    "model": ["FailSlowPeriod", "FailStopPeriod", "FailureMixture", "RateTimeline", "Segment",
+              "StageKind", "mtbf_fail_slow", "mtbf_fail_stop"],
+    "analytic": ["period_to_timeline", "tor_fail_slow", "tor_fail_stop",
+                 "tor_from_mtbf_fail_slow", "tor_from_mtbf_fail_stop",
+                 "tor_mixture_time_composite", "tor_mixture_weighted"],
+    "timeline": ["integrate_optimal_time", "observed_time", "stage_breakdown",
+                 "tor_of_timeline"],
+    "simulator": ["Exponential", "Fixed", "LogNormal", "MonteCarloSummary", "SimConfig",
+                  "SimResult", "config_from_period", "monte_carlo",
+                  "realized_period_tor_check", "simulate"],
+    "trace": ["estimate_mtbf", "parse_trace", "report", "trace_to_timeline"],
+}
+SUBMODULES = ["errors", "model", "analytic", "timeline", "periods", "simulator", "trace"]
+# What ``from torkit import *`` binds: every public name and every submodule above.
+STAR = sorted({*(name for names in PUBLIC.values() for name in names), *SUBMODULES})
+
+# Reads one public name after a bare ``import torkit``. Prints whether its home
+# module was loaded before and after the read, whether the value is the home's
+# object, and whether the package then holds it.
+READ_NAME = """
+import sys, torkit
+name, home = sys.argv[1], "torkit." + sys.argv[2]
+before = home in sys.modules
+value = getattr(torkit, name)
+print(before, home in sys.modules, value is getattr(sys.modules[home], name),
+      vars(torkit).get(name) is value)
+"""
+
+
+def fresh(code: str, *args: str, cwd) -> str:
+    """stdout of ``code`` in a fresh interpreter, which must succeed silently."""
+    done = python("-c", code, *args, cwd=cwd)
+    assert (done.returncode, done.stderr) == (0, "")
+    return done.stdout
+
+
+def test_import_runs_only_the_errors(tmp_path):
+    code = "import sys, torkit; print(sorted(m for m in sys.modules if m.startswith('torkit')))"
+    assert fresh(code, cwd=tmp_path) == "['torkit', 'torkit.errors']\n"
+
+
+@pytest.mark.parametrize("name, home", [(n, h) for h, names in PUBLIC.items() for n in names])
+def test_first_read_loads_the_home_module(tmp_path, name, home):
+    assert fresh(READ_NAME, name, home, cwd=tmp_path) == f"{home == 'errors'} True True True\n"
+
+
+@pytest.mark.parametrize("module", SUBMODULES)
+def test_submodule_resolves_after_bare_import(tmp_path, module):
+    code = f"import sys, torkit; print(torkit.{module} is sys.modules['torkit.{module}'])"
+    assert fresh(code, cwd=tmp_path) == "True\n"
+
+
+def test_star_import_and_dir_list_every_public_name(tmp_path):
+    star = "ns = {}; exec('from torkit import *', ns); print(sorted(set(ns) - {'__builtins__'}))"
+    assert fresh(star, cwd=tmp_path) == f"{STAR}\n"
+    # dir lists the names before any is read.
+    listed = "import torkit; print([n for n in dir(torkit) if not n.startswith('_')])"
+    assert fresh(listed, cwd=tmp_path) == f"{STAR}\n"
+    assert fresh("import torkit; print(torkit.__version__)", cwd=tmp_path) == "0.1.0\n"
+
+
+def test_unknown_name_is_an_attribute_error(tmp_path):
+    code = ("import torkit\n"
+            "try:\n    torkit.nope\n"
+            "except AttributeError as e:\n    print(e)\n")
+    assert fresh(code, cwd=tmp_path) == "module 'torkit' has no attribute 'nope'\n"
+
+
+def test_patching_an_unread_name_undoes_to_the_original(tmp_path):
+    # The benchmark's span hooks replace torkit.monte_carlo and put it back.
+    code = ("import pytest, torkit\n"
+            "with pytest.MonkeyPatch.context() as mp:\n"
+            "    mp.setattr(torkit, 'monte_carlo', print)\n"
+            "    patched = torkit.monte_carlo is print\n"
+            "print(patched, torkit.monte_carlo is torkit.simulator.monte_carlo)\n")
+    assert fresh(code, cwd=tmp_path) == "True True\n"
+
+
+@pytest.mark.parametrize("fake", [
+    "print",
+    # A span hook's wrapper carries the original's module and qualified name.
+    "functools.wraps(original)(lambda *args, **kwargs: None)",
+])
+def test_name_read_while_its_home_is_patched_undoes_to_the_original(tmp_path, fake):
+    # The package name is read for the first time while its home is patched.
+    code = ("import functools, pytest, torkit, torkit.simulator\n"
+            "original = torkit.simulator.simulate\n"
+            f"fake = {fake}\n"
+            "with pytest.MonkeyPatch.context() as mp:\n"
+            "    mp.setattr(torkit.simulator, 'simulate', fake)\n"
+            "    patched = torkit.simulate is fake\n"
+            "print(patched, torkit.simulate is original, 'simulate' in vars(torkit))\n")
+    assert fresh(code, cwd=tmp_path) == "True True True\n"
 
 
 @pytest.mark.parametrize("module", ["torkit", "torkit.cli"])
