@@ -322,6 +322,127 @@ def test_main_repeats_every_command(period_file, sim_file, tmp_path, capsys):
         assert outputs[0] == outputs[1] and outputs[0].out
 
 
+# Every command's stdout in each output mode. {stop}, {slow}, {mixture}, {sim}
+# and {trace} name the worked periods, a two-component mixture, SIM_CONFIG and
+# the trace SIM_CONFIG's first replication emits.
+GOLDEN_INVOCATIONS = {
+    "analytic-fail-stop": "analytic {stop}",
+    "analytic-fail-slow": "analytic {slow}",
+    "analytic-mixture": "analytic {mixture}",
+    "analytic-mixture-composite": "analytic {mixture} --composite",
+    "simulate": "simulate {sim} --replications 3",
+    "trace": "trace {trace}",
+    "compare": "compare {stop}",
+    "compare-deterministic-fail-stop": "compare {stop} --deterministic",
+    "compare-deterministic-fail-slow": "compare {slow} --deterministic",
+}
+GOLDEN_MODES = {"text": [], "quiet": ["--quiet"], "json": ["--json"],
+                "json-quiet": ["--json", "--quiet"]}
+# sha256 of "<exit code>\n<stdout>", pinned before the output modes shared one emitter.
+GOLDEN_DIGESTS = {
+    "analytic-fail-stop/text":
+        "ac6ab243706999af9792fd7ed93ff9986a2f2ec040ea7b532c47c5df7c927205",
+    "analytic-fail-stop/quiet":
+        "6d6aaaeaeaef2a7e4aee5695f699c9e1c2d11af1f75e56e15f7ea6e62ebc2435",
+    "analytic-fail-stop/json":
+        "ddbbc65869ae60ee0cb859e44a67be4161699a606fa8a7bd9a834707795889a4",
+    "analytic-fail-stop/json-quiet":
+        "ddbbc65869ae60ee0cb859e44a67be4161699a606fa8a7bd9a834707795889a4",
+    "analytic-fail-slow/text":
+        "ae30fa5d0afd84f368d24d3f7f22ab8c54d29a5df4a3067ae17a6db981e932e3",
+    "analytic-fail-slow/quiet":
+        "94134103a9ae991a7a318c5b9a1eef9e7de7afaf4f699dece15b671879f03c7a",
+    "analytic-fail-slow/json":
+        "188ade8bb616c5815bd3e16a97204d4d806cd940a2853f852c180596c72ba713",
+    "analytic-fail-slow/json-quiet":
+        "188ade8bb616c5815bd3e16a97204d4d806cd940a2853f852c180596c72ba713",
+    "analytic-mixture/text":
+        "e23c4c4fe2f5a3779e225899962768a3025858bee2b6fbf30a80edff81a74ace",
+    "analytic-mixture/quiet":
+        "21432bbd2019b7c9b497e5c0579513917cf2fe71c5624a2b0b6746669d244b99",
+    "analytic-mixture/json":
+        "8540e4b3728d9ed0a9968837727a0d7730586a9b6dcafa1d7f7c5cc3a7a4eaac",
+    "analytic-mixture/json-quiet":
+        "8540e4b3728d9ed0a9968837727a0d7730586a9b6dcafa1d7f7c5cc3a7a4eaac",
+    "analytic-mixture-composite/text":
+        "8c709b5fca38b98555859149129e29f09fb685ba03f3459f960b7e37609d48e4",
+    "analytic-mixture-composite/quiet":
+        "2fcdc335850375e175833f5dfa1c9a1f43164de7fba1e97e10c1c8c5b35f789f",
+    "analytic-mixture-composite/json":
+        "8fd5281f3fe9448e5ab5531960919c3a3511afa2dd1eebb3d7b84f127f019a01",
+    "analytic-mixture-composite/json-quiet":
+        "8fd5281f3fe9448e5ab5531960919c3a3511afa2dd1eebb3d7b84f127f019a01",
+    "simulate/text":
+        "b1156dbfe8bbae8058a81b462789b0740fea86020c200856edd5e9dde2f31b70",
+    "simulate/quiet":
+        "de81fbc177c66fb7beb32164d795d4986eea310e972e7b2d8cb0ac3f698bd978",
+    "simulate/json":
+        "ded19dedc84f9bd9db4d22485b03846824e3b8dee2b023e20daaf7bdccbfda94",
+    "simulate/json-quiet":
+        "ded19dedc84f9bd9db4d22485b03846824e3b8dee2b023e20daaf7bdccbfda94",
+    "trace/text":
+        "f9a40571bd3d70ca20ad3ee5006e74bc4fdd195d3e73a5349800df5c8a87f342",
+    "trace/quiet":
+        "59aded50b45ff73ac56670191491fd78fd25bb3fde749fc07d5cc0b245c0c3a4",
+    "trace/json":
+        "f6b305ae16d19b1ee4295bc6110dd4bd0c778719b3fddc145fb0cffc5732e6cd",
+    "trace/json-quiet":
+        "f6b305ae16d19b1ee4295bc6110dd4bd0c778719b3fddc145fb0cffc5732e6cd",
+    "compare/text":
+        "4561bcad160720cbd87e9b9aded6e4ab62a160165ee783f44889b691aa8036a3",
+    "compare/quiet":
+        "0cd6add36941ab6c0de5b1d138e675f92cbf197610895a960fa65c12300acd4d",
+    "compare/json":
+        "016486d26eefa399ac77b8a9e4bbc195b96c8c05165dc94018850749b3556795",
+    "compare/json-quiet":
+        "016486d26eefa399ac77b8a9e4bbc195b96c8c05165dc94018850749b3556795",
+    "compare-deterministic-fail-stop/text":
+        "5e955e470199105a9c0bdbb5519f879f12abb3c4d1ba1542efe26e7ab4fb31ad",
+    "compare-deterministic-fail-stop/quiet":
+        "03ec2c665216d4f0165ab446d203347c5a696eb4c53743703463da5750827f82",
+    "compare-deterministic-fail-stop/json":
+        "ca31d3ebcb335cf64b823f3572f901487efdcdcef5e552fb9ccd044db9a1fcab",
+    "compare-deterministic-fail-stop/json-quiet":
+        "ca31d3ebcb335cf64b823f3572f901487efdcdcef5e552fb9ccd044db9a1fcab",
+    "compare-deterministic-fail-slow/text":
+        "159a22b82e9ceed42d4260134d667f02f470dfca7b16f9c57050a462be7b051f",
+    "compare-deterministic-fail-slow/quiet":
+        "0dca658f96160f4d8672d471ca864a3bad55edae2abdb6c0e78abf5c3bdf3348",
+    "compare-deterministic-fail-slow/json":
+        "c1da844ce91cac2e24b14d15304e935f6e7a5cffb7ff6096ac4744c8a3b88b14",
+    "compare-deterministic-fail-slow/json-quiet":
+        "c1da844ce91cac2e24b14d15304e935f6e7a5cffb7ff6096ac4744c8a3b88b14",
+}
+
+
+@pytest.fixture
+def golden_files(tmp_path, capsys):
+    files = {
+        "stop": write_json(tmp_path / "stop.json", WORKED_FAIL_STOP),
+        "slow": write_json(tmp_path / "slow.json", WORKED_FAIL_SLOW),
+        "mixture": write_json(tmp_path / "mixture.json", {"mixture": [
+            {"weight": 2, "period": WORKED_FAIL_STOP},
+            {"weight": 1.5, "period": WORKED_FAIL_SLOW},
+        ]}),
+        "sim": write_json(tmp_path / "sim.json", SIM_CONFIG),
+        "trace": str(tmp_path / "run.jsonl"),
+    }
+    assert main(["simulate", files["sim"], "--quiet", "--emit-trace", files["trace"]]) == 0
+    capsys.readouterr()
+    return files
+
+
+@pytest.mark.parametrize("mode", GOLDEN_MODES)
+@pytest.mark.parametrize("invocation", GOLDEN_INVOCATIONS)
+def test_stdout_golden(golden_files, capsys, invocation, mode):
+    argv = GOLDEN_INVOCATIONS[invocation].format(**golden_files).split() + GOLDEN_MODES[mode]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert err == ""
+    digest = hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
+    assert digest == GOLDEN_DIGESTS[f"{invocation}/{mode}"]
+
+
 class TestAnalytic:
     def test_worked_period_text(self, period_file, capsys):
         assert main(["analytic", period_file]) == 0
