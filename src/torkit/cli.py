@@ -10,6 +10,7 @@ import argparse
 import contextlib
 import json
 import os
+import stat
 import sys
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from .simulator import (
     realized_period_tor_check,
     simulate,
 )
-from .timeline import stage_breakdown, write_csv
+from .timeline import breakdown_lines, breakdown_to_dict, stage_breakdown, write_csv
 
 
 def _load_json(path: str) -> dict:
@@ -49,33 +50,56 @@ def _open_output(path: str):
         raise ValidationError(f"cannot write {path}: {e}") from None
 
 
-def _check_writable(*paths: str | None) -> list[str]:
-    """Check that every given output path can be opened for writing, before
-    any is written, so that a failed command leaves no partial set of outputs.
+@contextlib.contextmanager
+def _checked_outputs(source: str, outputs: dict[str, str | None]):
+    """Check a command's output paths, given by option, before its work runs,
+    so that a failed command leaves no partial set of outputs.
 
-    The check writes nothing and returns the files it created, for the caller
-    to remove if the command then fails; when a later path fails, they are
-    removed here. A path that exists and is not a regular file (a FIFO, a
-    device) is not probed: closing a probe would end a FIFO reader's input.
+    An output that names the input ``source`` or an earlier output, or that
+    ``open(path, "a")`` rejects (a directory, a missing directory), is a
+    ValidationError. The check writes nothing. A FIFO or a character device
+    is not probed: closing a probe would end a FIFO reader's input. If the
+    check or the body fails, the files the check created are removed; one
+    moved away in between must not mask the body's error.
     """
+    outputs = {option: path for option, path in outputs.items() if path}
+    named = {os.path.realpath(source): None} if outputs else {}
     created = []
-    for path in filter(None, paths):
-        if os.path.exists(path) and not os.path.isfile(path):
-            continue
-        new = not os.path.lexists(path)
-        try:
-            open(path, "a").close()
-        except OSError as e:
-            for p in created:
-                os.remove(p)
-            raise ValidationError(f"cannot write {path}: {e}") from None
-        if new:
-            created.append(path)
-    return created
+    try:
+        for option, path in outputs.items():
+            real = os.path.realpath(path)
+            if real in named:
+                other = named[real]
+                raise ValidationError(f"{option} names the input file: {path}" if other is None
+                                      else f"{other} and {option} name the same file: {path}")
+            named[real] = option
+            mode = os.stat(path).st_mode if os.path.exists(path) else 0
+            if stat.S_ISFIFO(mode) or stat.S_ISCHR(mode):
+                continue
+            new = not os.path.lexists(path)
+            try:
+                open(path, "a").close()
+            except OSError as e:
+                raise ValidationError(f"cannot write {path}: {e}") from None
+            if new:
+                created.append(path)
+        yield
+    except BaseException:
+        for path in created:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
 
 
-def _emit_json(obj: dict) -> None:
-    print(json.dumps(obj, indent=2))
+def _emit(args, out, headline: list[str], full) -> int:
+    """Print ``out()`` as JSON with --json, else the ``headline`` lines with
+    --quiet and the lines ``full()`` gives without it; return exit code 0.
+    Each of ``out`` and ``full`` is called only in the mode that prints it."""
+    if args.json:
+        print(json.dumps(out(), indent=2))
+    else:
+        print("\n".join(headline if args.quiet else full()))
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +110,6 @@ def cmd_analytic(args) -> int:
     if "mixture" in cfg:
         m = mixture_from_dict(cfg)
         weighted = analytic.tor_mixture_weighted(m)
-        composite = analytic.tor_mixture_time_composite(m) if args.composite else None
         comps = []
         for spec, w in m.components:
             totals = spec.totals()
@@ -96,43 +119,22 @@ def cmd_analytic(args) -> int:
                 "tor": analytic.tor_of_period(spec),
                 "mtbf": totals.mtbf,
             })
-        if args.json:
-            out = {"tor": weighted, "components": comps}
-            if args.composite:
-                out["tor_time_composite"] = composite
-            _emit_json(out)
-        else:
-            print(f"TOR (occurrence-weighted): {weighted:.6f}")
-            if args.composite:
-                print(f"TOR (time-composite):      {composite:.6f}")
-            if not args.quiet:
-                for c in comps:
-                    print(
-                        f"  {c['kind']:<9} weight {c['weight']:g}: "
-                        f"TOR {c['tor']:.6f}, MTBF {c['mtbf']:.6f} s"
-                    )
-        return 0
+        out = {"tor": weighted, "components": comps}
+        headline = [f"TOR (occurrence-weighted): {weighted:.6f}"]
+        if args.composite:
+            out["tor_time_composite"] = composite = analytic.tor_mixture_time_composite(m)
+            headline.append(f"TOR (time-composite):      {composite:.6f}")
+        return _emit(args, lambda: out, headline, lambda: headline + [
+            f"  {c['kind']:<9} weight {c['weight']:g}: TOR {c['tor']:.6f}, MTBF {c['mtbf']:.6f} s"
+            for c in comps])
 
     p = period_from_dict(cfg)
     tor = analytic.tor_of_period(p)
     mtbf = p.totals().mtbf
-    breakdown = stage_breakdown(analytic.period_to_timeline(p))
-    if args.json:
-        _emit_json({
-            "tor": tor,
-            "mtbf": mtbf,
-            "stage_breakdown": {
-                str(k): {"time": t, "lost_time": lost} for k, (t, lost) in breakdown.items()
-            },
-        })
-    else:
-        print(f"TOR:  {tor:.6f}")
-        print(f"MTBF: {mtbf:.6f} s")
-        if not args.quiet:
-            print("stage breakdown (time s / lost s):")
-            for stage, (t, lost) in breakdown.items():
-                print(f"  {str(stage):<18} {t:.6f} / {lost:.6f}")
-    return 0
+    breakdown = breakdown_to_dict(stage_breakdown(analytic.period_to_timeline(p)))
+    headline = [f"TOR:  {tor:.6f}", f"MTBF: {mtbf:.6f} s"]
+    return _emit(args, lambda: {"tor": tor, "mtbf": mtbf, "stage_breakdown": breakdown},
+                 headline, lambda: headline + breakdown_lines(breakdown))
 
 
 def cmd_simulate(args) -> int:
@@ -140,19 +142,10 @@ def cmd_simulate(args) -> int:
     if args.seed is not None:
         cfg_dict["seed"] = args.seed
     cfg = SimConfig.from_dict(cfg_dict)
-    if (args.emit_trace and args.emit_csv
-            and os.path.realpath(args.emit_trace) == os.path.realpath(args.emit_csv)):
-        raise ValidationError(f"--emit-trace and --emit-csv name the same file: {args.emit_csv}")
-    # Probed before the run, so that an unwritable path costs no simulation.
-    created = _check_writable(args.emit_trace, args.emit_csv)
-    try:
+    # Checked before the run, so that an unwritable path costs no simulation.
+    with _checked_outputs(args.config, {"--emit-trace": args.emit_trace,
+                                        "--emit-csv": args.emit_csv}):
         summary = monte_carlo(cfg, args.replications, record_first=True)
-    except BaseException:  # a failed run leaves no output behind
-        for path in created:
-            # A probed file moved away during the run must not mask the run's error.
-            with contextlib.suppress(OSError):
-                os.remove(path)
-        raise
     first = summary.first_result
 
     if args.emit_trace:
@@ -162,41 +155,31 @@ def cmd_simulate(args) -> int:
         with _open_output(args.emit_csv) as f:
             write_csv(first.timeline, f)
 
-    if args.json:
-        out = summary.to_dict()
-        out["first_result"] = first.to_dict()
-        _emit_json(out)
-    else:
-        print(f"mean TOR: {summary.mean_tor:.6f}")
-        print(f"stddev:   {summary.std_tor:.6f}")
-        print(f"95% CI:   [{summary.ci95[0]:.6f}, {summary.ci95[1]:.6f}]")
-        if not args.quiet:
-            print(
-                f"replications: {summary.completed} completed, "
-                f"{summary.diverged} diverged"
-            )
-            print(f"replication {summary.outcomes[0].index}: t_obs {first.t_obs:.6f} s, "
-                  f"t_opt {first.t_opt:.6f} s, {len(first.periods)} complete periods")
-    return 0
+    headline = [
+        f"mean TOR: {summary.mean_tor:.6f}",
+        f"stddev:   {summary.std_tor:.6f}",
+        f"95% CI:   [{summary.ci95[0]:.6f}, {summary.ci95[1]:.6f}]",
+    ]
+    return _emit(args, lambda: {**summary.to_dict(), "first_result": first.to_dict()},
+                 headline, lambda: headline + [
+                     f"replications: {summary.completed} completed, {summary.diverged} diverged",
+                     f"replication {summary.outcomes[0].index}: t_obs {first.t_obs:.6f} s, "
+                     f"t_opt {first.t_opt:.6f} s, {len(first.periods)} complete periods"])
 
 
 def cmd_trace(args) -> int:
-    try:
-        with open(args.input, "rb") as f:
-            tr = trace_mod.parse_trace(f)
-    except OSError as e:
-        raise ValidationError(f"cannot read trace {args.input}: {e}") from None
-    rep = trace_mod.report(tr)
+    with _checked_outputs(args.input, {"--csv": args.csv}):
+        try:
+            with open(args.input, "rb") as f:
+                tr = trace_mod.parse_trace(f)
+        except OSError as e:
+            raise ValidationError(f"cannot read trace {args.input}: {e}") from None
+        rep = trace_mod.report(tr)
     if args.csv:
         with _open_output(args.csv) as f:
             write_csv(tr, f)
-    if args.json:
-        _emit_json(rep)
-    elif args.quiet:
-        print(f"TOR: {rep['tor']:.6f}")
-    else:
-        print(trace_mod.render_report(rep))
-    return 0
+    return _emit(args, lambda: rep, [f"TOR: {rep['tor']:.6f}"],
+                 lambda: [trace_mod.render_report(rep)])
 
 
 def cmd_compare(args) -> int:
@@ -245,20 +228,20 @@ def cmd_compare(args) -> int:
         "complete_periods": n_periods,
         **replications,
     }
-    if args.json:
-        _emit_json(out)
-    else:
-        print(f"analytic TOR:                 {analytic_tor:.6f}")
-        print(f"{sim_label}:  {simulated:.6f} (ci95 [{ci[0]:.6f}, {ci[1]:.6f}])")
-        print(f"closed form @ realized means: {realized:.6f}")
-        if not args.quiet:
-            print(f"delta sim - analytic:         {simulated - analytic_tor:+.6f}")
-            print(f"delta realized - analytic:    {realized - analytic_tor:+.6f}")
-            print(f"complete periods:             {n_periods}")
-            if replications:
-                print(f"replications:                 {replications['completed']} completed, "
-                      f"{replications['diverged']} diverged")
-    return 0
+    headline = [
+        f"analytic TOR:                 {analytic_tor:.6f}",
+        f"{sim_label}:  {simulated:.6f} (ci95 [{ci[0]:.6f}, {ci[1]:.6f}])",
+        f"closed form @ realized means: {realized:.6f}",
+    ]
+    details = [
+        f"delta sim - analytic:         {simulated - analytic_tor:+.6f}",
+        f"delta realized - analytic:    {realized - analytic_tor:+.6f}",
+        f"complete periods:             {n_periods}",
+    ]
+    if replications:
+        details.append(f"replications:                 {replications['completed']} completed, "
+                       f"{replications['diverged']} diverged")
+    return _emit(args, lambda: out, headline, lambda: headline + details)
 
 
 # ---------------------------------------------------------------------------

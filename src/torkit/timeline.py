@@ -65,6 +65,17 @@ def stage_breakdown(tl: RateTimeline) -> dict[StageKind, tuple[float, float]]:
     return breakdown
 
 
+def breakdown_to_dict(breakdown: dict[StageKind, tuple[float, float]]) -> dict:
+    """The JSON shape of a :func:`stage_breakdown`: ``{stage: {"time", "lost_time"}}``."""
+    return {str(stage): {"time": t, "lost_time": lost} for stage, (t, lost) in breakdown.items()}
+
+
+def breakdown_lines(breakdown: dict) -> list[str]:
+    """The text lines of a breakdown in its JSON shape, rounded to 6 decimals."""
+    return ["stage breakdown (time s / lost s):", *(
+        f"  {stage:<18} {d['time']:.6f} / {d['lost_time']:.6f}" for stage, d in breakdown.items())]
+
+
 def _batches(tl: RateTimeline) -> Iterator[zip]:
     """Runs of ``_BATCH`` entries of ``tl``, each a zip of (start, end, rate,
     stage, duration) rows whose start and end are the ``repr`` of running sums

@@ -53,8 +53,8 @@ from .model import (
 )
 from .periods import FAIL_SLOW, FAIL_STOP, StageTotals, period_records
 # tor_of_timeline and stage_breakdown stay importable here, where callers and span hooks name them.
-from .timeline import (_NAME, _batches, integrate_optimal_time, observed_time, stage_breakdown,
-                       tor_of_timeline)
+from .timeline import (_NAME, _batches, breakdown_lines, breakdown_to_dict,
+                       integrate_optimal_time, observed_time, stage_breakdown, tor_of_timeline)
 
 SCHEMA_VERSION = 1
 
@@ -316,10 +316,7 @@ def report(tl: RateTimeline) -> dict:
         "fail_stop_mtbf": fail_stop_mtbf,
         "fail_slow_mtbf": fail_slow_mtbf,
         "complete_periods": dict(Counter(r.kind for r in records)),
-        "stage_breakdown": {
-            str(stage): {"time": time, "lost_time": lost}
-            for stage, (time, lost) in breakdown.items()
-        },
+        "stage_breakdown": breakdown_to_dict(breakdown),
     }
 
 
@@ -340,10 +337,7 @@ def render_report(rep: dict) -> str:
         lines.append(f"complete periods: {counts}")
     else:
         lines.append("complete periods: none")
-    lines.append("stage breakdown (time s / lost s):")
-    for stage, d in rep["stage_breakdown"].items():
-        lines.append(f"  {stage:<18} {fmt(d['time'])} / {fmt(d['lost_time'])}")
-    return "\n".join(lines)
+    return "\n".join(lines + breakdown_lines(rep["stage_breakdown"]))
 
 
 def timeline_to_events(tl: RateTimeline) -> RateTimeline:

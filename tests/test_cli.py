@@ -294,6 +294,77 @@ def test_emit_trace_to_fifo(sim_file, tmp_path, capsys, monkeypatch):
     assert received == [regular.read_bytes()]
 
 
+@pytest.mark.parametrize("trace_name, csv_name", [("d", "new.csv"), ("new.jsonl", "d")])
+def test_directory_output_fails_before_the_run(sim_file, tmp_path, capsys, monkeypatch,
+                                               trace_name, csv_name):
+    # A directory is no file to probe: it fails before the run, and the
+    # other output is not left behind.
+    (tmp_path / "d").mkdir()
+    monkeypatch.setattr("torkit.cli.monte_carlo", not_run)
+    assert main(["simulate", sim_file, "--emit-trace", str(tmp_path / trace_name),
+                 "--emit-csv", str(tmp_path / csv_name)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {tmp_path / 'd'}: ") and len(err.splitlines()) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d", "sim.json"]
+    assert not any((tmp_path / "d").iterdir())
+
+
+def test_trace_csv_to_a_directory_fails_before_parsing(tmp_path, capsys, monkeypatch):
+    trace_path = tmp_path / "t.jsonl"
+    trace_path.write_text('{"t_start": 0, "t_end": 30, "stage": "HealthyRun", "rate": 1}\n')
+    (tmp_path / "d").mkdir()
+    monkeypatch.setattr("torkit.trace.parse_trace", not_run)
+    assert main(["trace", str(trace_path), "--csv", str(tmp_path / "d")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path / 'd'}: ")
+
+
+@pytest.mark.parametrize("argv, option", [
+    ("trace {trace} --csv {same}", "--csv"),
+    ("simulate {sim} --emit-trace {same}", "--emit-trace"),
+    ("simulate {sim} --emit-csv {same}", "--emit-csv"),
+    ("simulate {sim} --emit-trace {other} --emit-csv {same}", "--emit-csv"),
+], ids=["trace-csv", "simulate-emit-trace", "simulate-emit-csv", "simulate-second-output"])
+@pytest.mark.parametrize("spelling", ["same", "through-a-subdirectory"])
+def test_output_naming_the_input_exit_code(sim_file, tmp_path, capsys, monkeypatch,
+                                           argv, option, spelling):
+    # The output would replace the command's own input: exit 2, input kept.
+    trace_path = tmp_path / "t.jsonl"
+    assert main(["simulate", sim_file, "--quiet", "--emit-trace", str(trace_path)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr("torkit.cli.monte_carlo", not_run)
+    (tmp_path / "sub").mkdir()
+    source = trace_path if argv.startswith("trace") else tmp_path / "sim.json"
+    same = source if spelling == "same" else tmp_path / "sub" / ".." / source.name
+    before = source.read_bytes()
+    assert main(argv.format(trace=trace_path, sim=sim_file, same=same,
+                            other=tmp_path / "other.jsonl").split()) == 2
+    assert capsys.readouterr().err == f"error: {option} names the input file: {same}\n"
+    assert source.read_bytes() == before
+    assert not (tmp_path / "other.jsonl").exists()
+
+
+@pytest.mark.parametrize("mode, counts", [
+    ([], (0, 1)), (["--quiet"], (0, 0)), (["--json"], (1, 1)), (["--json", "--quiet"], (1, 1)),
+], ids=["text", "quiet", "json", "json-quiet"])
+def test_simulate_builds_only_the_output_it_prints(sim_file, capsys, monkeypatch, mode, counts):
+    # (SimResult.to_dict calls, period splits of the first result) in each mode.
+    calls = {"to_dict": 0, "period_records": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def count(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, count)
+
+    counting(torkit.simulator.SimResult, "to_dict")
+    counting(torkit.simulator, "period_records")
+    assert main(["simulate", sim_file, "--replications", "3", *mode]) == 0
+    assert (calls["to_dict"], calls["period_records"]) == counts
+    capsys.readouterr()
+
+
 def test_main_runs_the_current_command_attribute(monkeypatch):
     calls = []
 
