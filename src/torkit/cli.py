@@ -13,6 +13,7 @@ import os
 import stat
 import sys
 from pathlib import Path
+from typing import Callable
 
 from . import analytic, periods, trace as trace_mod
 from .errors import DivergedError, TorkitError, ValidationError
@@ -43,38 +44,44 @@ def _load_json(path: str) -> dict:
     return value
 
 
-def _open_output(path: str):
-    try:
-        return open(path, "w")
-    except OSError as e:
-        raise ValidationError(f"cannot write {path}: {e}") from None
-
-
 @contextlib.contextmanager
-def _checked_outputs(source: str, outputs: dict[str, str | None]):
-    """Check a command's output paths, given by option, before its work runs,
-    so that a failed command leaves no partial set of outputs.
+def _checked_outputs(source: str, outputs: dict[str, tuple[str | None, Callable]]):
+    """Check a command's outputs, given by option as ``(path, writer)``, before its
+    work runs; yield ``write(timeline)``, which calls ``writer(timeline, open(path, "w"))``.
 
     An output that names the input ``source`` or an earlier output, or that
     ``open(path, "a")`` rejects (a directory, a missing directory), is a
-    ValidationError. The check writes nothing. A FIFO or a character device
-    is not probed: closing a probe would end a FIFO reader's input. If the
-    check or the body fails, the files the check created are removed; one
-    moved away in between must not mask the body's error.
+    ValidationError, as is an OSError in ``write``. The check writes nothing. A FIFO
+    is not probed: closing a probe would end a FIFO reader's input. A character
+    device is neither compared nor probed. If the check, the body or ``write`` fails,
+    the files the check created are removed, a fully written one too; a file that
+    existed before may be left partly written, and one moved away in between must
+    not mask the body's error.
     """
-    outputs = {option: path for option, path in outputs.items() if path}
+    outputs = {option: output for option, output in outputs.items() if output[0]}
     named = {os.path.realpath(source): None} if outputs else {}
     created = []
+
+    def write(timeline) -> None:
+        for path, writer in outputs.values():
+            try:
+                with open(path, "w") as f:
+                    writer(timeline, f)
+            except OSError as e:
+                raise ValidationError(f"cannot write {path}: {e}") from None
+
     try:
-        for option, path in outputs.items():
+        for option, (path, _) in outputs.items():
+            mode = os.stat(path).st_mode if os.path.exists(path) else 0
+            if stat.S_ISCHR(mode):
+                continue
             real = os.path.realpath(path)
             if real in named:
                 other = named[real]
                 raise ValidationError(f"{option} names the input file: {path}" if other is None
                                       else f"{other} and {option} name the same file: {path}")
             named[real] = option
-            mode = os.stat(path).st_mode if os.path.exists(path) else 0
-            if stat.S_ISFIFO(mode) or stat.S_ISCHR(mode):
+            if stat.S_ISFIFO(mode):
                 continue
             new = not os.path.lexists(path)
             try:
@@ -83,7 +90,7 @@ def _checked_outputs(source: str, outputs: dict[str, str | None]):
                 raise ValidationError(f"cannot write {path}: {e}") from None
             if new:
                 created.append(path)
-        yield
+        yield write
     except BaseException:
         for path in created:
             with contextlib.suppress(OSError):
@@ -142,18 +149,11 @@ def cmd_simulate(args) -> int:
     if args.seed is not None:
         cfg_dict["seed"] = args.seed
     cfg = SimConfig.from_dict(cfg_dict)
-    # Checked before the run, so that an unwritable path costs no simulation.
-    with _checked_outputs(args.config, {"--emit-trace": args.emit_trace,
-                                        "--emit-csv": args.emit_csv}):
+    with _checked_outputs(args.config, {"--emit-trace": (args.emit_trace, trace_mod.write_jsonl),
+                                        "--emit-csv": (args.emit_csv, write_csv)}) as write:
         summary = monte_carlo(cfg, args.replications, record_first=True)
-    first = summary.first_result
-
-    if args.emit_trace:
-        with _open_output(args.emit_trace) as f:
-            trace_mod.write_jsonl(first.timeline, f)
-    if args.emit_csv:
-        with _open_output(args.emit_csv) as f:
-            write_csv(first.timeline, f)
+        first = summary.first_result
+        write(first.timeline)
 
     headline = [
         f"mean TOR: {summary.mean_tor:.6f}",
@@ -168,16 +168,14 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    with _checked_outputs(args.input, {"--csv": args.csv}):
+    with _checked_outputs(args.input, {"--csv": (args.csv, write_csv)}) as write:
         try:
             with open(args.input, "rb") as f:
                 tr = trace_mod.parse_trace(f)
         except OSError as e:
             raise ValidationError(f"cannot read trace {args.input}: {e}") from None
         rep = trace_mod.report(tr)
-    if args.csv:
-        with _open_output(args.csv) as f:
-            write_csv(tr, f)
+        write(tr)
     return _emit(args, lambda: rep, [f"TOR: {rep['tor']:.6f}"],
                  lambda: [trace_mod.render_report(rep)])
 

@@ -136,13 +136,14 @@ def parse_trace(source: IO | bytes | str | Iterable) -> RateTimeline:
     """Parse and validate a JSONL trace into the ``RateTimeline`` of its
     events, sorted by t_start.
 
-    The checks and their order are those of the module docstring. Each event
-    goes into the columns as its line is checked. An item of ``source`` that
-    is not ``str`` or ``bytes`` is taken as the decoded JSON value of its line,
-    so a hand-built list of event dicts is checked as its JSONL would be. An
-    event's duration is its ``duration`` where it has one, else ``t_end -
-    t_start``; an event whose duration is 0 (a wall-clock span that rounds to
-    0 s) is dropped last.
+    The checks and their order are those of the module docstring. Each event goes
+    into the columns as its line is checked. An item of ``source`` that is not
+    ``str`` or ``bytes`` is taken as the decoded JSON value of its line, so a
+    hand-built list of event dicts is checked as its JSONL would be. A numeric
+    event's duration is its ``duration`` where it has one, else ``t_end - t_start``.
+    A wall-clock event's ``duration`` is checked, then unused: its duration is its
+    end less its start, each in seconds from the trace's origin. An event whose
+    duration is 0 (a wall-clock span that rounds to 0 s) is dropped last.
     """
     if isinstance(source, bytes):  # decoded line by line, as a binary file is
         lines: Iterable[str | bytes] = io.BytesIO(source)

@@ -1,6 +1,8 @@
+import errno
 import hashlib
 import json
 import os
+import stat
 import subprocess
 import sys
 import threading
@@ -203,6 +205,83 @@ def test_unwritable_output_leaves_no_other_output(sim_file, tmp_path, capsys):
     assert main(["simulate", sim_file, "--emit-trace", str(trace_path),
                  "--emit-csv", str(csv_path)]) == 2
     assert trace_path.read_text() == "kept\n"
+
+
+def full_disk(timeline, f):
+    # A writer that gets part of its output out before the disk fills.
+    f.write("partial\n")
+    f.flush()
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.fixture
+def trace_file(sim_file, tmp_path, capsys):
+    path = tmp_path / "run.jsonl"
+    assert main(["simulate", sim_file, "--quiet", "--emit-trace", str(path)]) == 0
+    capsys.readouterr()
+    return path
+
+
+@pytest.mark.parametrize("argv, writer, failing", [
+    ("simulate {sim} --emit-trace {a}", "torkit.trace.write_jsonl", "a"),
+    ("simulate {sim} --emit-csv {a}", "torkit.cli.write_csv", "a"),
+    ("simulate {sim} --emit-trace {a} --emit-csv {b}", "torkit.trace.write_jsonl", "a"),
+    ("simulate {sim} --emit-trace {a} --emit-csv {b}", "torkit.cli.write_csv", "b"),
+    ("trace {trace} --csv {a}", "torkit.cli.write_csv", "a"),
+], ids=["emit-trace", "emit-csv", "first-of-two", "second-of-two", "trace-csv"])
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+def test_write_failure_exit_code(sim_file, trace_file, tmp_path, capsys, monkeypatch,
+                                 argv, writer, failing, existing):
+    # A write that fails after the check: exit 2 and one line, and no file the
+    # check created is left, a complete earlier output included.
+    outputs = {"a": tmp_path / "a.out", "b": tmp_path / "b.out"}
+    if existing:
+        for path in outputs.values():
+            path.write_text("kept\n")
+    before = sorted(p.name for p in tmp_path.iterdir())
+    monkeypatch.setattr(writer, full_disk)
+    assert main(argv.format(sim=sim_file, trace=trace_file, **outputs).split()) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    enospc = os.strerror(errno.ENOSPC)
+    assert err == f"error: cannot write {outputs[failing]}: [Errno {errno.ENOSPC}] {enospc}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [
+    "simulate {sim} --emit-trace {a} --emit-csv /dev/full",
+    "trace {trace} --csv /dev/full",
+], ids=["simulate", "trace"])
+def test_output_to_a_full_device(sim_file, trace_file, tmp_path, capsys, argv):
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert main(argv.format(sim=sim_file, trace=trace_file, a=tmp_path / "a.jsonl").split()) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write /dev/full: ") and len(err.splitlines()) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+@pytest.mark.skipif(not (os.path.exists(os.devnull) and stat.S_ISCHR(os.stat(os.devnull).st_mode)),
+                    reason="needs /dev/null as a character device")
+@pytest.mark.parametrize("mode", [[], ["--quiet"], ["--json"]], ids=["text", "quiet", "json"])
+def test_both_outputs_to_dev_null(sim_file, capsys, mode):
+    # A character device is neither compared nor probed: writing both to it replaces no file.
+    assert main(["simulate", sim_file, *mode]) == 0
+    alone = capsys.readouterr()
+    assert main(["simulate", sim_file, "--emit-trace", os.devnull,
+                 "--emit-csv", os.devnull, *mode]) == 0
+    assert capsys.readouterr() == alone
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_one_fifo_for_both_outputs(sim_file, tmp_path, capsys, monkeypatch):
+    # A FIFO is not probed, but two outputs naming it still fail before the run.
+    monkeypatch.setattr("torkit.cli.monte_carlo", not_run)
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    assert main(["simulate", sim_file, "--emit-trace", str(fifo), "--emit-csv", str(fifo)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --emit-trace and --emit-csv name the same file: {fifo}\n")
 
 
 # The diverging config of the installed entry point's check.
