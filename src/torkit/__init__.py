@@ -15,8 +15,8 @@ from .errors import (DivergedError, TorkitError, TraceParseError, UndefinedMetri
 
 # The public names read from a submodule, by that submodule.
 _NAMES = {
-    "model": ("FailSlowPeriod", "FailStopPeriod", "FailureMixture", "RateTimeline",
-              "Segment", "StageKind", "mtbf_fail_slow", "mtbf_fail_stop"),
+    "model": ("FailSlowPeriod", "FailStopPeriod", "FailureMixture", "MixtureComponent",
+              "RateTimeline", "Segment", "StageKind", "mtbf_fail_slow", "mtbf_fail_stop"),
     "analytic": ("period_to_timeline", "tor_fail_slow", "tor_fail_stop",
                  "tor_from_mtbf_fail_slow", "tor_from_mtbf_fail_stop",
                  "tor_mixture_time_composite", "tor_mixture_weighted"),

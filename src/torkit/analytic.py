@@ -73,7 +73,7 @@ tor_from_mtbf_fail_stop = tor_from_mtbf_fail_slow = tor_from_mtbf
 def tor_mixture_weighted(m: FailureMixture) -> float:
     """Occurrence-weighted mean of per-type TORs (the default mixture rule)."""
     total = m.total_weight
-    return math.fsum(w * tor_of_period(spec) for spec, w in m.components) / total
+    return math.fsum(c.weight * tor_of_period(c.period) for c in m.mixture) / total
 
 
 def tor_mixture_time_composite(m: FailureMixture) -> float:
@@ -84,7 +84,7 @@ def tor_mixture_time_composite(m: FailureMixture) -> float:
     weighted observed times. Differs from the weighted mean whenever the
     components' cycle lengths differ.
     """
-    totals = [(spec.totals(), w) for spec, w in m.components]
+    totals = [(c.period.totals(), c.weight) for c in m.mixture]
     num = math.fsum(w * t.opt_time for t, w in totals)
     den = math.fsum(w * t.duration for t, w in totals)
     if den <= 0:

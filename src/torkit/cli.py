@@ -102,10 +102,15 @@ def _emit(args, out, headline: list[str], full) -> int:
     """Print ``out()`` as JSON with --json, else the ``headline`` lines with
     --quiet and the lines ``full()`` gives without it; return exit code 0.
     Each of ``out`` and ``full`` is called only in the mode that prints it."""
-    if args.json:
-        print(json.dumps(out(), indent=2))
-    else:
-        print("\n".join(headline if args.quiet else full()))
+    text = (json.dumps(out(), indent=2) if args.json
+            else "\n".join(headline if args.quiet else full()))
+    try:
+        print(text, flush=True)
+    except OSError as e:
+        # Python flushes a buffered stdout again at exit: give it the null device.
+        with contextlib.suppress(AttributeError, OSError), open(os.devnull, "w") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        raise ValidationError(f"cannot write stdout: {e}") from None
     return 0
 
 
@@ -118,12 +123,12 @@ def cmd_analytic(args) -> int:
         m = mixture_from_dict(cfg)
         weighted = analytic.tor_mixture_weighted(m)
         comps = []
-        for spec, w in m.components:
-            totals = spec.totals()
+        for c in m.mixture:
+            totals = c.period.totals()
             comps.append({
                 "kind": totals.kind,
-                "weight": w,
-                "tor": analytic.tor_of_period(spec),
+                "weight": c.weight,
+                "tor": analytic.tor_of_period(c.period),
                 "mtbf": totals.mtbf,
             })
         out = {"tor": weighted, "components": comps}

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import numbers
 from collections.abc import Iterator
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from operator import index
 from typing import ClassVar, Iterable, Union
@@ -118,14 +118,14 @@ class _Schema:
 
     def to_dict(self) -> dict:
         """``kind`` if the class has one, then every field that is not None in
-        declaration order; tuples are written as lists."""
+        declaration order; tuples are written as lists, a schema as its dict."""
         d = {"kind": self.kind} if hasattr(self, "kind") else {}
         for f in fields(self):
             v = getattr(self, f.name)
             if isinstance(v, _Schema):
                 v = v.to_dict()
             elif isinstance(v, tuple):
-                v = list(v)
+                v = [x.to_dict() if isinstance(x, _Schema) else x for x in v]
             if v is not None:
                 d[f.name] = v
         return d
@@ -147,8 +147,11 @@ def _from_dict(cls, d, what: str):
     """Build ``cls`` from its JSON object; of a tuple of classes, the one ``d["kind"]`` names.
 
     Fields without a default are required and unknown keys are rejected. A
-    field check's message is prefixed with ``what``.
+    field check's message is prefixed with ``what``. An instance of ``cls`` is
+    returned unchanged, so this is also the check of a field holding a config type.
     """
+    if isinstance(d, cls):
+        return d
     if isinstance(cls, tuple):
         _check_keys(d, what, d, ["kind"])  # the other keys are checked against cls below
         kind = d["kind"]
@@ -331,18 +334,27 @@ class StageTotals:
         return math.fsum((self.t_sr, self.t_h, self.ckpt_time, self.t_rb))
 
 
+@dataclass(frozen=True)
 class _PeriodSpec(_Schema):
-    """Stage totals shared by the period specs, and their duration check.
+    """Fields and stage totals shared by the period specs, and their duration check.
 
     A field a spec lacks reads as 0: ``t_rb`` on a fail-slow period,
     ``t_fs`` and ``r_fs`` on a fail-stop one.
     """
 
     kind: ClassVar[str]
+    _checks = {"r_sr": _check_ratio, "r_fs": _check_ratio, "n_ckpt": _check_count}
+    t_sr: float = 0.0
+    r_sr: float = 0.0
+    t_h: float = 0.0
+    n_ckpt: int = 0
+    t_ckpt: float = 0.0
+    # A spec's own t_rb, or t_fs and r_fs, takes its placeholder's slot, so its fields run in
+    # stage order: positional arguments, repr, JSON keys and the first error reported.
     t_rb: ClassVar[float] = 0.0
     t_fs: ClassVar[float] = 0.0
     r_fs: ClassVar[float] = 0.0
-    _checks = {"r_sr": _check_ratio, "r_fs": _check_ratio, "n_ckpt": _check_count}
+    t_r: float = 0.0
 
     def __post_init__(self):
         super().__post_init__()
@@ -370,13 +382,7 @@ class FailStopPeriod(_PeriodSpec):
     """
 
     kind: ClassVar[str] = FAIL_STOP
-    t_sr: float = 0.0
-    r_sr: float = 0.0
-    t_h: float = 0.0
-    n_ckpt: int = 0
-    t_ckpt: float = 0.0
     t_rb: float = 0.0
-    t_r: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -388,14 +394,8 @@ class FailSlowPeriod(_PeriodSpec):
     """
 
     kind: ClassVar[str] = FAIL_SLOW
-    t_sr: float = 0.0
-    r_sr: float = 0.0
-    t_h: float = 0.0
-    n_ckpt: int = 0
-    t_ckpt: float = 0.0
     t_fs: float = 0.0
     r_fs: float = 0.0
-    t_r: float = 0.0
 
 
 Period = Union[FailStopPeriod, FailSlowPeriod]
@@ -403,31 +403,39 @@ _PERIODS = (FailStopPeriod, FailSlowPeriod)
 
 
 @dataclass(frozen=True)
-class FailureMixture:
-    """Weighted set of period specs for a system with several failure types.
+class MixtureComponent(_Schema):
+    _checks = {"weight": _check_positive,
+               "period": lambda name, value: _from_dict(_PERIODS, value, name)}
+    weight: float
+    period: Period
+
+
+def _check_components(name: str, value) -> tuple[MixtureComponent, ...]:
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ValidationError(f"{name} must be a non-empty list")
+    return tuple(_from_dict(MixtureComponent, c, f"component {i}") for i, c in enumerate(value))
+
+
+@dataclass(frozen=True)
+class FailureMixture(_Schema):
+    """Weighted period specs (``MixtureComponent``s) for a system with several failure types.
 
     Weights are occurrence rates (or any relative frequencies); they need not
     sum to 1 and are normalized where a mean is taken.
     """
 
-    components: tuple[tuple[Period, float], ...] = field(default_factory=tuple)
+    _checks = {"mixture": _check_components}
+    mixture: tuple[MixtureComponent, ...]
 
     def __post_init__(self):
-        comps = []
-        for i, (spec, weight) in enumerate(self.components):
-            if not isinstance(spec, _PERIODS):
-                raise ValidationError(f"unsupported mixture component: {type(spec).__name__}")
-            comps.append((spec, _check_positive(f"mixture component {i} weight", weight)))
-        if not comps:
-            raise ValidationError("mixture needs at least one component")
-        object.__setattr__(self, "components", tuple(comps))
+        super().__post_init__()
         _check_total("mixture total weight", lambda: self.total_weight)
-        _check_total("mixture weighted duration",
-                     lambda: math.fsum(w * s.totals().duration for s, w in comps))
+        _check_total("mixture weighted duration", lambda: math.fsum(
+            c.weight * c.period.totals().duration for c in self.mixture))
 
     @property
     def total_weight(self) -> float:
-        return math.fsum(w for _, w in self.components)
+        return math.fsum(c.weight for c in self.mixture)
 
 
 def period_from_dict(d: dict) -> Period:
@@ -437,16 +445,7 @@ def period_from_dict(d: dict) -> Period:
 
 def mixture_from_dict(d: dict) -> FailureMixture:
     """Build a mixture from ``{"mixture": [{"weight": w, "period": {...}}, ...]}``."""
-    _check_keys(d, "mixture file", ["mixture"], ["mixture"])
-    comps = d["mixture"]
-    if not isinstance(comps, list) or not comps:
-        raise ValidationError("'mixture' must be a non-empty list")
-    parsed = []
-    for i, c in enumerate(comps):
-        what = f"mixture component {i}"
-        _check_keys(c, what, ["weight", "period"], ["weight", "period"])
-        parsed.append((_from_dict(_PERIODS, c["period"], f"{what} period"), c["weight"]))
-    return FailureMixture(tuple(parsed))
+    return _from_dict(FailureMixture, d, "mixture file")
 
 
 def mtbf_of_period(p: Period) -> float:

@@ -115,12 +115,8 @@ _DISTS = (Fixed, Exponential, LogNormal)
 
 
 def dist_from_dict(name: str, d: dict) -> DurationDist:
+    """A duration distribution from its JSON object, or a distribution as it is."""
     return _from_dict(_DISTS, d, name)
-
-
-def _check_dist(name: str, value) -> DurationDist:
-    """A duration distribution, or its JSON object."""
-    return value if isinstance(value, _DISTS) else dist_from_dict(name, value)
 
 
 def _check_seed(name: str, value) -> int:
@@ -162,7 +158,7 @@ class SimConfig(_Schema):
 
     _checks = {
         "w_opt": _check_positive, "total_work": _check_positive, "ckpt_interval": _check_positive,
-        "t_r_dist": _check_dist, "t_sr_dist": _check_dist, "t_fs_dist": _check_dist,
+        "t_r_dist": dist_from_dict, "t_sr_dist": dist_from_dict, "t_fs_dist": dist_from_dict,
         "r_sr": _check_ratio, "r_fs": _check_ratio,
         "fail_stop_times": _check_times, "fail_slow_times": _check_times,
         "seed": _check_seed, "watchdog_cycles": _check_cycles,

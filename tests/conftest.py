@@ -59,10 +59,10 @@ def mixture_concat_timeline(m: FailureMixture) -> RateTimeline:
     weight: the oracle of the time-composite mixture rule. Only valid when all
     weights are integral."""
     tls = []
-    for spec, w in m.components:
-        if not float(w).is_integer():
+    for c in m.mixture:
+        if not float(c.weight).is_integer():
             raise ValidationError("concat replication needs integer weights")
-        tls.extend([period_to_timeline(spec)] * int(w))
+        tls.extend([period_to_timeline(c.period)] * int(c.weight))
     return concat(tls)
 
 

@@ -15,6 +15,7 @@ from torkit import (
     FailStopPeriod,
     FailSlowPeriod,
     FailureMixture,
+    MixtureComponent,
     SimConfig,
     mtbf_fail_slow,
     mtbf_fail_stop,
@@ -207,8 +208,10 @@ def test_criterion_8_monotonicity():
 
 
 def test_criterion_9_mixture_rules(worked_fail_stop, worked_fail_slow):
-    equal = FailureMixture(((worked_fail_stop, 1.0), (worked_fail_slow, 1.0)))
-    skewed = FailureMixture(((worked_fail_stop, 3.0), (worked_fail_slow, 1.0)))
+    equal = FailureMixture((MixtureComponent(1.0, worked_fail_stop),
+                            MixtureComponent(1.0, worked_fail_slow)))
+    skewed = FailureMixture((MixtureComponent(3.0, worked_fail_stop),
+                             MixtureComponent(1.0, worked_fail_slow)))
     w_equal = tor_mixture_weighted(equal)
     w_skewed = tor_mixture_weighted(skewed)
     assert abs(w_equal - (91 / 110 + 95 / 110) / 2) <= 1e-9

@@ -9,6 +9,7 @@ from torkit import (
     FailSlowPeriod,
     FailStopPeriod,
     FailureMixture,
+    MixtureComponent,
     StageKind,
     UndefinedMetricError,
     ValidationError,
@@ -216,21 +217,24 @@ class TestMonotonicity:
 
 class TestMixtures:
     def test_single_component_identity(self, worked_fail_stop):
-        m = FailureMixture(((worked_fail_stop, 2.5),))
+        m = FailureMixture((MixtureComponent(2.5, worked_fail_stop),))
         assert tor_mixture_weighted(m) == pytest.approx(91 / 110, abs=1e-15)
         assert tor_mixture_time_composite(m) == pytest.approx(91 / 110, abs=1e-15)
 
     def test_equal_weight_mean(self, worked_fail_stop, worked_fail_slow):
-        m = FailureMixture(((worked_fail_stop, 1.0), (worked_fail_slow, 1.0)))
+        m = FailureMixture((MixtureComponent(1.0, worked_fail_stop),
+                            MixtureComponent(1.0, worked_fail_slow)))
         assert tor_mixture_weighted(m) == pytest.approx((91 / 110 + 95 / 110) / 2, abs=1e-12)
 
     def test_weighted_mean(self, worked_fail_stop, worked_fail_slow):
-        m = FailureMixture(((worked_fail_stop, 3.0), (worked_fail_slow, 1.0)))
+        m = FailureMixture((MixtureComponent(3.0, worked_fail_stop),
+                            MixtureComponent(1.0, worked_fail_slow)))
         expected = (3 * (91 / 110) + 95 / 110) / 4
         assert tor_mixture_weighted(m) == pytest.approx(expected, abs=1e-12)
 
     def test_composite_matches_concat(self, worked_fail_stop, worked_fail_slow):
-        m = FailureMixture(((worked_fail_stop, 3.0), (worked_fail_slow, 1.0)))
+        m = FailureMixture((MixtureComponent(3.0, worked_fail_stop),
+                            MixtureComponent(1.0, worked_fail_slow)))
         concat_tor = tor_of_timeline(mixture_concat_timeline(m))
         assert tor_mixture_time_composite(m) == pytest.approx(concat_tor, abs=1e-12)
 
@@ -238,14 +242,15 @@ class TestMixtures:
         self, worked_fail_stop, worked_fail_slow
     ):
         # Both worked periods observe 110 s, so the two rules coincide.
-        m = FailureMixture(((worked_fail_stop, 1.0), (worked_fail_slow, 1.0)))
+        m = FailureMixture((MixtureComponent(1.0, worked_fail_stop),
+                            MixtureComponent(1.0, worked_fail_slow)))
         assert tor_mixture_time_composite(m) == pytest.approx(
             tor_mixture_weighted(m), abs=1e-12
         )
 
     def test_composite_differs_for_unequal_cycle_lengths(self, worked_fail_stop):
         short = FailStopPeriod(t_h=10, t_r=10)  # TOR 0.5, cycle 20 s
-        m = FailureMixture(((worked_fail_stop, 1.0), (short, 1.0)))
+        m = FailureMixture((MixtureComponent(1.0, worked_fail_stop), MixtureComponent(1.0, short)))
         weighted = tor_mixture_weighted(m)
         composite = tor_mixture_time_composite(m)
         assert composite == pytest.approx((91 + 10) / (110 + 20), abs=1e-12)
@@ -255,7 +260,7 @@ class TestMixtures:
 class TestErrors:
     def test_mixture_propagates_component_types(self):
         with pytest.raises(ValidationError):
-            FailureMixture((("not a period", 1.0),))
+            FailureMixture((MixtureComponent(1.0, "not a period"),))
 
     def test_period_to_timeline_rejects_other_types(self):
         with pytest.raises(ValidationError):

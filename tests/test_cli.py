@@ -1,5 +1,7 @@
+import contextlib
 import errno
 import hashlib
+import io
 import json
 import os
 import stat
@@ -67,15 +69,23 @@ def test_non_object_config_exit_code(tmp_path, capsys, argv, config):
     ("analytic", {"kind": "fail_stop", "t_h": 1e308, "t_r": 1e308},
      "period: fail-stop period duration exceeds the float range"),
     ("analytic", {"mixture": [{"weight": 1e308, "period": WORKED_FAIL_STOP}] * 2},
-     "mixture total weight exceeds the float range"),
+     "mixture file: mixture total weight exceeds the float range"),
     ("analytic", {"mixture": [{"weight": 1, "period": {"kind": "fail_stop", "t_h": 1e308}}] * 2},
-     "mixture weighted duration exceeds the float range"),
+     "mixture file: mixture weighted duration exceeds the float range"),
     ("analytic", {"mixture": [{"weight": 1, "period": WORKED_FAIL_STOP}], "junk": 1},
      "mixture file: unknown fields ['junk']"),
     ("analytic", {"mixture": [{"weight": 1, "period": WORKED_FAIL_STOP, "junk": 1}]},
-     "mixture component 0: unknown fields ['junk']"),
+     "mixture file: component 0: unknown fields ['junk']"),
     ("analytic", {"mixture": [{"weight": 1, "period": dict(WORKED_FAIL_STOP, junk=1)}]},
-     "mixture component 0 period: unknown fields ['junk']"),
+     "mixture file: component 0: period: unknown fields ['junk']"),
+    ("analytic", {"mixture": []}, "mixture file: mixture must be a non-empty list"),
+    ("analytic", {"mixture": {"weight": 1, "period": WORKED_FAIL_STOP}},
+     "mixture file: mixture must be a non-empty list"),
+    ("analytic", {"mixture": [{"weight": 1, "period": WORKED_FAIL_STOP}, 5]},
+     "mixture file: component 1 must be a JSON object, got int"),
+    ("analytic", {"mixture": [{"weight": 1}]}, "mixture file: component 0: missing fields ['period']"),
+    ("analytic", {"mixture": [{"weight": 0, "period": WORKED_FAIL_STOP}]},
+     "mixture file: component 0: weight must be positive, got 0.0"),
     ("simulate", dict(SIM_CONFIG, t_r_dist={"kind": "fixed", "value": 5, "junk": 1}),
      "sim config: t_r_dist: unknown fields ['junk']"),
     ("simulate", dict(SIM_CONFIG, t_r_dist={"kind": "lognormal", "median": 1}),
@@ -108,6 +118,8 @@ def test_non_object_config_exit_code(tmp_path, capsys, argv, config):
 ], ids=[
     "duration-overflow", "weight-overflow", "weighted-duration-overflow",
     "mixture-unknown-key", "component-unknown-key", "component-period-unknown-key",
+    "empty-mixture", "non-list-mixture", "non-object-component", "component-missing-period",
+    "zero-weight",
     "distribution-unknown-key", "distribution-missing-field", "empty-run",
     "exponential-draw-overflow", "lognormal-draw-overflow", "summed-overflow",
     "zero-watchdog-cycles", "zero-periods", "no-steady-state-periods", "no-useful-work",
@@ -593,6 +605,90 @@ def test_stdout_golden(golden_files, capsys, invocation, mode):
     assert digest == GOLDEN_DIGESTS[f"{invocation}/{mode}"]
 
 
+class FullStdout(io.StringIO):
+    """A stdout on a full disk: its ``write``, or only its ``flush``, raises ENOSPC."""
+
+    def __init__(self, failing: str):
+        super().__init__()
+        self.failing = failing
+
+    def write(self, s: str) -> int:
+        if self.failing == "write":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return super().write(s)
+
+    def flush(self) -> None:
+        if self.failing == "flush":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+STDOUT_ERROR = f"error: cannot write stdout: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+# One invocation of each command, and the mixture.
+ONE_PER_COMMAND = ["analytic-fail-stop", "analytic-mixture", "simulate", "trace", "compare"]
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])
+@pytest.mark.parametrize("mode", GOLDEN_MODES)
+@pytest.mark.parametrize("invocation", ONE_PER_COMMAND)
+def test_stdout_write_error_exit_code(golden_files, capsys, monkeypatch, invocation, mode,
+                                      failing):
+    argv = GOLDEN_INVOCATIONS[invocation].format(**golden_files).split() + GOLDEN_MODES[mode]
+    monkeypatch.setattr(sys, "stdout", FullStdout(failing))
+    assert main(argv) == 2
+    assert capsys.readouterr().err == STDOUT_ERROR + "\n"
+
+
+@pytest.mark.parametrize("mode", ["text", "json"])
+@pytest.mark.parametrize("invocation", ONE_PER_COMMAND)
+def test_no_stdout(golden_files, capsys, monkeypatch, invocation, mode):
+    # Started with descriptor 1 closed, Python has no stdout: print writes
+    # nothing, and the command still succeeds.
+    argv = GOLDEN_INVOCATIONS[invocation].format(**golden_files).split() + GOLDEN_MODES[mode]
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+
+
+@contextlib.contextmanager
+def failing_stdout(kind: str):
+    """A descriptor whose writes fail: ``/dev/full`` (ENOSPC), or a pipe
+    whose reading end is already closed (EPIPE)."""
+    if kind == "full":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("needs /dev/full")
+        with open("/dev/full", "w") as full:
+            yield full, errno.ENOSPC
+    else:
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            yield w, errno.EPIPE
+        finally:
+            os.close(w)
+
+
+@pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
+@pytest.mark.parametrize("kind", ["full", "closed-pipe"])
+@pytest.mark.parametrize("mode", ["text", "json"])
+@pytest.mark.parametrize("invocation", ["analytic-fail-stop", "simulate", "trace", "compare"])
+def test_stdout_write_error_process(golden_files, invocation, mode, kind, buffering):
+    # The whole process: exit 2, one stderr line, no traceback and nothing
+    # reported while the interpreter shuts down. A buffered stdout (the default
+    # when PYTHONUNBUFFERED is unset) keeps the bytes it failed to write.
+    argv = GOLDEN_INVOCATIONS[invocation].format(**golden_files).split() + GOLDEN_MODES[mode]
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    env.pop("PYTHONUNBUFFERED", None)
+    if buffering == "unbuffered":
+        env["PYTHONUNBUFFERED"] = "1"
+    with failing_stdout(kind) as (stdout, code):
+        done = subprocess.run([sys.executable, "-m", "torkit", *argv], stdout=stdout,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+    expected = f"error: cannot write stdout: [Errno {code}] {os.strerror(code)}\n"
+    assert (done.returncode, done.stderr) == (2, expected)
+
+
 class TestAnalytic:
     def test_worked_period_text(self, period_file, capsys):
         assert main(["analytic", period_file]) == 0
@@ -615,13 +711,6 @@ class TestAnalytic:
         data = json.loads(capsys.readouterr().out)
         assert data["tor"] == pytest.approx((91 / 110 + 95 / 110) / 2, abs=1e-12)
         assert data["tor_time_composite"] == pytest.approx(186 / 220, abs=1e-12)
-
-    def test_zero_weight_is_validation_error(self, tmp_path, capsys):
-        path = write_json(tmp_path / "mix.json", {"mixture": [
-            {"weight": 0, "period": WORKED_FAIL_STOP},
-        ]})
-        assert main(["analytic", path]) == 2
-        assert "error" in capsys.readouterr().err
 
     def test_bad_field_message(self, tmp_path, capsys):
         path = write_json(tmp_path / "p.json", dict(WORKED_FAIL_STOP, r_sr=2.0))

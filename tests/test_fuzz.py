@@ -4,12 +4,13 @@ Whatever a config or trace holds, torkit either accepts it or raises a
 ``TorkitError``, which the CLI turns into exit code 2 and one ``error:`` line.
 Any other exception escapes and fails the test. A trace also gives the same
 events, or the same error, as the reference parser in ``test_trace``, and as
-its lines' decoded values. The examples are derandomized, so every run checks
-the same inputs.
+its lines' decoded values. A valid mixture reads back from the JSON its writer
+gives. The examples are derandomized, so every run checks the same inputs.
 """
 import contextlib
 import io
 import json
+from dataclasses import fields
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -17,8 +18,12 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from torkit import SimConfig, StageKind, TorkitError, parse_trace, report  # noqa: E402
+from torkit import (  # noqa: E402
+    FailSlowPeriod, FailStopPeriod, FailureMixture, MixtureComponent, SimConfig, StageKind,
+    TorkitError, parse_trace, report,
+)
 from torkit.cli import main  # noqa: E402
+from torkit.model import mixture_from_dict  # noqa: E402
 from test_trace import decoded_items, outcome, reference_parse_trace  # noqa: E402
 
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=50)
@@ -72,6 +77,33 @@ def test_analytic_exits_0_or_2(config_path, config):
     assert code in (0, 2)
     if code == 2:
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+times = st.floats(min_value=0, max_value=1e6)
+ratios = st.floats(min_value=0, max_value=1)
+shared = {"t_sr": times, "r_sr": ratios, "t_h": st.floats(min_value=1, max_value=1e6),
+          "n_ckpt": st.integers(0, 10), "t_ckpt": times, "t_r": times}
+valid_periods = (st.builds(FailStopPeriod, t_rb=times, **shared)
+                 | st.builds(FailSlowPeriod, t_fs=times, r_fs=ratios, **shared))
+valid_mixtures = st.lists(
+    st.builds(MixtureComponent, weight=st.floats(min_value=1e-6, max_value=1e6),
+              period=valid_periods),
+    min_size=1, max_size=4,
+).map(lambda components: FailureMixture(tuple(components)))
+
+
+@FUZZ
+@given(m=valid_mixtures)
+def test_mixture_round_trip(m):
+    # The writer gives a mixture file's shape, and its JSON text reads back equal.
+    d = m.to_dict()
+    assert list(d) == ["mixture"] and isinstance(d["mixture"], list)
+    for c, component in zip(d["mixture"], m.mixture, strict=True):
+        assert list(c) == ["weight", "period"]
+        assert list(c["period"]) == ["kind", *(f.name for f in fields(component.period))]
+        assert c["period"]["kind"] == component.period.kind
+    assert mixture_from_dict(json.loads(json.dumps(d))) == m
+    assert mixture_from_dict(d) == m
 
 
 SIM_CONFIG = {

@@ -75,8 +75,8 @@ def files(tmp_path):
 PUBLIC = {
     "errors": ["DivergedError", "TorkitError", "TraceParseError", "UndefinedMetricError",
                "ValidationError"],
-    "model": ["FailSlowPeriod", "FailStopPeriod", "FailureMixture", "RateTimeline", "Segment",
-              "StageKind", "mtbf_fail_slow", "mtbf_fail_stop"],
+    "model": ["FailSlowPeriod", "FailStopPeriod", "FailureMixture", "MixtureComponent",
+              "RateTimeline", "Segment", "StageKind", "mtbf_fail_slow", "mtbf_fail_stop"],
     "analytic": ["period_to_timeline", "tor_fail_slow", "tor_fail_stop",
                  "tor_from_mtbf_fail_slow", "tor_from_mtbf_fail_stop",
                  "tor_mixture_time_composite", "tor_mixture_weighted"],

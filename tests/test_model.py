@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from torkit import (
     FailSlowPeriod,
     FailStopPeriod,
     FailureMixture,
+    MixtureComponent,
     RateTimeline,
     Segment,
     StageKind,
@@ -82,9 +84,9 @@ class TestValidation:
     def test_mixture_rejects_nonpositive_weight(self):
         p = FailStopPeriod(t_h=1)
         with pytest.raises(ValidationError):
-            FailureMixture(((p, 0.0),))
+            FailureMixture((MixtureComponent(0.0, p),))
         with pytest.raises(ValidationError):
-            FailureMixture(((p, -2.0),))
+            FailureMixture((MixtureComponent(-2.0, p),))
 
     def test_period_json_round_trip(self):
         rng = np.random.default_rng(11)
@@ -93,6 +95,42 @@ class TestValidation:
             d = p.to_dict()
             assert d["kind"] == p.kind
             assert period_from_dict(d) == p
+
+    def test_period_field_order(self):
+        # Each spec's own fields sit between t_ckpt and t_r: in JSON, in the
+        # positional arguments, in repr and in the first error reported.
+        assert list(FailStopPeriod(t_h=1).to_dict()) == [
+            "kind", "t_sr", "r_sr", "t_h", "n_ckpt", "t_ckpt", "t_rb", "t_r"]
+        assert list(FailSlowPeriod(t_h=1).to_dict()) == [
+            "kind", "t_sr", "r_sr", "t_h", "n_ckpt", "t_ckpt", "t_fs", "r_fs", "t_r"]
+        assert FailStopPeriod(2, 0.5, 90, 3, 1, 5, 10) == period_from_dict(
+            {"kind": "fail_stop", "t_sr": 2, "r_sr": 0.5, "t_h": 90, "n_ckpt": 3, "t_ckpt": 1,
+             "t_rb": 5, "t_r": 10})
+        assert repr(FailSlowPeriod(t_fs=8)) == (
+            "FailSlowPeriod(t_sr=0.0, r_sr=0.0, t_h=0.0, n_ckpt=0, t_ckpt=0.0, t_fs=8.0, "
+            "r_fs=0.0, t_r=0.0)")
+        with pytest.raises(ValidationError, match="^t_rb "):
+            FailStopPeriod(t_h=1, t_rb=-1, t_r=-1)
+        with pytest.raises(ValidationError, match="^r_fs "):
+            FailSlowPeriod(t_h=1, r_fs=2, t_r=-1)
+
+    def test_mixture_component_from_period_or_json(self):
+        p = FailSlowPeriod(t_sr=2, r_sr=0.5, t_h=90, n_ckpt=3, t_ckpt=1, t_fs=8, r_fs=0.5, t_r=10)
+        from_json = MixtureComponent(3, p.to_dict())
+        assert from_json == MixtureComponent(3, p)
+        assert from_json.period is not p and from_json.period == p
+        assert MixtureComponent(3, p).period is p  # a built spec is not checked again
+        assert from_json.to_dict() == {"weight": 3.0, "period": p.to_dict()}
+
+    def test_mixture_takes_only_components(self):
+        p = FailStopPeriod(t_h=1)
+        for comps, message in [
+            ((p, 1.0), "component 0 must be a JSON object, got FailStopPeriod"),
+            (((p, 1.0),), "component 0 must be a JSON object, got tuple"),
+            (MixtureComponent(1.0, p), "mixture must be a non-empty list"),
+        ]:
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                FailureMixture(comps)
 
     def test_periods_are_immutable(self):
         p = FailStopPeriod(t_h=1)

@@ -17,6 +17,7 @@ from torkit import (
     FailureMixture,
     Fixed,
     LogNormal,
+    MixtureComponent,
     RateTimeline,
     Segment,
     SimConfig,
@@ -382,7 +383,8 @@ class TestReport:
         assert rep["complete_periods"] == {}
 
     def test_mixed_trace(self, worked_fail_stop, worked_fail_slow):
-        m = FailureMixture(((worked_fail_stop, 1.0), (worked_fail_slow, 1.0)))
+        m = FailureMixture((MixtureComponent(1.0, worked_fail_stop),
+                            MixtureComponent(1.0, worked_fail_slow)))
         rep = report(roundtrip(mixture_concat_timeline(m)))
         assert rep["tor"] == pytest.approx(186 / 220, abs=1e-12)
         assert rep["complete_periods"] == {"fail_stop": 1, "fail_slow": 1}
@@ -390,7 +392,8 @@ class TestReport:
     def test_periods_split_once(self, worked_fail_stop, worked_fail_slow, monkeypatch):
         import torkit.trace
 
-        m = FailureMixture(((worked_fail_stop, 2.0), (worked_fail_slow, 1.0)))
+        m = FailureMixture((MixtureComponent(2.0, worked_fail_stop),
+                            MixtureComponent(1.0, worked_fail_slow)))
         events = roundtrip(mixture_concat_timeline(m))
         calls = []
 
@@ -406,7 +409,8 @@ class TestReport:
     def test_each_sum_taken_once(self, worked_fail_stop, worked_fail_slow, monkeypatch):
         import torkit.timeline
 
-        m = FailureMixture(((worked_fail_stop, 2.0), (worked_fail_slow, 1.0)))
+        m = FailureMixture((MixtureComponent(2.0, worked_fail_stop),
+                            MixtureComponent(1.0, worked_fail_slow)))
         events = roundtrip(mixture_concat_timeline(m))
         expected = tor_of_timeline(events)
         total = torkit.timeline._total
