@@ -186,7 +186,10 @@ def cmd_trace(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    p = period_from_dict(_load_json(args.config))
+    cfg_dict = _load_json(args.config)
+    if "mixture" in cfg_dict:
+        raise ValidationError(f"compare takes a period file; {args.config} holds a mixture")
+    p = period_from_dict(cfg_dict)
     analytic_tor = analytic.tor_of_period(p)
     cfg = config_from_period(
         p,

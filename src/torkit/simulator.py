@@ -19,17 +19,17 @@ block equals the same scalar draws bit for bit, so no result depends on the
 block size.
 
 One event loop (``_run``) runs :func:`simulate` and every Monte-Carlo
-replication. Recorded, a run is three columns: durations, rates and stages.
-``_result`` is the one reader of a recorded run: it wraps those columns,
-unchecked and uncopied, as the run's :class:`RateTimeline` and sums its totals
-into a :class:`SimResult`, whose analysis (stage counts, periods, period
-means) is computed only when read. Unrecorded, a run keeps only what its
-totals need, its durations and the work-rate products of its progress, and
-gives the same totals bit for bit. :func:`monte_carlo` runs its replications
-unrecorded and keeps each one's totals as a :class:`ReplicationOutcome`; its
-``first_result`` gets a timeline by recording the first finished replication,
-either as it runs (``record_first=True``) or again when the timeline is
-first read. No ``Segment`` is built on any path.
+replication, and ends in the run's :class:`SimResult` either way. Recorded, a
+run is three columns, durations, rates and stages, which the loop wraps,
+unchecked and uncopied, as the result's :class:`RateTimeline` and sums into
+its totals; the analysis (stage counts, periods, period means) is computed
+only when read. Unrecorded, a run keeps only what its totals need, its
+durations and the work-rate products of its progress, and gives the same
+totals bit for bit; its result records the run again when its timeline is
+first read. :func:`monte_carlo` runs its replications unrecorded, unless
+``record_first=True`` records them until one finishes, and keeps each one's
+totals as a :class:`ReplicationOutcome`; its ``first_result`` is the first
+finished replication's result. No ``Segment`` is built on any path.
 
 While the queue is empty (a healthy run), ``_run`` takes a fast path that
 emits (HealthyRun block, CheckpointSave) pairs in a tight loop, with the
@@ -206,8 +206,9 @@ class SimResult:
 
     @classmethod
     def _unrecorded(cls, t_obs: float, t_opt: float, tor: float,
-                    rerun: Callable[[], Run]) -> "SimResult":
-        """A result whose timeline is the columns ``rerun()`` records, when first read."""
+                    rerun: Callable[[], SimResult]) -> "SimResult":
+        """A result whose timeline is that of the recorded result ``rerun()``
+        returns, when first read."""
         res = object.__new__(cls)
         res.__dict__.update(t_obs=t_obs, t_opt=t_opt, tor=tor, _rerun=rerun)
         return res
@@ -216,7 +217,7 @@ class SimResult:
         # Reached only for a name not set: the timeline of an unrecorded run.
         if name != "timeline" or "_rerun" not in self.__dict__:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        timeline = self.__dict__["timeline"] = RateTimeline._of_columns(*self._rerun())
+        timeline = self.__dict__["timeline"] = self._rerun().timeline
         del self.__dict__["_rerun"]
         return timeline
 
@@ -325,16 +326,14 @@ def _duration(dist: DurationDist, seedseq: np.random.SeedSequence, purpose: int,
     return draw
 
 
-Run = tuple[list[float], list[float], list[StageKind]]
-Totals = tuple[float, float, float]
-
-
-def _run(cfg: SimConfig, seedseq: np.random.SeedSequence, record: bool = True) -> Run | Totals:
-    """The event loop. Recorded, the run's segments of positive duration, as
-    the columns (durations, rates, stages); unrecorded, its totals (t_obs,
-    t_opt, tor), equal bit for bit to those ``_result`` sums from the columns.
-    Steps whose next event is known take no scan: the healthy fast path, and
-    a queued stage whose end is decided (the module docstring has the rules).
+def _run(cfg: SimConfig, seedseq: np.random.SeedSequence, record: bool = True) -> SimResult:
+    """The event loop, ending in the run's result. Recorded, its timeline
+    wraps the run's segments of positive duration, as the columns (durations,
+    rates, stages), and its totals are summed over them; unrecorded, it keeps
+    the totals only, equal bit for bit, and records the run again when its
+    timeline is first read. Steps whose next event is known take no scan: the
+    healthy fast path, and a queued stage whose end is decided (the module
+    docstring has the rules).
 
     A fail-stop relabels the progress entries after the last completed
     checkpoint as rate-0 RollbackWaste, in place; unrecorded, it drops their
@@ -526,23 +525,17 @@ def _run(cfg: SimConfig, seedseq: np.random.SeedSequence, record: bool = True) -
         else:  # stage end; a save never ends here (see the module docstring)
             queue.popleft()
     if record:
-        return durations, rates, stages
+        timeline = RateTimeline._of_columns(durations, rates, stages)
+        t_obs = observed_time(timeline)
+        t_opt = integrate_optimal_time(timeline)
+        return SimResult(t_obs=t_obs, t_opt=t_opt, tor=t_opt / t_obs, timeline=timeline)
     t_obs, t_opt = _observed(durations), _total("optimal time", products)
-    return t_obs, t_opt, t_opt / t_obs
-
-
-def _result(run: Run) -> SimResult:
-    """The result of a run: its totals and its timeline, which wraps the
-    run's columns as they are. The analysis is computed when first read."""
-    timeline = RateTimeline._of_columns(*run)
-    t_obs = observed_time(timeline)
-    t_opt = integrate_optimal_time(timeline)
-    return SimResult(t_obs=t_obs, t_opt=t_opt, tor=t_opt / t_obs, timeline=timeline)
+    return SimResult._unrecorded(t_obs, t_opt, t_opt / t_obs, partial(_run, cfg, seedseq))
 
 
 def simulate(cfg: SimConfig) -> SimResult:
     """Run one training job to completion; deterministic in (cfg, seed)."""
-    return _result(_run(cfg, _numpy().random.SeedSequence(cfg.seed)))
+    return _run(cfg, _numpy().random.SeedSequence(cfg.seed))
 
 
 def realized_period_tor_check(res: SimResult) -> float:
@@ -698,11 +691,12 @@ def monte_carlo(cfg: SimConfig, replications: int, *,
                 record_first: bool = False) -> MonteCarloSummary:
     """Run ``replications`` simulations with per-replication derived seeds.
 
-    Each replication keeps only its totals. With ``record_first``, the
-    replications are recorded until one finishes, and ``first_result`` holds
-    its timeline; otherwise ``first_result`` has the first finished
-    replication's totals, and the first read of its timeline runs that
-    replication again, recorded. Either way its totals are the outcome's.
+    Each replication keeps only its totals. ``first_result`` is the result
+    of the first replication to finish. With ``record_first``, the
+    replications are recorded until one finishes, so that result holds its
+    timeline; otherwise it has its totals only, and the first read of its
+    timeline runs that replication again, recorded. Either way its totals
+    are the outcome's.
     Diverged replications are excluded from the statistics and counted; if
     every one diverges, the error carries the last one's cause.
     The 95% CI is the normal approximation mean +/- 1.96 * s / sqrt(n).
@@ -713,20 +707,15 @@ def monte_carlo(cfg: SimConfig, replications: int, *,
     first_result: SimResult | None = None
     diverged = 0
     for k in range(replications):
-        seedseq = replication_seedseq(cfg.seed, k)
         try:
-            if record_first and first_result is None:
-                first_result = _result(_run(cfg, seedseq))
-                t_obs, t_opt, tor = first_result.t_obs, first_result.t_opt, first_result.tor
-            else:
-                t_obs, t_opt, tor = _run(cfg, seedseq, record=False)
+            res = _run(cfg, replication_seedseq(cfg.seed, k), record_first and first_result is None)
         except DivergedError as e:
             diverged += 1
             last_error = e
             continue
-        outcomes.append(ReplicationOutcome(k, tor, t_obs, t_opt))
+        outcomes.append(ReplicationOutcome(k, res.tor, res.t_obs, res.t_opt))
         if first_result is None:
-            first_result = SimResult._unrecorded(t_obs, t_opt, tor, partial(_run, cfg, seedseq))
+            first_result = res
     if not outcomes:
         plural = "s" if replications != 1 else ""
         raise DivergedError(f"all {replications} replication{plural} diverged: {last_error}",

@@ -150,6 +150,11 @@ class TestMtbfIdentity:
         tor = tor_from_mtbf_fail_slow(95.0, worked_fail_slow)
         assert tor == pytest.approx(95 / 110, abs=1e-15)
 
+    def test_zero_duration_is_undefined(self):
+        # An mtbf of 0 lies within the tolerance of the period's 1e-300.
+        with pytest.raises(UndefinedMetricError, match=r"^period has zero duration$"):
+            tor_from_mtbf(0.0, FailStopPeriod(t_h=1e-300))
+
     def test_random_agreement(self):
         rng = np.random.default_rng(107)
         for _ in range(500):

@@ -115,6 +115,10 @@ def test_non_object_config_exit_code(tmp_path, capsys, argv, config):
     ("compare", dict(WORKED_FAIL_STOP, t_rb=40),
      f"t_rb must be smaller than the implied checkpoint interval ({92 / 3!r} s); "
      "a checkpoint would fire inside the rolled-back span"),
+    ("compare", {"mixture": [{"weight": 1, "period": WORKED_FAIL_STOP}]},
+     "compare takes a period file; {path} holds a mixture"),
+    ("compare --json", {"mixture": [{"weight": 1, "period": WORKED_FAIL_STOP}]},
+     "compare takes a period file; {path} holds a mixture"),
 ], ids=[
     "duration-overflow", "weight-overflow", "weighted-duration-overflow",
     "mixture-unknown-key", "component-unknown-key", "component-period-unknown-key",
@@ -123,13 +127,13 @@ def test_non_object_config_exit_code(tmp_path, capsys, argv, config):
     "distribution-unknown-key", "distribution-missing-field", "empty-run",
     "exponential-draw-overflow", "lognormal-draw-overflow", "summed-overflow",
     "zero-watchdog-cycles", "zero-periods", "no-steady-state-periods", "no-useful-work",
-    "free-checkpoints", "rollback-past-interval",
+    "free-checkpoints", "rollback-past-interval", "compare-mixture", "compare-mixture-json",
 ])
 def test_rejected_config_exit_code(tmp_path, capsys, argv, config, message):
     command, *options = argv.split()
     path = write_json(tmp_path / "c.json", config)
     assert main([command, path, *options]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr() == ("", f"error: {message.replace('{path}', path)}\n")
 
 
 def test_trace_sum_beyond_float_range_exit_code(tmp_path, capsys):

@@ -212,11 +212,12 @@ def test_run_is_the_first_simulation_call(tmp_path):
     code = ("import json, sys, numpy as np\n"
             "from torkit.simulator import SimConfig, _run\n"
             "cfg = SimConfig.from_dict(json.loads(sys.argv[1]))\n"
-            "print([x.hex() for x in _run(cfg, np.random.SeedSequence(7), record=False)])\n")
+            "res = _run(cfg, np.random.SeedSequence(7), record=False)\n"
+            "print([x.hex() for x in (res.t_obs, res.t_opt, res.tor)])\n")
     done = python("-c", code, json.dumps(SIM), cwd=tmp_path)
     assert (done.returncode, done.stderr) == (0, "")
-    totals = _run(SimConfig.from_dict(SIM), np.random.SeedSequence(7), record=False)
-    assert done.stdout == f"{[x.hex() for x in totals]}\n"
+    res = _run(SimConfig.from_dict(SIM), np.random.SeedSequence(7), record=False)
+    assert done.stdout == f"{[x.hex() for x in (res.t_obs, res.t_opt, res.tor)]}\n"
 
 
 def test_numpy_is_imported_in_one_function():

@@ -42,11 +42,10 @@ from torkit.simulator import (
     Exponential,
     Fixed,
     LogNormal,
-    Run,
+    SimResult,
     _BLOCK,
     _arrivals,
     _duration,
-    _result,
     _run,
     config_from_period,
     dist_from_dict,
@@ -318,10 +317,26 @@ class TestDeterministicPeriods:
         with pytest.raises(ValidationError):
             config_from_period(FailStopPeriod(t_h=10, t_rb=2, t_r=1), periods=5)
 
+    def test_other_types_rejected(self):
+        with pytest.raises(ValidationError, match=r"^unsupported period type: str$"):
+            config_from_period("x", 5)
+
+    def test_underflowing_checkpoint_interval_rejected(self):
+        # (t_sr + t_h) / n_ckpt underflows to 0.
+        p = FailStopPeriod(t_h=1e-300, n_ckpt=10**300, t_ckpt=1e-300)
+        with pytest.raises(ValidationError,
+                           match=r"^period has no progress-accruing time before checkpoints$"):
+            config_from_period(p, 5)
+
 
 class TestRealizedCheck:
     def test_failure_free_is_one(self):
         assert realized_period_tor_check(simulate(base_config())) == 1.0
+
+    def test_empty_run_rejected(self):
+        res = SimResult(t_obs=0.0, t_opt=0.0, tor=math.nan, timeline=RateTimeline())
+        with pytest.raises(ValidationError, match=r"^run has no complete failure-repair periods$"):
+            realized_period_tor_check(res)
 
     def test_matches_complete_period_tor(self, worked_fail_stop):
         cfg = config_from_period(worked_fail_stop, periods=200, seed=5)
@@ -496,9 +511,19 @@ def result_totals(k: int, res) -> tuple:
     return (k, res.tor, res.t_obs, res.t_opt)
 
 
-def column_totals(k: int, run: Run) -> tuple:
+Run = tuple[list[float], list[float], list[StageKind]]  # the columns reference_run returns
+
+
+def columns(run: SimResult | Run) -> Run:
+    """A run's columns: its result's timeline columns, or ``reference_run``'s."""
+    if isinstance(run, SimResult):
+        return run.timeline.durations, run.timeline.rates, run.timeline.stages
+    return run
+
+
+def column_totals(k: int, run: SimResult | Run) -> tuple:
     """Replication ``k``'s (index, tor, t_obs, t_opt), summed from its columns."""
-    durations, rates, _ = run
+    durations, rates, _ = columns(run)
     t_obs = math.fsum(durations)
     t_opt = math.fsum(d * r for d, r in zip(durations, rates))
     return (k, t_opt / t_obs, t_obs, t_opt)
@@ -517,7 +542,7 @@ class TestReplicationOutcome:
             run = _run(cfg, replication_seedseq(cfg.seed, o.index))
             assert astuple(o) == column_totals(o.index, run)
         assert result_totals(0, summary.first_result) == astuple(summary.outcomes[0])
-        assert (o.index, o.tor.hex(), o.t_obs.hex(), o.t_opt.hex(), len(_result(run).periods)) \
+        assert (o.index, o.tor.hex(), o.t_obs.hex(), o.t_opt.hex(), len(run.periods)) \
             == (2, *GOLDEN_REPLICATION_2[name])
 
     def test_rollback_relabels_an_earlier_period(self):
@@ -608,9 +633,19 @@ def test_unrecorded_first_result_runs_again_once_when_read(name, read, monkeypat
     for again in FIRST_RESULT_READS.values():
         again(first)
     assert len(calls) == 5
-    recorded = _result(_run(cfg, replication_seedseq(cfg.seed, outcome.index)))
+    recorded = _run(cfg, replication_seedseq(cfg.seed, outcome.index))
     assert first == recorded and first.to_dict() == recorded.to_dict()
     assert repr(first) == repr(recorded)
+
+
+def test_unknown_attribute_of_unrecorded_first_result(monkeypatch):
+    calls = counted_runs(monkeypatch)
+    first = monte_carlo(golden_config("mixed"), 2).first_result
+    with pytest.raises(AttributeError) as e:
+        first.nope
+    assert str(e.value) == "'SimResult' object has no attribute 'nope'"
+    assert not hasattr(first, "nope")
+    assert calls == [(0, False), (1, False)]
 
 
 @pytest.mark.parametrize("name", ["diverging", "mixed"])
@@ -747,7 +782,8 @@ def test_columnar_readers_match_segment_reference():
         for j, s in enumerate(segs):
             if j == 0 or segs[j - 1].stage is not s.stage:
                 counts[s.stage] = counts.get(s.stage, 0) + 1
-        res = _result(run)
+        t_obs, t_opt = observed_time(tl), integrate_optimal_time(tl)
+        res = SimResult(t_obs=t_obs, t_opt=t_opt, tor=t_opt / t_obs, timeline=tl)
         assert res.counts == counts and list(res.counts) == list(counts)
         assert list(res.periods) == reference_period_records(RateTimeline(segs))
 
@@ -959,26 +995,20 @@ def reference_run(cfg: SimConfig, seedseq: np.random.SeedSequence,
 def run_record(run, cfg: SimConfig, k: int) -> tuple:
     """Replication ``k`` of ``run`` as float.hex columns, or its divergence."""
     try:
-        durations, rates, stages = run(cfg, replication_seedseq(cfg.seed, k))
+        durations, rates, stages = columns(run(cfg, replication_seedseq(cfg.seed, k)))
     except DivergedError as e:
         return ("diverged", e.stalled_cycles, str(e))
     return ([d.hex() for d in durations], [r.hex() for r in rates], stages)
 
 
 def totals_record(cfg: SimConfig, k: int, record: bool) -> tuple:
-    """Replication ``k``'s (t_obs, t_opt, tor) as float.hex, summed by
-    ``_result`` from the recorded run or kept by the unrecorded one, or its
-    divergence."""
-    seedseq = replication_seedseq(cfg.seed, k)
+    """Replication ``k``'s (t_obs, t_opt, tor) as float.hex, summed from the
+    recorded run's columns or kept by the unrecorded one, or its divergence."""
     try:
-        if record:
-            res = _result(_run(cfg, seedseq))
-            totals = res.t_obs, res.t_opt, res.tor
-        else:
-            totals = _run(cfg, seedseq, record=False)
+        res = _run(cfg, replication_seedseq(cfg.seed, k), record)
     except DivergedError as e:
         return ("diverged", e.stalled_cycles, str(e))
-    return tuple(x.hex() for x in totals)
+    return tuple(x.hex() for x in (res.t_obs, res.t_opt, res.tor))
 
 
 # Uninterrupted, ckpt_interval 10 and t_ckpt 1 put the triggers at exposure
@@ -1149,11 +1179,11 @@ def test_equal_lognormal_purposes_draw_different_values():
     assert len(set(chain.from_iterable(draws))) == 3 * (2 * _BLOCK + 1)
 
 
-def fail_stop_instants(run: Run) -> list[float]:
+def fail_stop_instants(res: SimResult) -> list[float]:
     """The exposed time at each fail-stop: the summed duration of every
     non-Repair segment before each Repair."""
     instants, exposure = [], 0.0
-    for d, stage in zip(run[0], run[2]):
+    for d, stage in zip(res.timeline.durations, res.timeline.stages):
         if stage is REPAIR:
             instants.append(exposure)
         else:
