@@ -12,7 +12,7 @@ from collections.abc import Iterator
 from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from operator import index
-from typing import ClassVar, Iterable, Union
+from typing import ClassVar, Iterable, NamedTuple, Union
 
 from .errors import ValidationError
 
@@ -69,7 +69,7 @@ def _check_time(name: str, value: float) -> float:
 def _check_positive(name: str, value: float) -> float:
     value = _check_number(name, value)
     if not math.isfinite(value) or value <= 0:
-        raise ValidationError(f"{name} must be positive, got {value!r}")
+        raise ValidationError(f"{name} must be a finite positive number, got {value!r}")
     return value
 
 
@@ -278,17 +278,17 @@ FAIL_SLOW = "fail_slow"
 MIXED = "mixed"
 
 
-@dataclass(frozen=True, slots=True)
-class StageTotals:
+class StageTotals(NamedTuple):
     """Lumped stage totals of one failure-repair period, or their means.
 
     Period specs (:meth:`FailStopPeriod.totals`), realized periods
     (``periods.period_records``) and per-period means (``periods.mean_periods``)
-    all produce this one value, and the TOR and MTBF of a period are defined
-    only here. ``sr_work`` and ``fs_work`` are the optimal-time equivalents
-    (duration * rate) accumulated during slow recovery and degraded running,
-    so that the TOR is (sr_work + t_h + fs_work) / duration exactly.
-    ``n_ckpt`` counts checkpoint saves; in a mean it is the mean count.
+    all build this one named tuple through its constructor, and the TOR and
+    MTBF of a period are defined only here. ``sr_work`` and ``fs_work`` are
+    the optimal-time equivalents (duration * rate) accumulated during slow
+    recovery and degraded running, so that the TOR is
+    (sr_work + t_h + fs_work) / duration exactly. ``n_ckpt`` counts
+    checkpoint saves; in a mean it is the mean count.
     """
 
     kind: str

@@ -9,14 +9,9 @@ over a timeline's columns gives both the records and the stage breakdown.
 from __future__ import annotations
 
 import math
-from dataclasses import fields
 from itertools import chain
 
-from .model import FAIL_SLOW, FAIL_STOP, MIXED, RateTimeline, StageKind, StageTotals, _new
-
-# Records are built through the slot setters, in field order, as model._segment builds a Segment.
-(_set_kind, _set_t_sr, _set_sr_work, _set_t_h, _set_ckpt_time, _set_n_ckpt, _set_t_rb, _set_t_fs,
- _set_fs_work, _set_t_r) = (getattr(StageTotals, f.name).__set__ for f in fields(StageTotals))
+from .model import FAIL_SLOW, FAIL_STOP, MIXED, RateTimeline, StageKind, StageTotals
 
 
 def period_records(tl: RateTimeline, *, _breakdown: dict | None = None) -> list[StageTotals]:
@@ -64,18 +59,10 @@ def period_records(tl: RateTimeline, *, _breakdown: dict | None = None) -> list[
         else:
             t_r.append(d)
             if i == last or stages[i + 1] is not REPAIR:
-                rec = _new(StageTotals)
-                _set_kind(rec, FAIL_STOP if not t_fs else MIXED if t_rb else FAIL_SLOW)
-                _set_t_sr(rec, math.fsum(t_sr))
-                _set_sr_work(rec, math.fsum(sr_work))
-                _set_t_h(rec, math.fsum(t_h))
-                _set_ckpt_time(rec, math.fsum(ckpt))
-                _set_n_ckpt(rec, n_ckpt)
-                _set_t_rb(rec, math.fsum(t_rb))
-                _set_t_fs(rec, math.fsum(t_fs))
-                _set_fs_work(rec, math.fsum(fs_work))
-                _set_t_r(rec, math.fsum(t_r))
-                records.append(rec)
+                records.append(StageTotals(
+                    FAIL_STOP if not t_fs else MIXED if t_rb else FAIL_SLOW,
+                    math.fsum(t_sr), math.fsum(sr_work), math.fsum(t_h), math.fsum(ckpt), n_ckpt,
+                    math.fsum(t_rb), math.fsum(t_fs), math.fsum(fs_work), math.fsum(t_r)))
                 if keep:
                     spent.append((t_sr, t_h, ckpt, t_rb, t_fs, t_r))
                 t_sr, sr_work, t_h, ckpt, t_rb, t_fs, fs_work, t_r = [], [], [], [], [], [], [], []
@@ -100,14 +87,6 @@ def mean_periods(records: list[StageTotals]) -> StageTotals | None:
     """
     if not records:
         return None
-    kinds = {r.kind for r in records}
-    kind = kinds.pop() if len(kinds) == 1 else MIXED
-    n = len(records)
-
-    def m(attr: str) -> float:
-        return math.fsum(getattr(r, attr) for r in records) / n
-
-    return StageTotals(
-        kind, m("t_sr"), m("sr_work"), m("t_h"), m("ckpt_time"), m("n_ckpt"),
-        m("t_rb"), m("t_fs"), m("fs_work"), m("t_r"),
-    )
+    kinds, *columns = zip(*records)
+    kind = kinds[0] if len(set(kinds)) == 1 else MIXED
+    return StageTotals(kind, *(math.fsum(column) / len(records) for column in columns))

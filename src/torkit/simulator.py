@@ -588,6 +588,9 @@ def config_from_period(
     prog_fs = p.t_fs if p.r_fs > 0 else 0.0
     if t.opt_time <= 0:
         raise ValidationError("period accumulates no useful work; nothing to simulate")
+    total_work = t.opt_time * (periods + 0.5)
+    if not math.isfinite(total_work):
+        raise ValidationError("periods too large: the run's total work exceeds the float range")
 
     if p.n_ckpt >= 1:
         if p.t_ckpt <= 0:
@@ -626,7 +629,7 @@ def config_from_period(
 
     return SimConfig(
         w_opt=1.0,
-        total_work=t.opt_time * (periods + 0.5),
+        total_work=total_work,
         ckpt_interval=ckpt_interval,
         t_ckpt=p.t_ckpt,
         fail_stop_rate=stop_rate,

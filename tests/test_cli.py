@@ -85,7 +85,7 @@ def test_non_object_config_exit_code(tmp_path, capsys, argv, config):
      "mixture file: component 1 must be a JSON object, got int"),
     ("analytic", {"mixture": [{"weight": 1}]}, "mixture file: component 0: missing fields ['period']"),
     ("analytic", {"mixture": [{"weight": 0, "period": WORKED_FAIL_STOP}]},
-     "mixture file: component 0: weight must be positive, got 0.0"),
+     "mixture file: component 0: weight must be a finite positive number, got 0.0"),
     ("simulate", dict(SIM_CONFIG, t_r_dist={"kind": "fixed", "value": 5, "junk": 1}),
      "sim config: t_r_dist: unknown fields ['junk']"),
     ("simulate", dict(SIM_CONFIG, t_r_dist={"kind": "lognormal", "median": 1}),
@@ -103,6 +103,13 @@ def test_non_object_config_exit_code(tmp_path, capsys, argv, config):
      "observed time exceeds the float range, TOR undefined"),
     ("simulate", dict(SIM_CONFIG, watchdog_cycles=0),
      "sim config: watchdog_cycles must be at least 1"),
+    ("simulate", dict(SIM_CONFIG, total_work=1e999),
+     "sim config: total_work must be a finite positive number, got inf"),
+    # periods * the period's useful work is beyond the float range.
+    (f"compare --periods {10**307}", WORKED_FAIL_STOP,
+     "periods too large: the run's total work exceeds the float range"),
+    (f"compare --json --periods {10**307}", WORKED_FAIL_STOP,
+     "periods too large: the run's total work exceeds the float range"),
     ("compare --periods 0", WORKED_FAIL_STOP, "periods must be at least 1"),
     # One period is all warm-up.
     ("compare --deterministic --periods 1", WORKED_FAIL_STOP,
@@ -126,7 +133,8 @@ def test_non_object_config_exit_code(tmp_path, capsys, argv, config):
     "zero-weight",
     "distribution-unknown-key", "distribution-missing-field", "empty-run",
     "exponential-draw-overflow", "lognormal-draw-overflow", "summed-overflow",
-    "zero-watchdog-cycles", "zero-periods", "no-steady-state-periods", "no-useful-work",
+    "zero-watchdog-cycles", "infinite-total-work", "total-work-overflow",
+    "total-work-overflow-json", "zero-periods", "no-steady-state-periods", "no-useful-work",
     "free-checkpoints", "rollback-past-interval", "compare-mixture", "compare-mixture-json",
 ])
 def test_rejected_config_exit_code(tmp_path, capsys, argv, config, message):

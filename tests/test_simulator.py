@@ -1,6 +1,6 @@
 import math
 from collections import deque
-from dataclasses import astuple, fields, replace
+from dataclasses import astuple, replace
 from itertools import chain, count
 from typing import Iterator
 
@@ -801,12 +801,26 @@ def test_spec_totals_match_their_timeline_record():
         records = period_records(period_to_timeline(p))
         assert len(records) == 1
         (record,) = records
-        for f in fields(StageTotals):
-            if f.name != "n_ckpt":
-                assert getattr(totals, f.name) == getattr(record, f.name), f.name
+        for name in StageTotals._fields:
+            if name != "n_ckpt":
+                assert getattr(totals, name) == getattr(record, name), name
         # The two derived figures agree bit for bit.
         assert totals.tor.hex() == record.tor.hex()
         assert totals.mtbf.hex() == record.mtbf.hex()
+
+
+def test_stage_totals_is_a_named_tuple(worked_fail_stop):
+    """A record reads, compares, hashes and rebuilds as a tuple of its ten fields."""
+    t = worked_fail_stop.totals()
+    assert repr(t) == (
+        "StageTotals(kind='fail_stop', t_sr=2.0, sr_work=1.0, t_h=90.0, ckpt_time=3.0, "
+        "n_ckpt=3, t_rb=5.0, t_fs=0.0, fs_work=0.0, t_r=10.0)")
+    assert hash(t) == hash(tuple(t))
+    with pytest.raises(AttributeError):
+        t.t_h = 1.0
+    assert StageTotals(**t._asdict()) == t
+    assert StageTotals._fields == (
+        "kind", "t_sr", "sr_work", "t_h", "ckpt_time", "n_ckpt", "t_rb", "t_fs", "fs_work", "t_r")
 
 
 # ---------------------------------------------------------------------------
