@@ -24,19 +24,19 @@ def period_to_timeline(p: Period) -> RateTimeline:
 
     The n_ckpt checkpoint saves are emitted as one consolidated zero-rate
     segment of length n_ckpt * t_ckpt: TOR depends only on total time per
-    rate level, so pause placement is irrelevant to the metric.
+    rate level, so pause placement is irrelevant to the metric. The spec's
+    constructor checked every value, so the stages are wrapped unchecked.
     """
     if not isinstance(p, (FailStopPeriod, FailSlowPeriod)):
         raise ValidationError(f"unsupported period type: {type(p).__name__}")
-    segs = [
-        Segment(p.t_sr, p.r_sr, StageKind.SLOW_RECOVERY),
-        Segment(p.t_h, 1.0, StageKind.HEALTHY_RUN),
-        Segment(p.n_ckpt * p.t_ckpt, 0.0, StageKind.CHECKPOINT_SAVE),
-        Segment(p.t_rb, 0.0, StageKind.ROLLBACK_WASTE),
-        Segment(p.t_fs, p.r_fs, StageKind.FAIL_SLOW_DEGRADED),
-        Segment(p.t_r, 0.0, StageKind.REPAIR),
-    ]
-    return RateTimeline(tuple(segs))  # zero-duration stages dropped here
+    return RateTimeline(map(Segment._make, (
+        (p.t_sr, p.r_sr, StageKind.SLOW_RECOVERY),
+        (p.t_h, 1.0, StageKind.HEALTHY_RUN),
+        (p.n_ckpt * p.t_ckpt, 0.0, StageKind.CHECKPOINT_SAVE),
+        (p.t_rb, 0.0, StageKind.ROLLBACK_WASTE),
+        (p.t_fs, p.r_fs, StageKind.FAIL_SLOW_DEGRADED),
+        (p.t_r, 0.0, StageKind.REPAIR),
+    )))  # zero-duration stages dropped here
 
 
 def tor_of_period(p: Period) -> float:

@@ -83,13 +83,12 @@ def _checked_outputs(source: str, outputs: dict[str, tuple[str | None, Callable]
             named[real] = option
             if stat.S_ISFIFO(mode):
                 continue
-            new = not os.path.lexists(path)
             try:
                 open(path, "a").close()
             except OSError as e:
                 raise ValidationError(f"cannot write {path}: {e}") from None
-            if new:
-                created.append(path)
+            if not mode:  # nothing was there, or a dangling symlink: the file it names is new
+                created.append(real)
         yield write
     except BaseException:
         for path in created:

@@ -170,45 +170,33 @@ def _from_dict(cls, d, what: str):
         raise ValidationError(f"{what}: {e}") from None
 
 
-def _check_stage(name: str, value) -> StageKind:
-    try:
-        return StageKind(value)
-    except ValueError:
-        raise ValidationError(f"unknown {name} {value!r}") from None
-
-
-@dataclass(frozen=True, slots=True)
-class Segment:
-    """One piecewise-constant span of the rate timeline, at its stage's fixed rate if any."""
-
+class _Entry(NamedTuple):
     duration: float
     rate: float
     stage: StageKind
 
-    def __post_init__(self):
-        object.__setattr__(self, "duration", _check_time("duration", self.duration))
-        object.__setattr__(self, "rate", _check_ratio("rate", self.rate))
-        object.__setattr__(self, "stage", _check_stage("stage", self.stage))
-        _check_fixed_rate(self.stage, self.rate)
 
+class Segment(_Entry):
+    """One piecewise-constant span of the rate timeline, at its stage's fixed rate if any.
 
-_new = object.__new__
-_set_duration = Segment.duration.__set__
-_set_rate = Segment.rate.__set__
-_set_stage = Segment.stage.__set__
-
-
-def _segment(duration: float, rate: float, stage: StageKind) -> Segment:
-    """Build a Segment without validation, for values the package produced.
-
-    The caller guarantees a float ``duration > 0``, a float ``rate`` in
-    [0, 1] and a StageKind ``stage``, with the stage's fixed rate if it has one.
+    A named tuple: the constructor and :meth:`_replace` check the values;
+    ``Segment._make`` wraps values the package produced unchecked.
     """
-    s = _new(Segment)
-    _set_duration(s, duration)
-    _set_rate(s, rate)
-    _set_stage(s, stage)
-    return s
+
+    __slots__ = ()
+
+    def __new__(cls, duration: float, rate: float, stage: StageKind):
+        duration = _check_time("duration", duration)
+        rate = _check_ratio("rate", rate)
+        try:
+            stage = StageKind(stage)
+        except ValueError:
+            raise ValidationError(f"unknown stage {stage!r}") from None
+        _check_fixed_rate(stage, rate)
+        return super().__new__(cls, duration, rate, stage)
+
+    def _replace(self, **changes) -> "Segment":
+        return Segment(*_Entry._replace(self, **changes))
 
 
 @dataclass(frozen=True, init=False)
@@ -250,7 +238,7 @@ class RateTimeline:
         in [0, 1], StageKind stages and each stage's fixed rate where it has
         one (:data:`FIXED_RATE`), and hands the lists over.
         """
-        tl = _new(cls)
+        tl = object.__new__(cls)
         tl._set(durations, rates, stages)
         return tl
 
@@ -267,10 +255,10 @@ class RateTimeline:
         return len(self.durations)
 
     def __getitem__(self, i: int) -> Segment:
-        return _segment(self.durations[index(i)], self.rates[i], self.stages[i])
+        return Segment._make((self.durations[index(i)], self.rates[i], self.stages[i]))
 
     def __iter__(self) -> Iterator[Segment]:
-        return map(_segment, self.durations, self.rates, self.stages)
+        return map(Segment._make, zip(self.durations, self.rates, self.stages))
 
 
 FAIL_STOP = "fail_stop"

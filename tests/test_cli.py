@@ -105,6 +105,10 @@ def test_non_object_config_exit_code(tmp_path, capsys, argv, config):
      "sim config: watchdog_cycles must be at least 1"),
     ("simulate", dict(SIM_CONFIG, total_work=1e999),
      "sim config: total_work must be a finite positive number, got inf"),
+    ("simulate", dict(SIM_CONFIG, seed=2**64),
+     f"sim config: seed must be a 64-bit unsigned integer, got {2**64}"),
+    (f"compare --seed {2**64}", WORKED_FAIL_STOP,
+     f"seed must be a 64-bit unsigned integer, got {2**64}"),
     # periods * the period's useful work is beyond the float range.
     (f"compare --periods {10**307}", WORKED_FAIL_STOP,
      "periods too large: the run's total work exceeds the float range"),
@@ -133,7 +137,8 @@ def test_non_object_config_exit_code(tmp_path, capsys, argv, config):
     "zero-weight",
     "distribution-unknown-key", "distribution-missing-field", "empty-run",
     "exponential-draw-overflow", "lognormal-draw-overflow", "summed-overflow",
-    "zero-watchdog-cycles", "infinite-total-work", "total-work-overflow",
+    "zero-watchdog-cycles", "infinite-total-work", "seed-beyond-64-bits",
+    "compare-seed-beyond-64-bits", "total-work-overflow",
     "total-work-overflow-json", "zero-periods", "no-steady-state-periods", "no-useful-work",
     "free-checkpoints", "rollback-past-interval", "compare-mixture", "compare-mixture-json",
 ])
@@ -142,6 +147,11 @@ def test_rejected_config_exit_code(tmp_path, capsys, argv, config, message):
     path = write_json(tmp_path / "c.json", config)
     assert main([command, path, *options]) == 2
     assert capsys.readouterr() == ("", f"error: {message.replace('{path}', path)}\n")
+
+
+def test_top_of_the_seed_range(period_file, capsys):
+    assert main(["compare", period_file, "--seed", str(2**64 - 1), "--replications", "2",
+                 "--periods", "5", "--quiet"]) == 0
 
 
 def test_trace_sum_beyond_float_range_exit_code(tmp_path, capsys):
@@ -328,6 +338,16 @@ def test_diverged_run_leaves_no_output(tmp_path, capsys):
                  "--emit-csv", str(csv_path)]) == 3
     assert trace_path.read_bytes() == b"kept\r\n" and not csv_path.exists()
     assert capsys.readouterr().err.count("error: simulation diverged: ") == 3
+
+
+def test_diverged_run_removes_the_file_a_dangling_symlink_named(tmp_path, capsys):
+    # The file the check created through the link goes; the user's link stays.
+    path = write_json(tmp_path / "diverge.json", DIVERGING)
+    link, target = tmp_path / "out.csv", tmp_path / "missing.csv"
+    link.symlink_to(target.name)
+    assert main(["simulate", path, "--emit-csv", str(link)]) == 3
+    assert not target.exists() and link.is_symlink() and os.readlink(link) == target.name
+    assert capsys.readouterr().err.startswith("error: simulation diverged: ")
 
 
 def test_diverged_run_whose_probed_file_went_away(tmp_path, capsys, monkeypatch):

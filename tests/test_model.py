@@ -18,6 +18,7 @@ from torkit import (
     mtbf_fail_slow,
     mtbf_fail_stop,
 )
+from torkit.analytic import period_to_timeline
 from torkit.model import period_from_dict
 
 
@@ -136,6 +137,63 @@ class TestValidation:
         p = FailStopPeriod(t_h=1)
         with pytest.raises(dataclasses.FrozenInstanceError):
             p.t_h = 2
+
+
+class TestSegment:
+    SEG = Segment(1.0, 0.5, StageKind.SLOW_RECOVERY)
+
+    def test_repr_and_hash(self):
+        assert repr(self.SEG) == (
+            "Segment(duration=1.0, rate=0.5, stage=<StageKind.SLOW_RECOVERY: 'SlowRecovery'>)")
+        assert hash(self.SEG) == hash(tuple(self.SEG))
+
+    def test_is_a_named_tuple_of_its_values(self):
+        duration, rate, stage = self.SEG
+        assert self.SEG == (duration, rate, stage) == (1.0, 0.5, StageKind.SLOW_RECOVERY)
+        assert len(self.SEG) == 3 and json.loads(json.dumps(self.SEG)) == [1.0, 0.5, "SlowRecovery"]
+
+    def test_fields_cannot_be_assigned(self):
+        with pytest.raises(AttributeError):
+            self.SEG.rate = 0.25
+
+    def test_replace_checks(self):
+        assert self.SEG._replace(duration=3) == (3.0, 0.5, StageKind.SLOW_RECOVERY)
+        assert type(self.SEG._replace(duration=3)) is Segment
+        with pytest.raises(ValidationError, match=r"^rate must lie in \[0, 1\], got 2.0$"):
+            self.SEG._replace(rate=2.0)
+
+    @pytest.mark.parametrize("values, message", [
+        ((-1, 2.0, "Coffee"), "duration must be a finite non-negative number, got -1.0"),
+        ((1, 2.0, "Coffee"), "rate must lie in [0, 1], got 2.0"),
+        ((1, 0.5, "Coffee"), "unknown stage 'Coffee'"),
+        ((1, 0.5, "Repair"), "stage Repair must have rate 0, got 0.5"),
+    ])
+    def test_first_failing_check_is_reported(self, values, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            Segment(*values)
+
+    def test_period_timeline_is_the_checked_build(self):
+        # The spec's stages are wrapped unchecked; they equal what the checked path builds.
+        rng = np.random.default_rng(30)
+        for _ in range(200):
+            p = random_fail_stop(rng) if rng.random() < 0.5 else random_fail_slow(rng)
+            zeroed = {k: 0 for k in p.to_dict() if k != "kind" and rng.random() < 0.25}
+            try:
+                p = period_from_dict({**p.to_dict(), **zeroed})
+            except ValidationError:  # every time zeroed: no duration
+                continue
+            built = RateTimeline.build([
+                (p.t_sr, p.r_sr, StageKind.SLOW_RECOVERY),
+                (p.t_h, 1.0, StageKind.HEALTHY_RUN),
+                (p.n_ckpt * p.t_ckpt, 0.0, StageKind.CHECKPOINT_SAVE),
+                (p.t_rb, 0.0, StageKind.ROLLBACK_WASTE),
+                (p.t_fs, p.r_fs, StageKind.FAIL_SLOW_DEGRADED),
+                (p.t_r, 0.0, StageKind.REPAIR),
+            ])
+            tl = period_to_timeline(p)
+            for got, want in [(tl.durations, built.durations), (tl.rates, built.rates)]:
+                assert [x.hex() for x in got] == [x.hex() for x in want]
+            assert tl.stages == built.stages and all(type(s) is Segment for s in tl)
 
 
 @pytest.mark.parametrize("stage", list(StageKind))

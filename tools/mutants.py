@@ -76,6 +76,35 @@ MUTANTS = [
     Mutant("contiguity-slack", "trace.py",
            "CONTIGUITY_TOL = 1e-9", "CONTIGUITY_TOL = 1e-6",
            "a duration that disagrees with its span by 1e-7 is rejected"),
+    Mutant("segment-fixed-rate", "model.py",
+           "_check_fixed_rate(stage, rate)", "pass",
+           "a Segment at a rate its stage does not allow is rejected"),
+    Mutant("segment-replace-checks", "model.py",
+           "return Segment(*_Entry._replace(self, **changes))",
+           "return _Entry._replace(self, **changes)",
+           "Segment._replace checks the values it is given"),
+    Mutant("zero-duration-dropped", "model.py",
+           "if s.duration > 0]", "if s.duration >= 0]",
+           "a timeline drops its zero-duration segments"),
+    Mutant("fast-path-stop-slow-tie", "simulator.py",
+           "if dt_stop <= dt_slow and dt_stop <= dt_work:",
+           "if dt_stop < dt_slow and dt_stop <= dt_work:",
+           "in the fast path, a fail-stop wins a tie with a fail-slow"),
+    Mutant("fast-path-work-tie", "simulator.py",
+           "and dt <= dt_work):", "and dt < dt_work):",
+           "in the fast path, a checkpoint due exactly at completion still fires"),
+    Mutant("watchdog-reset", "simulator.py",
+           "stalled = 0\n", "pass\n",
+           "the watchdog counts only consecutive failures that found no new work"),
+    Mutant("rollback-stage", "simulator.py",
+           "stages[i] = ROLLBACK_WASTE", "pass",
+           "a fail-stop marks the work since the last save as RollbackWaste"),
+    Mutant("seed-bound", "simulator.py",
+           "0 <= value < 2**64", "0 <= value < 2**63",
+           "every 64-bit unsigned seed is accepted"),
+    Mutant("dangling-symlink-cleanup", "cli.py",
+           "created.append(real)", "created.append(path)",
+           "a failed run removes the file a dangling symlink output named, not the link"),
     Mutant("block-size", "simulator.py",
            "_BLOCK = 64", "_BLOCK = 63",
            "the block size of a stream's draws",
