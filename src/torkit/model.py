@@ -209,18 +209,21 @@ class RateTimeline:
     (they arise naturally when a period parameter is 0). The columns are
     lists that nothing may change; timelines with equal columns are equal.
 
-    ``RateTimeline(segments)`` and :meth:`build` are the validated public
-    constructors; :meth:`_of_columns` wraps columns the package produced.
-    The timeline is its own :attr:`segments`: an int index or iteration
-    builds a ``Segment`` when read; a slice is rejected.
+    ``RateTimeline(items)`` is the validated public constructor: a
+    ``Segment`` item is taken as it is, and any other item, a plain
+    ``(duration, rate, stage)`` triple say, goes through ``Segment``'s checks.
+    :meth:`_of_columns` wraps columns the package produced. The timeline is
+    its own :attr:`segments`: an int index or iteration builds a ``Segment``
+    when read; a slice is rejected.
     """
 
     durations: list[float]
     rates: list[float]
     stages: list[StageKind]
 
-    def __init__(self, segments: Iterable[Segment] = ()):
-        kept = [s for s in segments if s.duration > 0]
+    def __init__(self, items: Iterable[Segment | tuple[float, float, StageKind | str]] = ()):
+        segs = [item if isinstance(item, Segment) else Segment(*item) for item in items]
+        kept = [s for s in segs if s.duration > 0]
         self._set([s.duration for s in kept], [s.rate for s in kept], [s.stage for s in kept])
 
     def _set(self, durations: list[float], rates: list[float], stages: list[StageKind]) -> None:
@@ -244,7 +247,9 @@ class RateTimeline:
 
     @classmethod
     def build(cls, items: Iterable[tuple[float, float, StageKind | str]]) -> "RateTimeline":
-        return cls(Segment(d, r, s) for d, r, s in items)
+        """``RateTimeline(items)``, under the name the bench's per-segment
+        build probe (``bench/spans.py``, ``segment_build_us``) times."""
+        return cls(items)
 
     @property
     def segments(self) -> "RateTimeline":

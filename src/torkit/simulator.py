@@ -85,6 +85,8 @@ CHECKPOINT_SAVE = StageKind.CHECKPOINT_SAVE
 ROLLBACK_WASTE = StageKind.ROLLBACK_WASTE
 FAIL_SLOW_DEGRADED = StageKind.FAIL_SLOW_DEGRADED
 REPAIR = StageKind.REPAIR
+# The stages of a run that no failure struck.
+_FAILURE_FREE = frozenset({HEALTHY_RUN, CHECKPOINT_SAVE})
 
 
 # ---------------------------------------------------------------------------
@@ -547,9 +549,11 @@ def realized_period_tor_check(res: SimResult) -> float:
     """
     means = res.period_means
     if means is None:
-        if not res.timeline:
+        # Only a run that never failed is its own closed form; one whose
+        # failures completed no period (a zero repair time, say) has none.
+        if not res.timeline or not _FAILURE_FREE.issuperset(res.timeline.stages):
             raise ValidationError("run has no complete failure-repair periods")
-        return res.tor  # failure-free run: TOR is its own closed form
+        return res.tor
     if means.kind == MIXED:
         raise ValidationError(
             "run mixes failure types within or across periods; "

@@ -7,14 +7,13 @@ the breakdown and the CSV writer read the timeline's columns.
 """
 from __future__ import annotations
 
-import csv
 import math
 from itertools import accumulate, islice
 from operator import mul
 from typing import Iterable, Iterator, TextIO
 
-from .errors import UndefinedMetricError, ValidationError
-from .model import RateTimeline, Segment, StageKind
+from .errors import UndefinedMetricError
+from .model import RateTimeline, StageKind
 from .periods import period_records
 
 CSV_HEADER = ["t_start", "t_end", "rate", "stage"]
@@ -101,43 +100,3 @@ def write_csv(tl: RateTimeline, out: TextIO) -> None:
     for rows in _batches(tl):
         out.write("".join([f"{t0},{t1},{rate!r},{_NAME[stage]}\r\n"
                            for t0, t1, rate, stage, _ in rows]))
-
-
-def read_csv(inp: TextIO) -> RateTimeline:
-    """Parse a timeline written by :func:`write_csv`.
-
-    A row that cannot be read or does not have four fields, a time or rate
-    that is not a number, an unknown stage, a segment that fails its checks
-    or a row that does not tile (a ``t_start`` other than the previous row's
-    ``t_end``, or than 0.0 for the first row) is a ValidationError naming the
-    row (the header is row 1). Blank rows are skipped.
-
-    Durations come back as ``t_end - t_start``, so TOR and observed time agree
-    with the written timeline's to about 1e-12 relative, not bit for bit; a
-    JSONL trace carries each ``duration`` and is exact.
-    """
-    reader = csv.reader(inp)
-    try:
-        header = next(reader, None)
-        if header != CSV_HEADER:
-            raise ValidationError(f"bad timeline CSV header: {header!r}")
-        segs = []
-        prev_end = 0.0
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                if len(row) != len(CSV_HEADER):
-                    raise ValidationError(f"expected {len(CSV_HEADER)} fields, got {len(row)}")
-                t0, t1, rate, stage = row
-                t0, t1 = float(t0), float(t1)
-                segs.append(Segment(t1 - t0, float(rate), stage))
-                if t0 != prev_end:
-                    raise ValidationError(
-                        f"t_start {t0!r} is not the previous row's t_end {prev_end!r}")
-                prev_end = t1
-            except (ValueError, ValidationError) as e:
-                raise ValidationError(f"timeline CSV row {row_no}: {e}") from None
-    except csv.Error as e:  # a row the csv module cannot read (a field too large, say)
-        raise ValidationError(f"timeline CSV row {reader.line_num}: {e}") from None
-    return RateTimeline(segs)

@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -52,6 +55,13 @@ def concat(timelines) -> RateTimeline:
         rates += tl.rates
         stages += tl.stages
     return RateTimeline._of_columns(durations, rates, stages)
+
+
+def read_csv(text: str) -> RateTimeline:
+    """The timeline of a ``write_csv`` text, each duration read back as ``t_end - t_start``."""
+    rows = csv.reader(io.StringIO(text))
+    next(rows)  # the header
+    return RateTimeline((float(t1) - float(t0), float(rate), stage) for t0, t1, rate, stage in rows)
 
 
 def mixture_concat_timeline(m: FailureMixture) -> RateTimeline:

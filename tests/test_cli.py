@@ -118,6 +118,8 @@ def test_non_object_config_exit_code(tmp_path, capsys, argv, config):
     # One period is all warm-up.
     ("compare --deterministic --periods 1", WORKED_FAIL_STOP,
      "deterministic run produced no steady-state periods"),
+    # A zero repair time ends no period: the run failed, so it is not failure-free.
+    ("compare", dict(WORKED_FAIL_STOP, t_r=0), "run has no complete failure-repair periods"),
     ("compare", {"kind": "fail_stop", "t_r": 5, "n_ckpt": 1, "t_ckpt": 1},
      "period accumulates no useful work; nothing to simulate"),
     ("compare", dict(WORKED_FAIL_STOP, n_ckpt=1, t_ckpt=0),
@@ -139,7 +141,8 @@ def test_non_object_config_exit_code(tmp_path, capsys, argv, config):
     "exponential-draw-overflow", "lognormal-draw-overflow", "summed-overflow",
     "zero-watchdog-cycles", "infinite-total-work", "seed-beyond-64-bits",
     "compare-seed-beyond-64-bits", "total-work-overflow",
-    "total-work-overflow-json", "zero-periods", "no-steady-state-periods", "no-useful-work",
+    "total-work-overflow-json", "zero-periods", "no-steady-state-periods",
+    "no-complete-periods", "no-useful-work",
     "free-checkpoints", "rollback-past-interval", "compare-mixture", "compare-mixture-json",
 ])
 def test_rejected_config_exit_code(tmp_path, capsys, argv, config, message):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -20,6 +21,10 @@ from torkit import (
 )
 from torkit.analytic import period_to_timeline
 from torkit.model import period_from_dict
+from torkit.trace import report
+
+# A named tuple of a timeline entry's fields from outside the package.
+Foreign = namedtuple("Foreign", "duration rate stage")
 
 
 class TestValidation:
@@ -64,15 +69,18 @@ class TestValidation:
         with pytest.raises(ValidationError, match=message):
             Segment(5.0, rate, stage)
         with pytest.raises(ValidationError, match=message):
-            RateTimeline.build([(10.0, 1.0, "HealthyRun"), (5.0, rate, str(stage))])
+            RateTimeline([(10.0, 1.0, "HealthyRun"), (5.0, rate, str(stage))])
 
     def test_segment_is_slotted(self):
         # A simulated timeline holds one Segment per event; no per-instance dict.
         assert not hasattr(Segment(1.0, 0.5, StageKind.SLOW_RECOVERY), "__dict__")
 
     def test_zero_duration_segments_dropped(self):
-        tl = RateTimeline.build([(0, 1.0, StageKind.HEALTHY_RUN), (5, 1.0, StageKind.HEALTHY_RUN)])
+        tl = RateTimeline([(0, 1.0, StageKind.HEALTHY_RUN), (5, 1.0, StageKind.HEALTHY_RUN)])
         assert len(tl) == 1
+        # Checked before it is dropped.
+        with pytest.raises(ValidationError, match="^stage Repair must have rate 0, got 0.5$"):
+            RateTimeline([(0.0, 0.5, "Repair")])
 
     def test_unknown_stage_rejected(self):
         with pytest.raises(ValidationError, match="unknown stage"):
@@ -171,6 +179,8 @@ class TestSegment:
     def test_first_failing_check_is_reported(self, values, message):
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             Segment(*values)
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            RateTimeline([(2.0, 1.0, "HealthyRun"), values])
 
     def test_period_timeline_is_the_checked_build(self):
         # The spec's stages are wrapped unchecked; they equal what the checked path builds.
@@ -182,7 +192,7 @@ class TestSegment:
                 p = period_from_dict({**p.to_dict(), **zeroed})
             except ValidationError:  # every time zeroed: no duration
                 continue
-            built = RateTimeline.build([
+            built = RateTimeline([
                 (p.t_sr, p.r_sr, StageKind.SLOW_RECOVERY),
                 (p.t_h, 1.0, StageKind.HEALTHY_RUN),
                 (p.n_ckpt * p.t_ckpt, 0.0, StageKind.CHECKPOINT_SAVE),
@@ -245,24 +255,41 @@ class TestRateTimeline:
             with pytest.raises(TypeError):
                 tl[i]
 
+    def test_a_plain_triple_is_its_segment(self):
+        triple = (2, 0.5, "SlowRecovery")
+        assert RateTimeline([triple]) == RateTimeline([Segment(*triple)])
+        assert RateTimeline([triple])[0] == Segment(*triple) == (2.0, 0.5, StageKind.SLOW_RECOVERY)
+
+    def test_a_foreign_named_tuple_is_checked(self):
+        with pytest.raises(ValidationError, match=r"^rate must lie in \[0, 1\], got 7\.0$"):
+            RateTimeline([Foreign(1.0, 7.0, "Coffee")])
+
+    def test_str_stages_become_stage_kinds(self):
+        tl = RateTimeline([Foreign(2.0, 0.5, "SlowRecovery"), Foreign(90.0, 1.0, "HealthyRun"),
+                           Foreign(10.0, 0.0, "Repair")])
+        assert all(type(s) is StageKind for s in tl.stages)
+        r = report(tl)
+        assert r["complete_periods"] == {"fail_stop": 1}
+        assert r["stage_breakdown"]["SlowRecovery"] == {"time": 2.0, "lost_time": 1.0}
+
     def test_columns_are_floats_and_stages(self):
-        tl = RateTimeline.build([(3, 1, "HealthyRun")])
+        tl = RateTimeline([(3, 1, "HealthyRun")])
         assert (tl.durations, tl.rates, tl.stages) == ([3.0], [1.0], [StageKind.HEALTHY_RUN])
         assert type(tl.durations[0]) is float and type(tl.rates[0]) is float
 
     def test_equal_timelines_compare_equal(self):
         a = RateTimeline(self.SEGMENTS)
-        b = RateTimeline.build((s.duration, s.rate, s.stage.value) for s in self.KEPT)
+        b = RateTimeline((s.duration, s.rate, s.stage.value) for s in self.KEPT)
         c = RateTimeline._of_columns(list(a.durations), list(a.rates), list(a.stages))
         assert a == b == c
         assert a.segments == b.segments
         assert a != RateTimeline(self.KEPT[:-1])
-        assert a != RateTimeline.build([(2.0, 0.25, StageKind.SLOW_RECOVERY),
-                                        *((s.duration, s.rate, s.stage) for s in self.KEPT[1:])])
+        assert a != RateTimeline([(2.0, 0.25, StageKind.SLOW_RECOVERY),
+                                  *((s.duration, s.rate, s.stage) for s in self.KEPT[1:])])
 
     def test_empty(self):
         tl = RateTimeline(())
-        assert len(tl) == 0 and not tl and tuple(tl.segments) == () and tl == RateTimeline.build([])
+        assert len(tl) == 0 and not tl and tuple(tl.segments) == () and tl == RateTimeline([])
 
     def test_is_immutable(self):
         tl = RateTimeline(self.SEGMENTS)

@@ -338,6 +338,14 @@ class TestRealizedCheck:
         with pytest.raises(ValidationError, match=r"^run has no complete failure-repair periods$"):
             realized_period_tor_check(res)
 
+    def test_failures_without_a_complete_period_rejected(self, worked_fail_stop):
+        # With no repair time no period ends, yet the run failed: its TOR is
+        # not the closed form of a failure-free run.
+        res = simulate(config_from_period(replace(worked_fail_stop, t_r=0), periods=20, seed=1))
+        assert not res.periods and ROLLBACK_WASTE in res.timeline.stages
+        with pytest.raises(ValidationError, match=r"^run has no complete failure-repair periods$"):
+            realized_period_tor_check(res)
+
     def test_matches_complete_period_tor(self, worked_fail_stop):
         cfg = config_from_period(worked_fail_stop, periods=200, seed=5)
         res = simulate(cfg)
@@ -735,7 +743,7 @@ def test_period_records_match_reference_split():
                                  StageKind.ROLLBACK_WASTE) else float(rng.uniform(0, 1))
             )
             items.append((float(rng.choice([0.0, 1.0, rng.exponential(3.0)])), rate, stage))
-        tl = RateTimeline.build(items)
+        tl = RateTimeline(items)
         assert period_records(tl) == reference_period_records(tl)
 
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import concat
+from conftest import concat, read_csv
 from torkit import (
     RateTimeline,
     StageKind,
@@ -16,9 +16,9 @@ from torkit import (
 )
 from torkit.model import FIXED_RATE
 from torkit.periods import mean_periods, period_records
-from torkit.timeline import read_csv, write_csv
+from torkit.timeline import write_csv
 
-FIVE_STAGE = RateTimeline.build([
+FIVE_STAGE = RateTimeline([
     (2, 0.5, StageKind.SLOW_RECOVERY),
     (90, 1.0, StageKind.HEALTHY_RUN),
     (3, 0.0, StageKind.CHECKPOINT_SAVE),
@@ -38,25 +38,25 @@ def random_timeline(rng, n_max=30):
             else float(rng.uniform(0, 1))
         )
         items.append((float(rng.uniform(0.01, 50)), rate, stage))
-    return RateTimeline.build(items)
+    return RateTimeline(items)
 
 
 class TestIntegrateOptimalTime:
     def test_all_healthy(self):
-        tl = RateTimeline.build([(10, 1.0, StageKind.HEALTHY_RUN)])
+        tl = RateTimeline([(10, 1.0, StageKind.HEALTHY_RUN)])
         assert integrate_optimal_time(tl) == 10.0
 
     def test_five_stage(self):
         assert integrate_optimal_time(FIVE_STAGE) == 91.0
 
     def test_zero_rate_contributes_nothing(self):
-        tl = RateTimeline.build([(7, 0.0, StageKind.REPAIR)])
+        tl = RateTimeline([(7, 0.0, StageKind.REPAIR)])
         assert integrate_optimal_time(tl) == 0.0
 
 
 class TestObservedTime:
     def test_single_segment(self):
-        tl = RateTimeline.build([(10, 1.0, StageKind.HEALTHY_RUN)])
+        tl = RateTimeline([(10, 1.0, StageKind.HEALTHY_RUN)])
         assert observed_time(tl) == 10.0
 
     def test_five_stage(self):
@@ -69,14 +69,14 @@ class TestObservedTime:
 
 class TestTor:
     def test_all_healthy_is_one(self):
-        tl = RateTimeline.build([(1234.5, 1.0, StageKind.HEALTHY_RUN)])
+        tl = RateTimeline([(1234.5, 1.0, StageKind.HEALTHY_RUN)])
         assert tor_of_timeline(tl) == 1.0
 
     def test_five_stage(self):
         assert tor_of_timeline(FIVE_STAGE) == pytest.approx(91 / 110, abs=1e-15)
 
     def test_all_repair_is_zero(self):
-        tl = RateTimeline.build([(9, 0.0, StageKind.REPAIR)])
+        tl = RateTimeline([(9, 0.0, StageKind.REPAIR)])
         assert tor_of_timeline(tl) == 0.0
 
     def test_empty_rejected(self):
@@ -86,7 +86,7 @@ class TestTor:
 
 class TestStageBreakdown:
     def test_all_healthy(self):
-        tl = RateTimeline.build([(42, 1.0, StageKind.HEALTHY_RUN)])
+        tl = RateTimeline([(42, 1.0, StageKind.HEALTHY_RUN)])
         assert stage_breakdown(tl) == {StageKind.HEALTHY_RUN: (42.0, 0.0)}
 
     def test_five_stage(self):
@@ -97,7 +97,7 @@ class TestStageBreakdown:
         assert b[StageKind.REPAIR] == (10.0, 10.0)
 
     def test_degraded_loss(self):
-        tl = RateTimeline.build([(4, 0.25, StageKind.FAIL_SLOW_DEGRADED)])
+        tl = RateTimeline([(4, 0.25, StageKind.FAIL_SLOW_DEGRADED)])
         assert stage_breakdown(tl) == {StageKind.FAIL_SLOW_DEGRADED: (4.0, 3.0)}
 
     def test_losses_sum_to_overhead(self):
@@ -120,7 +120,7 @@ class TestConcat:
 
     def test_tor_of_mixed_concat_is_ratio_of_sums(self):
         a = FIVE_STAGE
-        b = RateTimeline.build([(4, 0.25, StageKind.FAIL_SLOW_DEGRADED), (6, 0.0, StageKind.REPAIR)])
+        b = RateTimeline([(4, 0.25, StageKind.FAIL_SLOW_DEGRADED), (6, 0.0, StageKind.REPAIR)])
         both = concat([a, b])
         expected = (91 + 1) / (110 + 10)
         assert tor_of_timeline(both) == pytest.approx(expected, abs=1e-15)
@@ -142,7 +142,7 @@ class TestProperties:
                 cut = float(rng.uniform(0, 1)) * s.duration
                 segs.append((cut, s.rate, s.stage))
                 segs.append((s.duration - cut, s.rate, s.stage))
-            split = RateTimeline.build(segs)
+            split = RateTimeline(segs)
             assert tor_of_timeline(split) == pytest.approx(tor_of_timeline(tl), abs=1e-12)
 
     def test_concat_replication_preserves_tor(self):
@@ -168,7 +168,7 @@ class TestProperties:
                     items.append((float(rng.uniform(0.01, 50)), rate, stage))
                 for _ in range(int(rng.integers(1, 3))):
                     items.append((float(rng.uniform(0.01, 50)), 0.0, StageKind.REPAIR))
-            tl = RateTimeline.build(items)
+            tl = RateTimeline(items)
             means = mean_periods(period_records(tl))
             assert abs(means.tor - tor_of_timeline(tl)) <= 1e-12
 
@@ -192,7 +192,7 @@ class TestCsv:
     def test_round_trip(self):
         text = csv_text(FIVE_STAGE)
         assert text.splitlines()[0] == "t_start,t_end,rate,stage"
-        back = read_csv(io.StringIO(text))
+        back = read_csv(text)
         assert [(s.rate, s.stage) for s in back] == [(s.rate, s.stage) for s in FIVE_STAGE]
         assert observed_time(back) == pytest.approx(110.0, abs=1e-9)
         assert tor_of_timeline(back) == pytest.approx(91 / 110, abs=1e-12)

@@ -168,8 +168,8 @@ class TestParse:
         tr = parse_trace(text)
         assert len(tr) == 1
         assert tr.durations == [31556995200.0] and tr.stages == [StageKind.HEALTHY_RUN]
-        assert report(tr) == report(RateTimeline.build((e.duration, e.rate, e.stage)
-                                                       for e in events))
+        assert report(tr) == report(RateTimeline((e.duration, e.rate, e.stage)
+                                                 for e in events))
 
     def test_mixing_time_conventions_rejected(self):
         with pytest.raises(TraceParseError, match="mixes"):
@@ -343,7 +343,7 @@ class TestTrace:
     @pytest.mark.parametrize("build", [
         lambda items: RateTimeline(Segment(*item) for item in items),
         RateTimeline.build,
-        lambda items: timeline_to_events(RateTimeline.build(items)),
+        lambda items: timeline_to_events(RateTimeline(items)),
         parsed,
     ], ids=["segments", "build", "timeline_to_events", "parse_trace"])
     def test_every_way_to_build_has_time_columns(self, build):
@@ -351,11 +351,11 @@ class TestTrace:
         assert type(tr) is RateTimeline and len(tr) == 3
         assert tr.durations == [2.0, 90.0, 10.0]
         assert csv_edges(tr) == [(0.0, 2.0), (2.0, 92.0), (92.0, 102.0)]
-        assert tr == RateTimeline.build(self.ITEMS)
+        assert tr == RateTimeline(self.ITEMS)
 
     def test_empty(self):
         tr = RateTimeline()
-        assert (tr.durations, csv_edges(tr)) == ([], []) and tr == RateTimeline.build([])
+        assert (tr.durations, csv_edges(tr)) == ([], []) and tr == RateTimeline([])
 
     def test_equal_whatever_the_offset(self):
         tr = parse_trace(jsonl(healthy(0, 10)))
@@ -1009,7 +1009,7 @@ def edge_timelines():
              StageKind.HEALTHY_RUN: 1.0}
 
     def build(*stages):
-        return RateTimeline.build((1.0 + i / 8, rates.get(s, 0.0), s) for i, s in enumerate(stages))
+        return RateTimeline((1.0 + i / 8, rates.get(s, 0.0), s) for i, s in enumerate(stages))
 
     repair = StageKind.REPAIR
     yield build(StageKind.HEALTHY_RUN, StageKind.CHECKPOINT_SAVE, StageKind.SLOW_RECOVERY)

@@ -15,10 +15,10 @@ from itertools import accumulate
 
 import pytest
 
-from torkit import RateTimeline, StageKind, ValidationError, parse_trace, simulate
+from conftest import read_csv
+from torkit import RateTimeline, StageKind, parse_trace, simulate
 from torkit.simulator import Exponential, Fixed, LogNormal, SimConfig
-from torkit.timeline import (CSV_HEADER, _BATCH, observed_time, read_csv, tor_of_timeline,
-                             write_csv)
+from torkit.timeline import _BATCH, observed_time, tor_of_timeline, write_csv
 from torkit.trace import timeline_to_events, write_jsonl
 
 H, SR, CK, RB, FS, RP = (StageKind.HEALTHY_RUN, StageKind.SLOW_RECOVERY, StageKind.CHECKPOINT_SAVE,
@@ -92,7 +92,7 @@ DISTS = [Fixed(5.0), Exponential(2.5), LogNormal(4.0, 0.5)]
 def cycled(n: int, durations: list[float]) -> RateTimeline:
     """``n`` segments cycling through every stage with the given durations."""
     pattern = [(1 / 3, SR), (1.0, H), (0.0, CK), (0.0, RB), (0.1 + 0.2, FS), (0.0, RP)]
-    return RateTimeline.build(
+    return RateTimeline(
         [(durations[i % len(durations)], *pattern[i % len(pattern)]) for i in range(n)])
 
 
@@ -184,7 +184,7 @@ class TestOverflowingEdge:
     @pytest.mark.parametrize("n", [3, _BATCH + 1, 2 * _BATCH + 5])
     def test_spelled_as_before(self, n):
         # the edges overflow at the second 1e308, in the first batch or a later one
-        tl = RateTimeline.build([(1.0, 1.0, H)] * (n - 2) + [(1e308, 1.0, H), (1e308, 0.0, RP)])
+        tl = RateTimeline([(1.0, 1.0, H)] * (n - 2) + [(1e308, 1.0, H), (1e308, 0.0, RP)])
         assert list(accumulate(tl.durations))[-1] == math.inf
         text = written(write_jsonl, tl)
         assert text.count("Infinity") == 1
@@ -195,7 +195,7 @@ class TestOverflowingEdge:
         assert written(write_csv, tl).endswith(",inf,0.0,Repair\r\n")
 
     def test_every_edge_after_overflow(self):
-        tl = RateTimeline.build([(1e308, 1.0, H)] * 3 + [(5e-324, 1 / 3, SR)] * 4)
+        tl = RateTimeline([(1e308, 1.0, H)] * 3 + [(5e-324, 1 / 3, SR)] * 4)
         assert_same_bytes(tl)
         assert written(write_jsonl, tl).count("Infinity") == 11
 
@@ -250,8 +250,8 @@ class TestRoundTrip:
         # read_csv takes each duration as t_end - t_start of the written edges,
         # so it gives the figures of those edges; the source's to rounding
         tl = simulate(sim_config(dist, 7)).timeline
-        back = read_csv(io.StringIO(written(write_csv, tl)))
-        ref = read_csv(io.StringIO(written(reference_write_csv, tl)))
+        back = read_csv(written(write_csv, tl))
+        ref = read_csv(written(reference_write_csv, tl))
         assert tor_of_timeline(back).hex() == tor_of_timeline(ref).hex()
         assert observed_time(back).hex() == observed_time(ref).hex()
         assert tor_of_timeline(back) == pytest.approx(tor_of_timeline(tl), rel=1e-12)
@@ -275,54 +275,3 @@ def test_writer_memory_does_not_grow_with_length(writer):
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000
-
-
-class TestReadCsvMalformedRows:
-    GOOD = "t_start,t_end,rate,stage\r\n0.0,2.0,0.5,SlowRecovery\r\n"
-
-    @pytest.mark.parametrize("row, message", [
-        ("2.0,92.0,1.0", r"^timeline CSV row 3: expected 4 fields, got 3$"),
-        ("2.0,92.0,1.0,HealthyRun,x", r"^timeline CSV row 3: expected 4 fields, got 5$"),
-        ("2.0,ninety,1.0,HealthyRun", r"^timeline CSV row 3: could not convert .*'ninety'$"),
-        ("2.0,92.0,full,HealthyRun", r"^timeline CSV row 3: could not convert .*'full'$"),
-        ("2.0,92.0,1.0,Napping", r"^timeline CSV row 3: unknown stage 'Napping'$"),
-        ("2.0,92.0,1.5,HealthyRun", r"^timeline CSV row 3: rate must lie in \[0, 1\]"),
-        ("2.0,7.0,0.5,Repair", r"^timeline CSV row 3: stage Repair must have rate 0, got 0\.5$"),
-        ("1" * 200_000 + ",92.0,1.0,HealthyRun",
-         r"^timeline CSV row 3: field larger than field limit \(131072\)$"),
-    ], ids=["few-fields", "many-fields", "time-not-a-number", "rate-not-a-number",
-            "unknown-stage", "rate-out-of-range", "not-the-fixed-rate", "field-too-large"])
-    def test_names_the_row(self, row, message):
-        with pytest.raises(ValidationError, match=message):
-            read_csv(io.StringIO(self.GOOD + row + "\r\n"))
-
-    def test_bad_header_is_named(self):
-        with pytest.raises(ValidationError, match=r"^bad timeline CSV header: \['t_start', "
-                                                  r"'t_end', 'rate', 'phase'\]$"):
-            read_csv(io.StringIO(self.GOOD.replace("stage", "phase")))
-
-    def test_unreadable_header_is_row_1(self):
-        with pytest.raises(ValidationError, match=r"^timeline CSV row 1: field larger"):
-            read_csv(io.StringIO("t" * 200_000 + ",t_end,rate,stage\r\n"))
-
-    def test_blank_rows_are_skipped_and_counted(self):
-        with pytest.raises(ValidationError, match=r"^timeline CSV row 4: unknown stage"):
-            read_csv(io.StringIO(self.GOOD + "\r\n2.0,92.0,1.0,Napping\r\n"))
-        with pytest.raises(ValidationError, match=r"^timeline CSV row 4: t_start 3\.0 is not"):
-            read_csv(io.StringIO(self.GOOD + "\r\n3.0,92.0,1.0,HealthyRun\r\n"))
-        assert len(read_csv(io.StringIO(self.GOOD + "\r\n"))) == 1
-        assert len(read_csv(io.StringIO(self.GOOD + "\r\n2.0,92.0,1.0,HealthyRun\r\n"))) == 2
-
-    @pytest.mark.parametrize("rows, message", [
-        (["0.0,10.0,1.0,HealthyRun", "50.0,60.0,0.0,Repair"],
-         r"^timeline CSV row 3: t_start 50\.0 is not the previous row's t_end 10\.0$"),
-        (["0.0,10.0,1.0,HealthyRun", "5.0,15.0,0.0,Repair"],
-         r"^timeline CSV row 3: t_start 5\.0 is not the previous row's t_end 10\.0$"),
-        (["-100.0,-90.0,1.0,HealthyRun"],
-         r"^timeline CSV row 2: t_start -100\.0 is not the previous row's t_end 0\.0$"),
-        (["5.0,10.0,1.0,HealthyRun", "10.0,15.0,0.0,Repair"],
-         r"^timeline CSV row 2: t_start 5\.0 is not the previous row's t_end 0\.0$"),
-    ], ids=["gap", "overlap", "negative-start", "late-start"])
-    def test_rows_must_tile_from_0(self, rows, message):
-        with pytest.raises(ValidationError, match=message):
-            read_csv(io.StringIO("".join(row + "\r\n" for row in [",".join(CSV_HEADER), *rows])))

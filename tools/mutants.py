@@ -83,6 +83,9 @@ MUTANTS = [
            "return Segment(*_Entry._replace(self, **changes))",
            "return _Entry._replace(self, **changes)",
            "Segment._replace checks the values it is given"),
+    Mutant("timeline-checks-items", "model.py",
+           "Segment(*item)", "Segment._make(item)",
+           "RateTimeline(items) checks every item that is not already a Segment"),
     Mutant("zero-duration-dropped", "model.py",
            "if s.duration > 0]", "if s.duration >= 0]",
            "a timeline drops its zero-duration segments"),
@@ -102,6 +105,10 @@ MUTANTS = [
     Mutant("seed-bound", "simulator.py",
            "0 <= value < 2**64", "0 <= value < 2**63",
            "every 64-bit unsigned seed is accepted"),
+    Mutant("realized-check-failure-free", "simulator.py",
+           "if not res.timeline or not _FAILURE_FREE.issuperset(res.timeline.stages):",
+           "if not res.timeline:",
+           "a run whose failures completed no period is not called failure-free"),
     Mutant("dangling-symlink-cleanup", "cli.py",
            "created.append(real)", "created.append(path)",
            "a failed run removes the file a dangling symlink output named, not the link"),
