@@ -13,7 +13,6 @@ import os
 import stat
 import sys
 from pathlib import Path
-from typing import Callable
 
 from . import analytic, periods, trace as trace_mod
 from .errors import DivergedError, TorkitError, ValidationError
@@ -25,7 +24,8 @@ from .simulator import (
     realized_period_tor_check,
     simulate,
 )
-from .timeline import breakdown_lines, breakdown_to_dict, stage_breakdown, write_csv
+from .timeline import breakdown_lines, breakdown_to_dict, stage_breakdown, write_lines
+from .timeline import write_csv  # importable here, where the benchmark's span hooks name it
 
 
 def _load_json(path: str) -> dict:
@@ -44,10 +44,38 @@ def _load_json(path: str) -> dict:
     return value
 
 
+class _Output(contextlib.AbstractContextManager):
+    """``open(path, "w")`` as a context manager: an OSError in its open, ``write``
+    or close is a ValidationError naming ``path``, but a failing close does not
+    replace an error already raised in the ``with`` block."""
+
+    def __init__(self, path: str):
+        self.path = path
+        with self._named():
+            self.file = open(path, "w")
+
+    @contextlib.contextmanager
+    def _named(self):
+        try:
+            yield
+        except OSError as e:
+            raise ValidationError(f"cannot write {self.path}: {e}") from None
+
+    def write(self, text: str) -> None:
+        with self._named():
+            self.file.write(text)
+
+    def __exit__(self, exc_type, *_) -> None:
+        with contextlib.suppress(OSError) if exc_type else self._named():
+            self.file.close()
+
+
 @contextlib.contextmanager
-def _checked_outputs(source: str, outputs: dict[str, tuple[str | None, Callable]]):
-    """Check a command's outputs, given by option as ``(path, writer)``, before its
-    work runs; yield ``write(timeline)``, which calls ``writer(timeline, open(path, "w"))``.
+def _checked_outputs(source: str, outputs: dict[str, tuple[str | None, str]]):
+    """Check a command's outputs, given by option as ``(path, format)`` with format
+    ``"jsonl"`` or ``"csv"``, before its work runs; yield ``write(timeline)``, which
+    opens each path as an ``_Output`` and makes one ``write_lines(timeline, format=file,
+    ...)`` call, or none without a path.
 
     An output that names the input ``source`` or an earlier output, or that
     ``open(path, "a")`` rejects (a directory, a missing directory), is a
@@ -63,12 +91,11 @@ def _checked_outputs(source: str, outputs: dict[str, tuple[str | None, Callable]
     created = []
 
     def write(timeline) -> None:
-        for path, writer in outputs.values():
-            try:
-                with open(path, "w") as f:
-                    writer(timeline, f)
-            except OSError as e:
-                raise ValidationError(f"cannot write {path}: {e}") from None
+        if not outputs:
+            return
+        with contextlib.ExitStack() as files:
+            write_lines(timeline, **{fmt: files.enter_context(_Output(path))
+                                     for path, fmt in outputs.values()})
 
     try:
         for option, (path, _) in outputs.items():
@@ -153,8 +180,8 @@ def cmd_simulate(args) -> int:
     if args.seed is not None:
         cfg_dict["seed"] = args.seed
     cfg = SimConfig.from_dict(cfg_dict)
-    with _checked_outputs(args.config, {"--emit-trace": (args.emit_trace, trace_mod.write_jsonl),
-                                        "--emit-csv": (args.emit_csv, write_csv)}) as write:
+    with _checked_outputs(args.config, {"--emit-trace": (args.emit_trace, "jsonl"),
+                                        "--emit-csv": (args.emit_csv, "csv")}) as write:
         summary = monte_carlo(cfg, args.replications, record_first=True)
         first = summary.first_result
         write(first.timeline)
@@ -172,7 +199,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    with _checked_outputs(args.input, {"--csv": (args.csv, write_csv)}) as write:
+    with _checked_outputs(args.input, {"--csv": (args.csv, "csv")}) as write:
         try:
             with open(args.input, "rb") as f:
                 tr = trace_mod.parse_trace(f)

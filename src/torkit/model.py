@@ -211,7 +211,8 @@ class RateTimeline:
 
     ``RateTimeline(items)`` is the validated public constructor: a
     ``Segment`` item is taken as it is, and any other item, a plain
-    ``(duration, rate, stage)`` triple say, goes through ``Segment``'s checks.
+    ``(duration, rate, stage)`` triple say, goes through ``Segment``'s checks;
+    an item that is not three values is a ValidationError that gives its position.
     :meth:`_of_columns` wraps columns the package produced. The timeline is
     its own :attr:`segments`: an int index or iteration builds a ``Segment``
     when read; a slice is rejected.
@@ -222,7 +223,13 @@ class RateTimeline:
     stages: list[StageKind]
 
     def __init__(self, items: Iterable[Segment | tuple[float, float, StageKind | str]] = ()):
-        segs = [item if isinstance(item, Segment) else Segment(*item) for item in items]
+        segs = []
+        checked = (item if isinstance(item, Segment) else Segment(*item) for item in items)
+        try:
+            segs.extend(checked)  # on an error, holds the items before the failing one
+        except TypeError:  # an item that is not three values
+            raise ValidationError(
+                f"timeline item {len(segs)}: a segment is (duration, rate, stage)") from None
         kept = [s for s in segs if s.duration > 0]
         self._set([s.duration for s in kept], [s.rate for s in kept], [s.stage for s in kept])
 

@@ -619,12 +619,13 @@ def config_from_period(
 
     # Exposed (non-repair) time per cycle: the MTBF plus any degraded interval.
     # It is positive, as some stage accumulates useful work.
-    exposure_per_cycle = t.mtbf + t.t_fs
+    mtbf, t_fs = t.mtbf, t.t_fs  # mtbf is an fsum: read it once
+    exposure_per_cycle = mtbf + t_fs
 
     stop_times = slow_times = None
     if deterministic:
         # Failure k strikes after k MTBFs and the k - 1 earlier degraded intervals.
-        times = tuple(k * t.mtbf + (k - 1) * t.t_fs for k in range(1, periods + 3))
+        times = tuple(k * mtbf + (k - 1) * t_fs for k in range(1, periods + 3))
         stop_times, slow_times = (times, ()) if is_stop else ((), times)
         stop_rate = slow_rate = 0.0
     else:

@@ -3,14 +3,15 @@
 These exact summations are the brute-force oracle against which every
 closed-form TOR expression is checked. All accumulation uses ``math.fsum``
 (compensated summation), so additivity properties hold to ~1 ulp. The sums,
-the breakdown and the CSV writer read the timeline's columns.
+the breakdown and :func:`write_lines`, the one pass that writes a timeline's
+JSONL and CSV, read the timeline's columns.
 """
 from __future__ import annotations
 
 import math
 from itertools import accumulate, islice
 from operator import mul
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, TextIO
 
 from .errors import UndefinedMetricError
 from .model import RateTimeline, StageKind
@@ -19,7 +20,7 @@ from .periods import period_records
 CSV_HEADER = ["t_start", "t_end", "rate", "stage"]
 # The name the CSV and JSONL writers give each stage.
 _NAME = {stage: stage.value for stage in StageKind}
-# Lines a writer formats per write: bounds its own memory, whatever the length.
+# Lines write_lines formats per write: bounds its own memory, whatever the length.
 _BATCH = 2048
 
 
@@ -75,28 +76,42 @@ def breakdown_lines(breakdown: dict) -> list[str]:
         f"  {stage:<18} {d['time']:.6f} / {d['lost_time']:.6f}" for stage, d in breakdown.items())]
 
 
-def _batches(tl: RateTimeline) -> Iterator[zip]:
-    """Runs of ``_BATCH`` entries of ``tl``, each a zip of (start, end, rate,
-    stage, duration) rows whose start and end are the ``repr`` of running sums
-    of the durations from 0: the one time axis of the CSV and JSONL writers."""
+def write_lines(tl: RateTimeline, jsonl: TextIO | None = None, csv: TextIO | None = None) -> None:
+    """Write ``tl`` as JSON Lines to ``jsonl`` and as CSV to ``csv`` (either may be None).
+
+    A line is what ``json.dumps`` gives for the event's dict (keys ``t_start, t_end,
+    stage, rate, duration``), a row what ``csv.writer`` gives for ``t_start, t_end,
+    rate, stage`` after the header. Per batch of ``_BATCH`` entries, the edges
+    (``repr`` of running sums of the durations from 0), rate ``repr``s and stage
+    names are made once for both, and each output gets one ``write``.
+    """
+    if jsonl is None and csv is None:
+        return
+    if csv is not None:
+        csv.write(",".join(CSV_HEADER) + "\r\n")
     edges = map(repr, accumulate(tl.durations, initial=0.0))
-    starts = [next(edges)]
+    ends = [next(edges)]
     for i in range(0, len(tl), _BATCH):
-        ends = list(islice(edges, _BATCH))
-        yield zip(starts + ends, ends, tl.rates[i:i + _BATCH], tl.stages[i:i + _BATCH],
-                  tl.durations[i:i + _BATCH])
+        batch = slice(i, i + _BATCH)
         starts = ends[-1:]
+        ends = list(islice(edges, _BATCH))
+        starts += ends[:-1]
+        rates = list(map(repr, tl.rates[batch]))
+        names = [_NAME[stage] for stage in tl.stages[batch]]
+        if jsonl is not None:
+            text = "".join([
+                f'{{"t_start": {t0}, "t_end": {t1}, "stage": "{name}", '
+                f'"rate": {rate}, "duration": {d!r}}}\n'
+                for t0, t1, name, rate, d in zip(starts, ends, names, rates, tl.durations[batch])])
+            # repr spells a time that overflowed "inf"; json.dumps spells it "Infinity".
+            # No other token of a line contains "inf".
+            jsonl.write(text.replace("inf", "Infinity") if "inf" in text else text)
+        if csv is not None:
+            csv.write("".join([f"{t0},{t1},{rate},{name}\r\n"
+                               for t0, t1, rate, name in zip(starts, ends, rates, names)]))
 
 
 def write_csv(tl: RateTimeline, out: TextIO) -> None:
-    """Export as CSV with columns t_start,t_end,rate,stage (header included).
-
-    The rows are those ``csv.writer`` gives for ``repr`` of each time and rate
-    and the stage's name, each ending in ``\\r\\n``. They go to ``out`` in
-    batches of a fixed number, so the writer's own memory does not grow with
-    the timeline.
-    """
-    out.write(",".join(CSV_HEADER) + "\r\n")
-    for rows in _batches(tl):
-        out.write("".join([f"{t0},{t1},{rate!r},{_NAME[stage]}\r\n"
-                           for t0, t1, rate, stage, _ in rows]))
+    """Export as CSV with columns t_start,t_end,rate,stage (header included):
+    :func:`write_lines` with ``csv=out``. Every row ends in ``\\r\\n``."""
+    write_lines(tl, csv=out)

@@ -29,7 +29,8 @@ in line order is kept as is; other input is sorted stably by (t_start, t_end)
 before the contiguity check. The result is the ``RateTimeline`` of the
 checked events; one period pass of :func:`report` gives both its period
 records and its stage breakdown. It keeps durations, not timestamps:
-:func:`write_jsonl`, like the CSV writer, lays any timeline out from 0. A trace
+:func:`write_jsonl`, like the CSV writer, lays any timeline out from 0: each
+calls ``timeline.write_lines``, the one pass that writes either format or both. A trace
 built by hand is a list of event dicts, checked as the lines they stand for.
 """
 from __future__ import annotations
@@ -53,8 +54,8 @@ from .model import (
 )
 from .periods import FAIL_SLOW, FAIL_STOP, StageTotals, period_records
 # tor_of_timeline and stage_breakdown stay importable here, where callers and span hooks name them.
-from .timeline import (_NAME, _batches, breakdown_lines, breakdown_to_dict,
-                       integrate_optimal_time, observed_time, stage_breakdown, tor_of_timeline)
+from .timeline import (breakdown_lines, breakdown_to_dict, integrate_optimal_time,
+                       observed_time, stage_breakdown, tor_of_timeline, write_lines)
 
 SCHEMA_VERSION = 1
 
@@ -347,21 +348,7 @@ def timeline_to_events(tl: RateTimeline) -> RateTimeline:
 
 
 def write_jsonl(tl: RateTimeline, out: IO) -> None:
-    """Write a timeline as JSON Lines, one event per line, each with its duration.
-
-    A line is what ``json.dumps`` gives for the event's dict, in the key order
-    ``t_start, t_end, stage, rate, duration``, with the edges ``write_csv``
-    writes: running sums of the durations from 0. The lines go to ``out`` in
-    batches of a fixed number, so the writer's own memory does not grow with
-    the timeline.
-    """
-    for rows in _batches(tl):
-        text = "".join([
-            f'{{"t_start": {t0}, "t_end": {t1}, "stage": "{_NAME[stage]}", '
-            f'"rate": {rate!r}, "duration": {d!r}}}\n'
-            for t0, t1, rate, stage, d in rows])
-        # repr spells a time that overflowed "inf"; json.dumps spells it "Infinity".
-        # No other token of a line contains "inf".
-        if "inf" in text:
-            text = text.replace("inf", "Infinity")
-        out.write(text)
+    """Write a timeline as JSON Lines, one event per line, each with its duration:
+    :func:`~torkit.timeline.write_lines` with ``jsonl=out``, the one pass that
+    writes both of the CLI's formats."""
+    write_lines(tl, jsonl=out)

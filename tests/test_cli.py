@@ -244,11 +244,24 @@ def test_unwritable_output_leaves_no_other_output(sim_file, tmp_path, capsys):
     assert trace_path.read_text() == "kept\n"
 
 
-def full_disk(timeline, f):
-    # A writer that gets part of its output out before the disk fills.
-    f.write("partial\n")
-    f.flush()
-    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+class FillsUp:
+    """A file whose disk fills at its ``fail_at``-th write: that write gets
+    half of its text out, then it and every later write is ENOSPC."""
+
+    def __init__(self, f, fail_at: int):
+        self.file, self.fail_at, self.writes = f, fail_at, 0
+
+    def write(self, text: str) -> int:
+        self.writes += 1
+        if self.writes >= self.fail_at:
+            if self.writes == self.fail_at:
+                self.file.write(text[:len(text) // 2])
+                self.file.flush()
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return self.file.write(text)
+
+    def close(self) -> None:
+        self.file.close()
 
 
 @pytest.fixture
@@ -259,30 +272,50 @@ def trace_file(sim_file, tmp_path, capsys):
     return path
 
 
-@pytest.mark.parametrize("argv, writer, failing", [
-    ("simulate {sim} --emit-trace {a}", "torkit.trace.write_jsonl", "a"),
-    ("simulate {sim} --emit-csv {a}", "torkit.cli.write_csv", "a"),
-    ("simulate {sim} --emit-trace {a} --emit-csv {b}", "torkit.trace.write_jsonl", "a"),
-    ("simulate {sim} --emit-trace {a} --emit-csv {b}", "torkit.cli.write_csv", "b"),
-    ("trace {trace} --csv {a}", "torkit.cli.write_csv", "a"),
-], ids=["emit-trace", "emit-csv", "first-of-two", "second-of-two", "trace-csv"])
+@pytest.fixture
+def long_sim_file(tmp_path):
+    # A first replication longer than one batch of the writers.
+    return write_json(tmp_path / "long.json", dict(SIM_CONFIG, total_work=30000))
+
+
+# The JSONL's first batch is its first write; the CSV's is its second, after the header.
+@pytest.mark.parametrize("argv, failing, fail_at", [
+    ("simulate {sim} --emit-trace {a}", "a", 1),
+    ("simulate {sim} --emit-csv {a}", "a", 2),
+    ("simulate {sim} --emit-trace {a} --emit-csv {b}", "a", 1),
+    ("simulate {sim} --emit-trace {a} --emit-csv {b}", "b", 2),
+    ("trace {trace} --csv {a}", "a", 2),
+    ("simulate {long} --emit-trace {a} --emit-csv {b}", "a", 2),
+], ids=["emit-trace", "emit-csv", "first-of-two", "second-of-two", "trace-csv",
+        "first-of-two-second-batch"])
 @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
-def test_write_failure_exit_code(sim_file, trace_file, tmp_path, capsys, monkeypatch,
-                                 argv, writer, failing, existing):
+def test_write_failure_exit_code(sim_file, trace_file, long_sim_file, tmp_path, capsys,
+                                 monkeypatch, argv, failing, fail_at, existing):
     # A write that fails after the check: exit 2 and one line, and no file the
-    # check created is left, a complete earlier output included.
+    # check created is left, a complete or partly written other output included.
     outputs = {"a": tmp_path / "a.out", "b": tmp_path / "b.out"}
     if existing:
         for path in outputs.values():
             path.write_text("kept\n")
     before = sorted(p.name for p in tmp_path.iterdir())
-    monkeypatch.setattr(writer, full_disk)
-    assert main(argv.format(sim=sim_file, trace=trace_file, **outputs).split()) == 2
+    filled = []
+
+    def filling_open(path, mode="r", *args, **kwargs):
+        f = open(path, mode, *args, **kwargs)
+        if str(path) == str(outputs[failing]) and mode == "w":
+            filled.append(FillsUp(f, fail_at))
+            return filled[-1]
+        return f
+
+    monkeypatch.setattr(torkit.cli, "open", filling_open, raising=False)
+    assert main(argv.format(sim=sim_file, trace=trace_file, long=long_sim_file,
+                            **outputs).split()) == 2
     out, err = capsys.readouterr()
     assert out == ""
     enospc = os.strerror(errno.ENOSPC)
     assert err == f"error: cannot write {outputs[failing]}: [Errno {errno.ENOSPC}] {enospc}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == before
+    assert [f.writes for f in filled] == [fail_at]
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
@@ -799,6 +832,31 @@ class TestSimulate:
         assert trace_path.exists() and csv_path.exists()
         assert csv_path.read_text().splitlines()[0] == "t_start,t_end,rate,stage"
 
+    @pytest.mark.parametrize("config", [SIM_CONFIG, dict(SIM_CONFIG, total_work=30000)],
+                             ids=["one-batch", "several-batches"])
+    def test_both_outputs_are_each_output_alone(self, tmp_path, capsys, monkeypatch, config):
+        # One write_lines pass writes both files, byte for byte the files of two runs.
+        sim = write_json(tmp_path / "sim.json", config)
+        files = {name: tmp_path / name for name in ("a.jsonl", "b.csv", "both.jsonl", "both.csv")}
+        assert main(["simulate", sim, "--emit-trace", str(files["a.jsonl"])]) == 0
+        alone = capsys.readouterr()
+        assert main(["simulate", sim, "--emit-csv", str(files["b.csv"])]) == 0
+        assert capsys.readouterr() == alone
+        calls = []
+        write_lines = torkit.cli.write_lines
+
+        def counted(*args, **kwargs):
+            calls.append(sorted(kwargs))
+            return write_lines(*args, **kwargs)
+
+        monkeypatch.setattr(torkit.cli, "write_lines", counted)
+        assert main(["simulate", sim, "--emit-trace", str(files["both.jsonl"]),
+                     "--emit-csv", str(files["both.csv"])]) == 0
+        assert capsys.readouterr() == alone
+        assert calls == [["csv", "jsonl"]]
+        assert files["both.jsonl"].read_bytes() == files["a.jsonl"].read_bytes()
+        assert files["both.csv"].read_bytes() == files["b.csv"].read_bytes()
+
     def test_first_result_labelled_with_its_replication(self, tmp_path, capsys):
         # Replications 0, 1 and 3 of this config diverge; 2 is the first to finish.
         cfg = dict(SIM_CONFIG, total_work=60.0, ckpt_interval=5.0, t_ckpt=1.0,
@@ -964,6 +1022,13 @@ class TestTrace:
         trace_path.write_text('{"t_start": 0, "t_end": 30, "stage": "HealthyRun", "rate": 1}\n')
         assert main(["trace", str(trace_path), "--quiet"]) == 0
         assert "TOR: 1.000000" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["trace", "simulate"])
+    def test_no_output_calls_no_writer(self, sim_file, trace_file, capsys, monkeypatch, command):
+        monkeypatch.setattr(torkit.cli, "write_lines", not_run)
+        monkeypatch.setattr(torkit.cli, "_Output", not_run)
+        assert main([command, str(trace_file if command == "trace" else sim_file), "--quiet"]) == 0
+        assert capsys.readouterr().out.startswith("TOR: " if command == "trace" else "mean TOR: ")
 
     def test_csv_export(self, tmp_path, capsys):
         trace_path = tmp_path / "ok.jsonl"

@@ -182,6 +182,15 @@ class TestSegment:
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             RateTimeline([(2.0, 1.0, "HealthyRun"), values])
 
+    @pytest.mark.parametrize("item", [(1.0, 0.5), 5, None, (1.0, 0.5, "SlowRecovery", 9)],
+                             ids=["two-values", "number", "none", "four-values"])
+    def test_item_of_the_wrong_shape(self, item):
+        # Its position among the items, from a list or from an iterator.
+        message = "timeline item 1: a segment is (duration, rate, stage)"
+        for items in [[(2.0, 1.0, "HealthyRun"), item], iter([self.SEG, item, self.SEG])]:
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                RateTimeline(items)
+
     def test_period_timeline_is_the_checked_build(self):
         # The spec's stages are wrapped unchecked; they equal what the checked path builds.
         rng = np.random.default_rng(30)

@@ -3,7 +3,8 @@
 ``reference_write_jsonl`` makes one ``json.dumps`` per event and
 ``reference_write_csv`` one ``csv.writer`` row of ``repr``/``str`` per segment,
 both with the running sums of the durations from 0 as their edges. The batched
-writers must give the same bytes on every input, parsed traces included.
+writers must give the same bytes on every input, parsed traces included, each
+format alone and both from one ``write_lines`` pass.
 """
 import csv
 import datetime as dt
@@ -18,7 +19,7 @@ import pytest
 from conftest import read_csv
 from torkit import RateTimeline, StageKind, parse_trace, simulate
 from torkit.simulator import Exponential, Fixed, LogNormal, SimConfig
-from torkit.timeline import _BATCH, observed_time, tor_of_timeline, write_csv
+from torkit.timeline import _BATCH, observed_time, tor_of_timeline, write_csv, write_lines
 from torkit.trace import timeline_to_events, write_jsonl
 
 H, SR, CK, RB, FS, RP = (StageKind.HEALTHY_RUN, StageKind.SLOW_RECOVERY, StageKind.CHECKPOINT_SAVE,
@@ -71,10 +72,21 @@ def test_a_difference_names_its_first_line(change, message):
     assert_same_text(want, want)
 
 
+def written_both(tl: RateTimeline) -> tuple[str, str]:
+    """The (JSONL, CSV) texts of one ``write_lines`` call to both outputs."""
+    jsonl, csv_out = io.StringIO(), io.StringIO()
+    write_lines(tl, jsonl=jsonl, csv=csv_out)
+    return jsonl.getvalue(), csv_out.getvalue()
+
+
 def assert_same_bytes(tl: RateTimeline) -> None:
-    """Both writers match their oracles on ``tl``."""
-    assert_same_text(written(write_jsonl, tl), written(reference_write_jsonl, tl))
-    assert_same_text(written(write_csv, tl), written(reference_write_csv, tl))
+    """Both writers match their oracles on ``tl``, alone and from one pass to both outputs."""
+    want_jsonl, want_csv = written(reference_write_jsonl, tl), written(reference_write_csv, tl)
+    assert_same_text(written(write_jsonl, tl), want_jsonl)
+    assert_same_text(written(write_csv, tl), want_csv)
+    got_jsonl, got_csv = written_both(tl)
+    assert_same_text(got_jsonl, want_jsonl)
+    assert_same_text(got_csv, want_csv)
 
 
 def sim_config(dist, seed: int) -> SimConfig:
@@ -155,7 +167,7 @@ class TestSameBytesAsPerLineWriters:
         tl = cycled(_BATCH + 3, ODD)
         assert_same_bytes(RateTimeline(tl.segments))
 
-    @pytest.mark.parametrize("n", [1, _BATCH - 1, _BATCH, _BATCH + 1, 2 * _BATCH + 1])
+    @pytest.mark.parametrize("n", [0, 1, _BATCH - 1, _BATCH, _BATCH + 1, 2 * _BATCH + 1])
     def test_lengths_around_the_batch(self, n):
         assert_same_bytes(cycled(n, ODD))
 
@@ -170,6 +182,22 @@ class TestSameBytesAsPerLineWriters:
         assert_same_bytes(tr)
         assert written(write_jsonl, tr) == ""
         assert written(write_csv, tr) == "t_start,t_end,rate,stage\r\n"
+
+    @pytest.mark.parametrize("source", ["segments", "parsed"])
+    def test_negative_zero_rate(self, source):
+        # -0.0 == 0.0: a rate's spelling comes from its repr, never from a value-keyed memo.
+        rates = [0.0, -0.0, -0.0, 0.0, 1 / 3, -0.0]
+        stages = [CK, RP, SR, RB, SR, FS]
+        segs = [(1.5, rate, stage) for rate, stage in zip(rates, stages)]
+        tl = RateTimeline(segs)
+        if source == "parsed":
+            tl = parse_trace(written(reference_write_jsonl, tl))
+            assert [math.copysign(1, r) for r in tl.rates] == [math.copysign(1, r) for r in rates]
+        assert_same_bytes(tl)
+        jsonl, csv_text = written_both(tl)
+        assert [e.split('"rate": ')[1].split(",")[0] for e in jsonl.splitlines()] == list(
+            map(repr, rates))
+        assert [row.split(",")[2] for row in csv_text.splitlines()[1:]] == list(map(repr, rates))
 
     def test_csv_rows_end_in_crlf(self):
         text = written(write_csv, cycled(5, ODD))
@@ -193,6 +221,10 @@ class TestOverflowingEdge:
             '"duration": 1e+308}')
         assert_same_bytes(tl)
         assert written(write_csv, tl).endswith(",inf,0.0,Repair\r\n")
+        # One pass to both outputs: each keeps its own spelling.
+        jsonl, csv_text = written_both(tl)
+        assert jsonl.count("Infinity") == 1 and "Infinity" not in csv_text
+        assert csv_text.endswith("\r\n1e+308,inf,0.0,Repair\r\n")
 
     def test_every_edge_after_overflow(self):
         tl = RateTimeline([(1e308, 1.0, H)] * 3 + [(5e-324, 1 / 3, SR)] * 4)
@@ -263,11 +295,12 @@ class _Discard:
         return len(text)
 
 
-@pytest.mark.parametrize("writer", ["jsonl", "csv"])
+@pytest.mark.parametrize("writer", ["jsonl", "csv", "both"])
 def test_writer_memory_does_not_grow_with_length(writer):
     n = 200_000
     tl = RateTimeline._of_columns([0.1 + 0.2] * n, [1 / 3] * n, [SR] * n)
-    write = write_jsonl if writer == "jsonl" else write_csv
+    write = {"jsonl": write_jsonl, "csv": write_csv,
+             "both": lambda tl, out: write_lines(tl, jsonl=out, csv=out)}[writer]
     tracemalloc.start()
     try:
         write(tl, _Discard())

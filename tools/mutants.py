@@ -112,6 +112,27 @@ MUTANTS = [
     Mutant("dangling-symlink-cleanup", "cli.py",
            "created.append(real)", "created.append(path)",
            "a failed run removes the file a dangling symlink output named, not the link"),
+    Mutant("timeline-item-shape", "model.py",
+           "except TypeError:  # an item that is not three values",
+           "except ValueError:  # an item that is not three values",
+           "a timeline item that is not three values is a ValidationError"),
+    Mutant("csv-spells-infinity", "timeline.py",
+           "for t0, t1, rate, name in zip(starts, ends, rates, names)]))",
+           "for t0, t1, rate, name in zip(starts, ends, rates, names)])"
+           ".replace('inf', 'Infinity'))",
+           "only the JSONL spells an overflowed edge Infinity; the CSV keeps inf"),
+    Mutant("rate-memo-by-value", "timeline.py",
+           "rates = list(map(repr, tl.rates[batch]))",
+           "rates = [{0.0: '0.0'}.get(rate) or repr(rate) for rate in tl.rates[batch]]",
+           "a -0.0 rate is written -0.0, not merged with 0.0 by a value-keyed memo"),
+    Mutant("one-pass-writes-both", "timeline.py",
+           "        if csv is not None:\n            csv.write(\"\".join(",
+           "        elif csv is not None:\n            csv.write(\"\".join(",
+           "one write_lines pass to both outputs writes the CSV rows too"),
+    Mutant("close-error-names-its-path", "cli.py",
+           "with contextlib.suppress(OSError) if exc_type else self._named():",
+           "with contextlib.suppress(OSError):",
+           "an output whose close fails (a flush to /dev/full) exits 2 naming it"),
     Mutant("block-size", "simulator.py",
            "_BLOCK = 64", "_BLOCK = 63",
            "the block size of a stream's draws",
