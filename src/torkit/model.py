@@ -212,7 +212,8 @@ class RateTimeline:
     ``RateTimeline(items)`` is the validated public constructor: a
     ``Segment`` item is taken as it is, and any other item, a plain
     ``(duration, rate, stage)`` triple say, goes through ``Segment``'s checks;
-    an item that is not three values is a ValidationError that gives its position.
+    an item that is not three values is a ValidationError that gives its position,
+    and so is ``items`` that cannot be iterated.
     :meth:`_of_columns` wraps columns the package produced. The timeline is
     its own :attr:`segments`: an int index or iteration builds a ``Segment``
     when read; a slice is rejected.
@@ -223,6 +224,11 @@ class RateTimeline:
     stages: list[StageKind]
 
     def __init__(self, items: Iterable[Segment | tuple[float, float, StageKind | str]] = ()):
+        try:
+            items = iter(items)
+        except TypeError:  # not a collection of items: 5 or None, say
+            raise ValidationError(
+                f"a timeline is built from segments, got {type(items).__name__}") from None
         segs = []
         checked = (item if isinstance(item, Segment) else Segment(*item) for item in items)
         try:

@@ -32,6 +32,13 @@ records and its stage breakdown. It keeps durations, not timestamps:
 :func:`write_jsonl`, like the CSV writer, lays any timeline out from 0: each
 calls ``timeline.write_lines``, the one pass that writes either format or both. A trace
 built by hand is a list of event dicts, checked as the lines they stand for.
+
+A ``bytes`` line in the exact layout that :func:`write_jsonl` writes (its keys in
+its order and spacing, each number with a fraction or an exponent) is read by
+one anchored match, not the JSON decoder, and taken if one condition holds
+that makes every check above. Any other line, and a matched line that fails
+the condition, goes through the general path, so the checks, the messages and
+the events are the same either way.
 """
 from __future__ import annotations
 
@@ -39,6 +46,7 @@ import datetime as dt
 import io
 import json
 import math
+import re
 from collections import Counter
 from operator import sub
 from typing import IO, Iterable
@@ -86,14 +94,22 @@ _scan = json.JSONDecoder().scan_once
 _BLANK = object()
 _INF = math.inf
 _STAGE = {str(s): s for s in StageKind}
+_STAGE_BYTES = {name.encode(): stage for name, stage in _STAGE.items()}
+# A JSON number that json decodes to a float: it has a fraction or an exponent.
+_FLOAT = rb"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))"
+# One line as write_jsonl writes it, with the end of line a binary file keeps.
+_fast_line = re.compile(
+    rb'\{"t_start": ' + _FLOAT + rb', "t_end": ' + _FLOAT + rb', "stage": "(\w+)", "rate": '
+    + _FLOAT + rb', "duration": ' + _FLOAT + rb'\}\r?\n?').fullmatch
 
 
 def _decode(raw, line: int):
     """``json.loads`` of one line, or _BLANK for a blank line; raises its error.
 
-    Runs for a line the fast scan in :func:`parse_trace` did not take, so the
-    message is the one ``json.loads`` gives. An item that is not ``str`` or
-    ``bytes`` is already decoded and is returned as it is.
+    Runs for a line that neither the layout match nor the scan in
+    :func:`parse_trace` took, so the message is the one ``json.loads`` gives.
+    An item that is not ``str`` or ``bytes`` is already decoded and is
+    returned as it is.
     """
     if not isinstance(raw, (str, bytes)):
         return raw
@@ -138,8 +154,10 @@ def parse_trace(source: IO | bytes | str | Iterable) -> RateTimeline:
     events, sorted by t_start.
 
     The checks and their order are those of the module docstring. Each event goes
-    into the columns as its line is checked. An item of ``source`` that is not
-    ``str`` or ``bytes`` is taken as the decoded JSON value of its line, so a
+    into the columns as its line is checked; a ``bytes`` line in
+    :func:`write_jsonl`'s layout that passes them all goes in without the JSON
+    decoder, and a start spelled as the end before it reuses that end's float.
+    An item of ``source`` that is not ``str`` or ``bytes`` is taken as the decoded JSON value of its line, so a
     hand-built list of event dicts is checked as its JSONL would be. A numeric
     event's duration is its ``duration`` where it has one, else ``t_end - t_start``.
     A wall-clock event's ``duration`` is checked, then unused: its duration is its
@@ -164,7 +182,26 @@ def parse_trace(source: IO | bytes | str | Iterable) -> RateTimeline:
     last_end = _BLANK  # the last wall_end as its line spells it
     stages: list[StageKind] = []
     rates: list[float] = []
+    prev_spelled = prev_t1 = None  # the last t_end the fast path took, as spelled and as a float
     for line_no, raw in enumerate(lines, start=1):
+        if type(raw) is bytes and (fast := _fast_line(raw)) is not None:
+            b0, b1, name, b_rate, b_exact = fast.groups()
+            t0 = prev_t1 if b0 == prev_spelled else float(b0)
+            t1 = float(b1)
+            rate = float(b_rate)
+            exact = float(b_exact)
+            stage = _STAGE_BYTES.get(name)
+            # Every check of the general path below, on a line of this layout.
+            if (stage is not None and 0.0 <= rate <= 1.0 and FIXED_RATE.get(stage, rate) == rate
+                    and 0.0 < exact < _INF and 0.0 <= t0 < t1 < _INF
+                    and abs(exact - (t1 - t0)) <= CONTIGUITY_TOL * (t1 if t1 > 1.0 else 1.0)):
+                starts.append(t0)
+                ends.append(t1)
+                durations.append(exact)
+                stages.append(stage)
+                rates.append(rate)
+                prev_spelled, prev_t1 = b1, t1
+                continue
         try:
             text = (raw.decode("utf-8") if isinstance(raw, bytes) else raw).strip(_JSON_WS)
             obj, end = _scan(text, 0)

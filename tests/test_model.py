@@ -191,6 +191,12 @@ class TestSegment:
             with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
                 RateTimeline(items)
 
+    @pytest.mark.parametrize("items, name", [(5, "int"), (None, "NoneType"), (2.5, "float")])
+    def test_items_that_cannot_be_iterated(self, items, name):
+        message = f"a timeline is built from segments, got {name}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            RateTimeline(items)
+
     def test_period_timeline_is_the_checked_build(self):
         # The spec's stages are wrapped unchecked; they equal what the checked path builds.
         rng = np.random.default_rng(30)

@@ -915,6 +915,226 @@ def test_tiled_wall_trace_parses_each_instant_once(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# write_jsonl's own layout: the fast path gives what the general path gives
+
+def layout_line(t0=0.0, t1=10.0, stage="HealthyRun", rate=1.0, duration=10.0, end="\n"):
+    """One event in ``write_jsonl``'s key order and spacing; a str field is
+    written as it is spelled, a float as ``json.dumps`` spells it."""
+    def spell(v):
+        return v if isinstance(v, str) else json.dumps(v)
+    return (f'{{"t_start": {spell(t0)}, "t_end": {spell(t1)}, "stage": "{stage}", '
+            f'"rate": {spell(rate)}, "duration": {spell(duration)}}}{end}')
+
+
+# Events [t0, t1) whose duration is off the span by the slack, 1e-9 * max(1, t_end),
+# exactly: below 1 s (absolute) and above (scaled by t_end), above the span (+1)
+# and below it (-1), as (t0, t1, duration, sign).
+TOLERANCE_EDGES = {
+    "short+": (0.0, 1e-9, 2e-9, 1),
+    "short-": (0.0, 2e-9, 1e-9, -1),
+    "far+": (2.0 - 2**-40, 2.0, 2**-40 + 2e-9, 1),
+    "far-": (2.0 - 2**-28, 2.0, 2**-28 - 2e-9, -1),
+}
+
+
+def tolerance_cases(edge: float, sign: int) -> dict:
+    """The duration on the slack, one ulp inside it and one ulp outside it."""
+    inward, outward = (0.0, math.inf) if sign > 0 else (math.inf, 0.0)
+    return {"edge": edge, "inside": math.nextafter(edge, inward),
+            "outside": math.nextafter(edge, outward)}
+
+
+@pytest.mark.parametrize("name", sorted(TOLERANCE_EDGES))
+def test_tolerance_cases_sit_on_the_slack(name):
+    t0, t1, edge, sign = TOLERANCE_EDGES[name]
+    span, tol = t1 - t0, CONTIGUITY_TOL * max(1.0, t1)
+    cases = tolerance_cases(edge, sign)
+    assert t0 < t1 and cases["edge"] - span == sign * tol
+    assert abs(cases["inside"] - span) < tol < abs(cases["outside"] - span)
+
+
+# Per case, its trace and how many of its lines the general path reads (each
+# is one _scan call) as bytes: a line in the layout that passes every check is
+# the fast path's; any other line, or one that fails a check, is the general path's.
+LAYOUT = {
+    "tiled": (layout_line() + layout_line(10.0, 12.5, "CheckpointSave", 0.0, 2.5)
+              + layout_line(12.5, 14.0, "SlowRecovery", 0.25, 1.5), 0),
+    "unsorted": (layout_line(10.0, 20.0, duration=10.0) + layout_line(), 0),
+    "gap": (layout_line() + layout_line(12.0, 20.0, duration=8.0), 0),
+    "offset-start": (layout_line() + layout_line(10.000000001, 20.0, duration=9.999999999), 0),
+    # Off the end before by more than the gap check allows, less than its duration's tolerance.
+    "gap-within-duration-tolerance": (layout_line() + layout_line(10.0 + 1.5e-8, 20.0,
+                                                                  duration=10.0 - 1.5e-8), 0),
+    "negative-zero-rate": (layout_line(stage="Repair", rate=-0.0)
+                           + layout_line(10.0, 20.0, "RollbackWaste", -0.0, 10.0), 0),
+    "negative-zero-healthy-rate": (layout_line(rate=-0.0), 1),
+    "free-rate-one": (layout_line(stage="SlowRecovery", rate=1.0), 0),
+    "free-rate-zero": (layout_line(stage="FailSlowDegraded", rate=0.0), 0),
+    "rate-above-one": (layout_line(stage="SlowRecovery", rate=math.nextafter(1.0, 2.0)), 1),
+    "negative-rate": (layout_line(stage="SlowRecovery", rate=-0.5), 1),
+    "healthy-rate": (layout_line(rate=0.5), 1),
+    "repair-rate": (layout_line(stage="Repair", rate=1e-300), 1),
+    "save-rate": (layout_line(stage="CheckpointSave", rate=1.0), 1),
+    "zero-duration": (layout_line(duration=0.0), 1),
+    "negative-duration": (layout_line(duration=-10.0), 1),
+    "underflowing-duration": (layout_line(duration="1e-400"), 1),
+    "empty-span-duration": (layout_line(10.0, 10.0, duration=1e-8), 1),
+    "empty-span-disagreeing-duration": (layout_line(10.0, 10.0, duration=2e-8), 1),
+    "end-before-start": (layout_line(10.0, 5.0, duration=5.0), 1),
+    "negative-start": (layout_line(-1.0, 10.0, duration=11.0), 1),
+    "negative-zero-start": (layout_line("-0.0", 10.0), 0),
+    "overflowing-end": (layout_line(t1="1e999"), 1),
+    "overflowing-duration": (layout_line(duration="1e999"), 1),
+    "overflowing-start": (layout_line(t0="1e999"), 1),
+    "leading-zero": (layout_line(t1="010.0"), 1),
+    "leading-zero-fraction": (layout_line(duration="01.5"), 1),
+    "plus-sign": (layout_line(t1="+10.0"), 1),
+    "bare-fraction": (layout_line(t0=".0"), 1),
+    "trailing-dot": (layout_line(t1="10."), 1),
+    "nan-rate": (layout_line(stage="SlowRecovery", rate="NaN"), 1),
+    "infinity-end": (layout_line(t1="Infinity"), 1),
+    "negative-infinity-start": (layout_line(t0="-Infinity"), 1),
+    "integer-rate": (layout_line(rate="1"), 1),
+    "integer-times": (layout_line("0", "10", duration="10"), 1),
+    "exponent-spellings": (layout_line("0e0", "1E1", duration="1.0e+1")
+                           + layout_line("1e1", "2.0E1", duration="10e-0"), 0),
+    "start-spelled-otherwise": (layout_line() + layout_line("1e1", 20.0, duration=10.0), 0),
+    "escaped-stage": (layout_line(stage="Heal\\u0074hyRun"), 1),
+    "unknown-stage": (layout_line(stage="Napping"), 1),
+    "lower-case-stage": (layout_line(stage="healthyrun"), 1),
+    "trailing-spaces": (layout_line(end="  \n"), 1),
+    "leading-space": (" " + layout_line(), 1),
+    "tab-separator": (layout_line().replace(", ", ",\t", 1), 1),
+    "compact": (layout_line().replace(", ", ",").replace(": ", ":"), 1),
+    "other-key-order": (json.dumps({"t_end": 10.0, "t_start": 0.0, "stage": "HealthyRun",
+                                    "rate": 1.0, "duration": 10.0}) + "\n", 1),
+    "no-duration": (json.dumps({"t_start": 0.0, "t_end": 10.0, "stage": "HealthyRun",
+                                "rate": 1.0}) + "\n", 1),
+    "extra-key": (layout_line().replace("}", ', "note": 1}'), 1),
+    "crlf": (layout_line(end="\r\n") + layout_line(10.0, 20.0, end="\r\n"), 0),
+    "bare-cr": (layout_line(end="\r"), 0),
+    "no-final-newline": (layout_line() + layout_line(10.0, 20.0, end=""), 0),
+    "blank-line": (layout_line() + "\n" + layout_line(10.0, 20.0), 1),
+    "two-objects": (layout_line(end="") + layout_line(), 1),
+    "fast-then-wall-clock": (layout_line() + wall_line("2026-01-01T00:00:00",
+                                                       "2026-01-01T00:00:10"), 1),
+    "wall-clock-then-fast": (wall_line("2026-01-01T00:00:00", "2026-01-01T00:00:10")
+                             + layout_line(), 1),
+    "general-then-fast": (layout_line(rate="1") + layout_line(10.0, 20.0, rate=1.0), 1),
+    # A start spelled as the last fast line's end, after a general line.
+    "fast-general-fast": (layout_line() + layout_line(20.0, 30.0, rate="1")
+                          + layout_line(10.0, 20.0), 1),
+}
+for edge_name, (t0, t1, edge, sign) in TOLERANCE_EDGES.items():
+    for where, d in tolerance_cases(edge, sign).items():
+        LAYOUT[f"tolerance-{edge_name}-{where}"] = (
+            layout_line(t0, t1, "SlowRecovery", 0.5, d), int(where == "outside"))
+BINARY_SOURCES = {
+    "bytes": lambda text: text.encode(),
+    "bytes lines": lambda text: text.encode().splitlines(keepends=True),
+    "binary file": lambda text: io.BytesIO(text.encode()),
+}
+
+
+def counted_scans(monkeypatch) -> list:
+    """The text of every line the general path decodes from now on."""
+    scanned = []
+    scan = torkit.trace._scan
+
+    def counting(text, i):
+        scanned.append(text)
+        return scan(text, i)
+
+    monkeypatch.setattr(torkit.trace, "_scan", counting)
+    return scanned
+
+
+@pytest.mark.parametrize("kind", sorted(BINARY_SOURCES))
+@pytest.mark.parametrize("name", sorted(LAYOUT))
+def test_layout_lines_match_reference(name, kind, monkeypatch):
+    text, general = LAYOUT[name]
+    make_source = lambda: BINARY_SOURCES[kind](text)  # noqa: E731
+    expected = outcome(reference_parse_trace, make_source)
+    assert outcome(parse_trace, lambda: text) == expected
+    scanned = counted_scans(monkeypatch)
+    assert outcome(parse_trace, make_source) == expected
+    assert len(scanned) == general
+
+
+def random_layout_trace(rng: random.Random) -> str:
+    """A numeric trace in write_jsonl's layout: float fields, each with its
+    duration, now and then a start off the previous end, a duration off its
+    span, a wrong rate, a shuffle or a blank line."""
+    t = rng.choice([0.0, 0.0, 1e-3, 5e6])
+    lines = []
+    for i in range(rng.randint(1, 25)):
+        stage = rng.choice(list(StageKind))
+        if stage in FREE_RATE_STAGES:
+            rate = rng.choice([0.0, 1.0, 0.25, rng.random()])
+        else:
+            rate = 0.0 if stage in ZERO_RATE_STAGES else 1.0
+        if rng.random() < 0.02:
+            rate = rng.choice([0.5, -0.0, 1.5])
+        d = rng.choice([rng.uniform(1e-3, 100), 1e-7, 3e5])
+        t0 = t if i == 0 or rng.random() < 0.8 else t + rng.choice([-1e-10, 1e-10]) * min(t, d)
+        t1 = t + d
+        exact = (t1 - t0) * (1 + rng.choice([0.0, 0.0, 1e-12, -1e-12]))
+        if rng.random() < 0.02:
+            exact *= 1 + 1e-7
+        lines.append(layout_line(t0, t1, str(stage), rate, exact, end=""))
+        t = t1
+    if rng.random() < 0.3:
+        rng.shuffle(lines)
+    if rng.random() < 0.1:
+        lines.insert(rng.randrange(len(lines) + 1), "")
+    end = rng.choice(["\n", "\r\n"])
+    return "".join(line + end for line in lines)
+
+
+def test_parse_matches_reference_on_random_layout_traces(monkeypatch):
+    rng = random.Random(20261021)
+    scanned = counted_scans(monkeypatch)
+    results = Counter()
+    lines = 0
+    for i in range(300):
+        text = random_layout_trace(rng)
+        kind = rng.choice(sorted(BINARY_SOURCES))
+        make_source = lambda: BINARY_SOURCES[kind](text)  # noqa: E731
+        result = outcome(parse_trace, make_source)
+        assert result == outcome(reference_parse_trace, make_source), i
+        results[result[0]] += 1
+        lines += text.count("\n")
+    assert results["events"] >= 150 and results["error"] >= 50
+    assert len(scanned) < lines / 10   # the fast path reads most lines
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_parse_matches_reference_on_malformed_bytes(name):
+    data = MALFORMED[name]
+    data = data.encode() if isinstance(data, str) else b"".join(data)
+    result = outcome(parse_trace, lambda: data)
+    # The reference decodes a bytes source whole; its lines, it decodes one by one.
+    assert result == outcome(reference_parse_trace, lambda: list(io.BytesIO(data)))
+    assert result == outcome(parse_trace, lambda: io.BytesIO(data))
+    if name not in VALID_EDGES:
+        assert result[0] == "error"
+
+
+def test_written_traces_parse_without_the_json_decoder(monkeypatch):
+    """Every line write_jsonl writes is the fast path's, so a broken pattern
+    fails here instead of silently sending every line to the decoder."""
+    scanned = counted_scans(monkeypatch)
+    for tl in simulated_timelines():
+        buf = io.StringIO()
+        write_jsonl(tl, buf)
+        data = buf.getvalue().encode()
+        for make in (lambda: data, lambda: io.BytesIO(data),
+                     lambda: data.splitlines(keepends=True)):
+            assert parse_trace(make()) == tl
+    assert scanned == []
+
+
+# ---------------------------------------------------------------------------
 # the report against its reference
 
 def reference_stage_breakdown(tl: RateTimeline) -> dict:

@@ -133,6 +133,26 @@ MUTANTS = [
            "with contextlib.suppress(OSError) if exc_type else self._named():",
            "with contextlib.suppress(OSError):",
            "an output whose close fails (a flush to /dev/full) exits 2 naming it"),
+    Mutant("timeline-items-iterable", "model.py",
+           "except TypeError:  # not a collection of items",
+           "except ValueError:  # not a collection of items",
+           "RateTimeline(5) is a ValidationError, not a TypeError"),
+    Mutant("fast-trace-empty-span", "trace.py",
+           "and 0.0 < exact < _INF and 0.0 <= t0 < t1 < _INF",
+           "and 0.0 < exact < _INF and 0.0 <= t0 <= t1 < _INF",
+           "a layout line with t_end == t_start goes to the general path"),
+    Mutant("fast-trace-fixed-rate", "trace.py",
+           "0.0 <= rate <= 1.0 and FIXED_RATE.get(stage, rate) == rate",
+           "0.0 <= rate <= 1.0",
+           "a layout line at a rate its stage does not allow is rejected"),
+    Mutant("fast-trace-tolerance-edge", "trace.py",
+           "abs(exact - (t1 - t0)) <= CONTIGUITY_TOL", "abs(exact - (t1 - t0)) < CONTIGUITY_TOL",
+           "a layout line whose duration is off its span by the tolerance exactly is the "
+           "fast path's"),
+    Mutant("fast-trace-start-reuse", "trace.py",
+           "t0 = prev_t1 if b0 == prev_spelled else float(b0)",
+           "t0 = prev_t1 if prev_t1 is not None else float(b0)",
+           "a start reuses the previous end's float only where it is spelled the same"),
     Mutant("block-size", "simulator.py",
            "_BLOCK = 64", "_BLOCK = 63",
            "the block size of a stream's draws",
